@@ -14,7 +14,7 @@
 //! and follower catch-up p99 must fit inside one primary flush interval
 //! (the follower never falls behind cumulatively).
 
-use prim_bench::json;
+use prim_bench::{json, percentile};
 use prim_core::{ModelInputs, PrimConfig, PrimModel};
 use prim_data::generator::generate_taxonomy;
 use prim_data::{CityConfig, Dataset, RelationConfig, Scale, TaxonomyConfig};
@@ -39,11 +39,6 @@ fn bench_json_path() -> PathBuf {
 
 fn ms(from: Instant) -> f64 {
     from.elapsed().as_secs_f64() * 1e3
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// In-process protocol link (the replication wire without kernel noise).

@@ -16,7 +16,7 @@
 //!
 //! Results land in `BENCH_serve.json` at the repo root.
 
-use prim_bench::json;
+use prim_bench::{json, percentile};
 use prim_core::{fit, ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
 use prim_graph::PoiId;
@@ -26,11 +26,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
 use std::time::Instant;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 fn bench_json_path() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")

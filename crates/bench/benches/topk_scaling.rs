@@ -23,7 +23,7 @@
 //! (auto-sized) score-cache capacity. Results land in `BENCH_topk.json`;
 //! `examples/check_bench_regression.rs` re-checks the same gates in CI.
 
-use prim_bench::json;
+use prim_bench::{json, percentile};
 use prim_geo::{DistanceBins, GridIndex, Location};
 use prim_obs::Recorder;
 use prim_serve::{AnnOpts, AnnParams, EmbeddingStore, EngineOpts, ServeEngine};
@@ -35,11 +35,6 @@ use std::time::Instant;
 
 const DIM: usize = 32;
 const K: usize = 10;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 fn bench_json_path() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_topk.json")

@@ -138,6 +138,16 @@ pub fn assert_shape(description: &str, winner: f64, loser: f64, slack: f64) {
     }
 }
 
+/// Nearest-rank percentile of an ascending slice at `p` in `[0, 1]`;
+/// 0.0 for an empty slice (a load point where nothing completed).
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Machine-readable benchmark records.
 ///
 /// The kernel benches persist their measurements to a JSON file

@@ -18,6 +18,7 @@
 //! tenant cities discovered from the server's own aggregate `health`
 //! response.
 
+use crate::percentile;
 use prim_obs::json::{self, Value};
 use prim_serve::{Event, Interest, Poller};
 use rand::rngs::StdRng;
@@ -301,14 +302,6 @@ fn classify(line: &str) -> Outcome {
         }
         Err(_) => Outcome::Error,
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Runs one open-loop load point and reports what came back.

@@ -84,7 +84,8 @@ pub enum Counter {
     ServeRequests,
     /// POI pairs scored while serving (batch requests count every pair).
     ServePairs,
-    /// Micro-batches flushed through the batched scoring kernel.
+    /// Batched scoring-kernel passes: one per `batch` request and one
+    /// per top-k rescoring pass.
     ServeBatches,
     /// Score-cache hits.
     ServeCacheHits,

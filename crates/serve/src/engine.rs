@@ -1,5 +1,5 @@
 //! The serving query engine: batched bitwise-faithful scoring, spatial
-//! top-k, an LRU score cache and an optional micro-batcher.
+//! top-k and an LRU score cache.
 //!
 //! ## Bitwise contract
 //!
@@ -24,8 +24,7 @@ use prim_graph::PoiId;
 use prim_obs::{Counter, Phase, Recorder};
 use prim_tensor::kernel;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, RwLock};
 
 /// Pairs scored per inner block of the batched kernel. Four pairs give
 /// eight interleaved coefficient chains and (with [`REL_BLOCK`]) eight
@@ -97,11 +96,6 @@ pub struct EngineOpts {
     /// Score-vector cache capacity (entries); 0 disables caching,
     /// [`CACHE_AUTO`] (the default) sizes it to the store.
     pub cache_capacity: usize,
-    /// Micro-batcher: flush once this many pairs are queued.
-    pub batch_max_pairs: usize,
-    /// Micro-batcher: flush a non-empty queue after this long even if it
-    /// has not reached `batch_max_pairs`.
-    pub batch_max_wait: Duration,
     /// ANN dispatch configuration for approximate top-k.
     pub ann: AnnOpts,
 }
@@ -110,8 +104,6 @@ impl Default for EngineOpts {
     fn default() -> Self {
         EngineOpts {
             cache_capacity: CACHE_AUTO,
-            batch_max_pairs: 64,
-            batch_max_wait: Duration::from_micros(200),
             ann: AnnOpts::default(),
         }
     }
@@ -1146,220 +1138,5 @@ impl EngineSlot {
     /// Number of swaps performed (surfaced by the `health` op).
     pub fn reloads(&self) -> u64 {
         self.reloads.load(Ordering::SeqCst)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Micro-batching
-// ---------------------------------------------------------------------------
-
-type Waiter = mpsc::Sender<PairScores>;
-
-struct BatcherState {
-    queue: Vec<(u32, u32, Waiter)>,
-    shutdown: bool,
-}
-
-struct BatcherInner {
-    slot: Arc<EngineSlot>,
-    state: Mutex<BatcherState>,
-    cv: Condvar,
-    max_pairs: usize,
-    max_wait: Duration,
-}
-
-/// Collects concurrent single-pair requests into one batched kernel call.
-///
-/// Callers block in [`Batcher::submit`]; a dedicated worker thread drains
-/// the queue once it reaches `batch_max_pairs` or the oldest request has
-/// waited `batch_max_wait`, whichever comes first, and fans the per-pair
-/// results back out. Under a concurrent front end this turns many
-/// simultaneous point lookups into a few kernel invocations.
-///
-/// The batcher *degrades, never panics*: `batch_max_pairs == 0` skips the
-/// worker thread entirely and scores inline, a failed worker spawn logs a
-/// structured `batcher_spawn_failed` event and falls back to the same
-/// inline path, and a worker that dies mid-flight turns subsequent
-/// submissions inline instead of poisoning every connection.
-pub struct Batcher {
-    inner: Arc<BatcherInner>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Batcher {
-    /// Starts the worker thread over a private slot (no hot reload).
-    pub fn new(engine: Arc<ServeEngine>, opts: &EngineOpts) -> Self {
-        Self::over_slot(EngineSlot::new(engine), opts)
-    }
-
-    /// Starts the worker thread over a shared [`EngineSlot`], so a hot
-    /// reload retargets queued *and* future submissions.
-    pub fn over_slot(slot: Arc<EngineSlot>, opts: &EngineOpts) -> Self {
-        let inner = Arc::new(BatcherInner {
-            slot,
-            state: Mutex::new(BatcherState {
-                queue: Vec::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-            max_pairs: opts.batch_max_pairs.max(1),
-            max_wait: opts.batch_max_wait,
-        });
-        if opts.batch_max_pairs == 0 {
-            // Zero capacity: a batch of one is just an inline call; no
-            // thread to spawn, no channel round-trip to pay.
-            return Batcher {
-                inner,
-                worker: None,
-            };
-        }
-        let worker_inner = Arc::clone(&inner);
-        let worker = match std::thread::Builder::new()
-            .name("prim-serve-batcher".into())
-            .spawn(move || Self::run(worker_inner))
-        {
-            Ok(w) => Some(w),
-            Err(e) => {
-                // Structured serve error + inline fallback, not a panic:
-                // a box that cannot spawn threads can still score.
-                eprintln!(
-                    "{}",
-                    prim_obs::json::obj(&[
-                        ("event", prim_obs::json::str("batcher_spawn_failed")),
-                        ("error", prim_obs::json::str(&e.to_string())),
-                    ])
-                );
-                None
-            }
-        };
-        Batcher { inner, worker }
-    }
-
-    /// True when submissions score inline (zero capacity, failed spawn).
-    pub fn is_inline(&self) -> bool {
-        self.worker.is_none()
-    }
-
-    /// Scores one pair exactly as the worker would: a batch of one
-    /// through the shared slot (cache, counters and kernels included).
-    fn score_inline(&self, src: u32, dst: u32) -> PairScores {
-        self.inner
-            .slot
-            .get()
-            .batch(&[(src, dst)])
-            .pop()
-            .expect("batch of one returns one result")
-    }
-
-    fn run(inner: Arc<BatcherInner>) {
-        loop {
-            let drained: Vec<(u32, u32, Waiter)> = {
-                let mut st = inner.state.lock().unwrap();
-                // Sleep until there is work (or shutdown).
-                while st.queue.is_empty() && !st.shutdown {
-                    st = inner.cv.wait(st).unwrap();
-                }
-                if st.queue.is_empty() && st.shutdown {
-                    return;
-                }
-                // Linger briefly for stragglers to form a real batch.
-                let deadline = std::time::Instant::now() + inner.max_wait;
-                while st.queue.len() < inner.max_pairs && !st.shutdown {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (next, timeout) = inner.cv.wait_timeout(st, deadline - now).unwrap();
-                    st = next;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-                std::mem::take(&mut st.queue)
-            };
-            if drained.is_empty() {
-                continue;
-            }
-            let pairs: Vec<(u32, u32)> = drained.iter().map(|&(a, b, _)| (a, b)).collect();
-            let results = inner.slot.get().batch(&pairs);
-            for ((_, _, tx), result) in drained.into_iter().zip(results) {
-                // A dropped receiver just means the caller gave up waiting.
-                let _ = tx.send(result);
-            }
-        }
-    }
-
-    /// Scores one pair through the micro-batch queue, blocking until the
-    /// worker flushes. Inline mode (and a worker that died mid-request)
-    /// scores directly instead of panicking.
-    pub fn submit(&self, src: u32, dst: u32) -> PairScores {
-        if self.worker.is_none() {
-            return self.score_inline(src, dst);
-        }
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.queue.push((src, dst, tx));
-            self.inner.cv.notify_all();
-        }
-        match rx.recv() {
-            Ok(s) => s,
-            // The worker dropped our sender without answering (it died or
-            // is shutting down): degrade to the inline path.
-            Err(_) => self.score_inline(src, dst),
-        }
-    }
-
-    /// [`Batcher::submit`] bounded by a deadline: returns `None` when the
-    /// worker has not flushed this pair's batch by then (the caller turns
-    /// that into a structured `deadline_exceeded` error). The result, when
-    /// it does arrive late, is dropped with the channel. Inline mode (and
-    /// a dead worker) scores directly when budget remains.
-    pub fn submit_deadline(&self, src: u32, dst: u32, deadline: Instant) -> Option<PairScores> {
-        let inline_within_budget = || {
-            if Instant::now() >= deadline {
-                None
-            } else {
-                Some(self.score_inline(src, dst))
-            }
-        };
-        if self.worker.is_none() {
-            return inline_within_budget();
-        }
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.queue.push((src, dst, tx));
-            self.inner.cv.notify_all();
-        }
-        let budget = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(budget) {
-            Ok(s) => Some(s),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => inline_within_budget(),
-        }
-    }
-
-    /// The slot this batcher resolves its engine through.
-    pub fn slot(&self) -> Arc<EngineSlot> {
-        Arc::clone(&self.inner.slot)
-    }
-
-    /// The engine this batcher currently feeds.
-    pub fn engine(&self) -> Arc<ServeEngine> {
-        self.inner.slot.get()
-    }
-}
-
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.shutdown = true;
-            self.inner.cv.notify_all();
-        }
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
     }
 }

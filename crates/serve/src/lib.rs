@@ -14,10 +14,10 @@
 //!    tape.
 //! 3. **Query** — [`engine::ServeEngine`] answers point scores, batched
 //!    scores and spatial top-k over the frozen tables, with a sharded LRU
-//!    score cache, optional micro-batching ([`engine::Batcher`]) and
-//!    `prim-obs` telemetry.
+//!    score cache and `prim-obs` telemetry.
 //! 4. **Speak** — [`proto`] defines a JSON-lines request/response
-//!    protocol; [`server`] runs it over stdin/stdout or a TCP listener.
+//!    protocol; [`server`] runs it over stdin/stdout or a TCP listener,
+//!    both through one framer and one per-line handler.
 //!
 //! Every scoring path here reproduces
 //! [`prim_core::PrimModel::score_pair_eager`] *bitwise*: same operation
@@ -47,14 +47,13 @@ pub use ckpt::{
     VERSION,
 };
 pub use engine::{
-    score_pairs_all, AnnOpts, Batcher, EngineOpts, EngineSlot, Neighbor, PairScores, ServeEngine,
-    CACHE_AUTO,
+    score_pairs_all, AnnOpts, EngineOpts, EngineSlot, Neighbor, PairScores, ServeEngine, CACHE_AUTO,
 };
 pub use poll::{Event, Interest, Poller};
 pub use proto::{
     handle_line, handle_request, handle_request_gated, oversized_line_error, AdmissionGate,
-    AdmissionPermit, GatePermit, GatedHandled, Handled, IngestBackend, ServeCtx, ServeLimits,
-    Tenant, TenantSpec, DEFAULT_TENANT,
+    GatePermit, GatedHandled, Handled, IngestBackend, ServeCtx, ServeLimits, Tenant, TenantSpec,
+    DEFAULT_TENANT,
 };
 pub use resume::{fit_resumable, fit_resumable_hooked, ResilienceOpts, ResumableRun, ResumeError};
 pub use rotate::{CkptRotator, LATEST};

@@ -25,7 +25,7 @@
 //!
 //! A [`ServeCtx`] hosts one or more named [`Tenant`]s, each a complete
 //! serving stack: its own [`EngineSlot`] (so hot `reload` stays per-city
-//! and atomic), score cache, optional micro-batcher and `prim-obs`
+//! and atomic), score cache, optional ingest backend and `prim-obs`
 //! recorder. Requests carrying `"city"` route to that tenant; a name this
 //! process does not host earns a structured `unknown_tenant` error. On a
 //! single-tenant context a request without `"city"` behaves exactly as the
@@ -45,7 +45,7 @@
 //!   slow readers saturate the gate instead of ballooning memory.
 //! * **Deadlines** — `deadline` gives each request a time budget from the
 //!   moment its line is read. Expired budgets return `deadline_exceeded`
-//!   instead of hanging; batched `score` ops use a deadline-bounded wait.
+//!   instead of hanging.
 //! * **Degradation** — when a `top_k` request's remaining budget drops
 //!   under `degrade_margin`, the engine skips the scoring pass and answers
 //!   from the spatial grid alone, flagged `"degraded": true` — a cheap,
@@ -60,7 +60,7 @@
 //! without failing any in-flight request.
 
 use crate::ckpt::load_checkpoint;
-use crate::engine::{Batcher, EngineOpts, EngineSlot, PairScores, ServeEngine};
+use crate::engine::{EngineOpts, EngineSlot, PairScores, ServeEngine};
 use crate::store::EmbeddingStore;
 use prim_obs::json::{self, Value};
 use prim_obs::Counter;
@@ -79,9 +79,8 @@ pub struct ServeLimits {
     /// `top_k` degrades to a grid-only answer when the remaining budget
     /// drops below this. Zero never degrades.
     pub degrade_margin: Duration,
-    /// How long a connection may stall mid-line before it is closed
-    /// (slow-loris protection); also the idle read timeout on the legacy
-    /// blocking paths.
+    /// How long a TCP connection may stall mid-line before it is closed
+    /// (slow-loris protection).
     pub read_timeout: Option<Duration>,
     /// How long a connection with queued response bytes may refuse to
     /// accept writes before it is closed (slow-reader protection).
@@ -102,20 +101,9 @@ pub struct AdmissionGate {
     inflight: AtomicUsize,
 }
 
-/// An admission slot borrowed from a gate; releases on drop.
-pub struct AdmissionPermit<'a>(Option<&'a AdmissionGate>);
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        if let Some(gate) = self.0 {
-            gate.inflight.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
-/// An owned admission slot: same accounting as [`AdmissionPermit`] but
-/// holding the gate by `Arc`, so the event loop can keep it alive until
-/// the response bytes actually reach the socket.
+/// An admission slot; releases on drop. It holds the gate by `Arc`, so
+/// a front end can keep it alive until the response bytes actually reach
+/// the socket.
 pub struct GatePermit(Option<Arc<AdmissionGate>>);
 
 impl Drop for GatePermit {
@@ -154,20 +142,8 @@ impl AdmissionGate {
     }
 
     /// Tries to take a slot; `None` means the server is saturated and this
-    /// request must be shed.
-    pub fn admit(&self) -> Option<AdmissionPermit<'_>> {
-        if self.capacity == 0 {
-            return Some(AdmissionPermit(None));
-        }
-        if self.try_inc() {
-            Some(AdmissionPermit(Some(self)))
-        } else {
-            None
-        }
-    }
-
-    /// [`AdmissionGate::admit`] returning an owned permit that can outlive
-    /// the call frame (held until the response is flushed).
+    /// request must be shed. The permit can outlive the call frame (held
+    /// until the response is flushed).
     pub fn admit_owned(self: &Arc<Self>) -> Option<GatePermit> {
         if self.capacity == 0 {
             return Some(GatePermit(None));
@@ -205,13 +181,11 @@ pub trait IngestBackend: Send + Sync {
 }
 
 /// One named city engine inside a serving process: hot-reloadable slot,
-/// optional micro-batcher, optional ingest backend, and the checkpoint
-/// path `reload` last applied (engines carry their own score cache and
-/// recorder).
+/// optional ingest backend, and the checkpoint path `reload` last applied
+/// (engines carry their own score cache and recorder).
 pub struct Tenant {
     name: String,
     slot: Arc<EngineSlot>,
-    batcher: Option<Arc<Batcher>>,
     ingest: Option<Arc<dyn IngestBackend>>,
     ckpt_path: Mutex<Option<String>>,
 }
@@ -220,14 +194,12 @@ impl Tenant {
     fn new(
         name: impl Into<String>,
         slot: Arc<EngineSlot>,
-        batcher: Option<Arc<Batcher>>,
         ingest: Option<Arc<dyn IngestBackend>>,
         ckpt_path: Option<String>,
     ) -> Self {
         Tenant {
             name: name.into(),
             slot,
-            batcher,
             ingest,
             ckpt_path: Mutex::new(ckpt_path),
         }
@@ -267,15 +239,11 @@ pub struct TenantSpec {
     /// The engine serving this city.
     pub engine: Arc<ServeEngine>,
     /// Optional pre-existing hot-reload slot to serve from. Pass this
-    /// when another component (a [`Batcher`], an ingest pipeline)
-    /// publishes engines into a slot it already owns — the tenant must
-    /// resolve through *that* slot, not a private one. When set,
-    /// `engine` is ignored (the slot is authoritative).
+    /// when another component (an ingest pipeline) publishes engines into
+    /// a slot it already owns — the tenant must resolve through *that*
+    /// slot, not a private one. When set, `engine` is ignored (the slot is
+    /// authoritative).
     pub slot: Option<Arc<EngineSlot>>,
-    /// Optional micro-batcher for this city's single-pair `score` ops.
-    /// Must share the tenant's slot to survive hot reloads; build it with
-    /// [`Batcher::over_slot`].
-    pub batcher: Option<Arc<Batcher>>,
     /// Optional streaming-mutation backend handling this city's ingest
     /// ops (`add_poi` / `add_edge` / `retire_poi` / …).
     pub ingest: Option<Arc<dyn IngestBackend>>,
@@ -285,13 +253,12 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// A plain direct-scoring tenant.
+    /// A tenant serving `engine` from a private slot.
     pub fn new(city: impl Into<String>, engine: Arc<ServeEngine>) -> Self {
         TenantSpec {
             city: city.into(),
             engine,
             slot: None,
-            batcher: None,
             ingest: None,
             ckpt_path: None,
         }
@@ -310,14 +277,6 @@ impl TenantSpec {
         self
     }
 
-    /// Routes this tenant's single-pair scores through a micro-batcher.
-    /// The tenant adopts the batcher's [`EngineSlot`], so hot reloads
-    /// retarget direct and batched paths together.
-    pub fn with_batcher(mut self, batcher: Arc<Batcher>) -> Self {
-        self.batcher = Some(batcher);
-        self
-    }
-
     /// Attaches a streaming-mutation backend; its ops join this tenant's
     /// protocol dispatch. The backend must publish through the same
     /// [`EngineSlot`] this tenant resolves (share it at construction).
@@ -327,12 +286,12 @@ impl TenantSpec {
     }
 }
 
-/// The default single-tenant name ([`ServeCtx::direct`]/[`ServeCtx::batched`]).
+/// The default single-tenant name ([`ServeCtx::direct`]).
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Shared serving context handed to every connection: the named tenants
-/// (each a hot-reloadable engine slot plus optional micro-batcher), the
-/// resilience limits and the admission gate.
+/// (each a hot-reloadable engine slot), the resilience limits and the
+/// admission gate.
 #[derive(Clone)]
 pub struct ServeCtx {
     tenants: Arc<Vec<Tenant>>,
@@ -344,38 +303,9 @@ pub struct ServeCtx {
 }
 
 impl ServeCtx {
-    fn single(tenant: Tenant) -> Self {
-        ServeCtx {
-            tenants: Arc::new(vec![tenant]),
-            limits: ServeLimits::default(),
-            gate: Arc::new(AdmissionGate::new(0)),
-            engine_opts: EngineOpts::default(),
-        }
-    }
-
-    /// Context scoring directly against the engine (no micro-batching).
+    /// One-tenant context scoring directly against the engine.
     pub fn direct(engine: Arc<ServeEngine>) -> Self {
-        Self::single(Tenant::new(
-            DEFAULT_TENANT,
-            EngineSlot::new(engine),
-            None,
-            None,
-            None,
-        ))
-    }
-
-    /// Context routing single-pair scores through a micro-batcher. The
-    /// context shares the batcher's [`EngineSlot`], so a hot reload
-    /// retargets direct *and* batched paths together.
-    pub fn batched(engine: Arc<ServeEngine>, batcher: Arc<Batcher>) -> Self {
-        let _ = engine; // the batcher's slot is authoritative
-        Self::single(Tenant::new(
-            DEFAULT_TENANT,
-            batcher.slot(),
-            Some(batcher),
-            None,
-            None,
-        ))
+        Self::multi(vec![TenantSpec::new(DEFAULT_TENANT, engine)])
     }
 
     /// Multi-city context: one process hosts every named engine, requests
@@ -394,26 +324,8 @@ impl ServeCtx {
                 "duplicate tenant {:?}",
                 spec.city
             );
-            let slot = match (spec.slot, &spec.batcher) {
-                (Some(slot), Some(b)) => {
-                    assert!(
-                        Arc::ptr_eq(&slot, &b.slot()),
-                        "tenant {:?}: explicit slot and batcher slot must be the same",
-                        spec.city
-                    );
-                    slot
-                }
-                (Some(slot), None) => slot,
-                (None, Some(b)) => b.slot(),
-                (None, None) => EngineSlot::new(spec.engine),
-            };
-            tenants.push(Tenant::new(
-                spec.city,
-                slot,
-                spec.batcher,
-                spec.ingest,
-                spec.ckpt_path,
-            ));
+            let slot = spec.slot.unwrap_or_else(|| EngineSlot::new(spec.engine));
+            tenants.push(Tenant::new(spec.city, slot, spec.ingest, spec.ckpt_path));
         }
         ServeCtx {
             tenants: Arc::new(tenants),
@@ -460,11 +372,7 @@ impl ServeCtx {
     }
 
     /// The admission gate (exposed for tests and health reporting).
-    pub fn gate(&self) -> &AdmissionGate {
-        &self.gate
-    }
-
-    fn gate_arc(&self) -> &Arc<AdmissionGate> {
+    pub fn gate(&self) -> &Arc<AdmissionGate> {
         &self.gate
     }
 }
@@ -489,7 +397,7 @@ pub struct GatedHandled {
 }
 
 impl GatedHandled {
-    fn ungated(handled: Handled) -> Self {
+    pub(crate) fn ungated(handled: Handled) -> Self {
         GatedHandled {
             handled,
             permit: None,
@@ -574,8 +482,8 @@ fn ok_obj(op: &str, city: Option<&str>, rest: &[(&str, String)]) -> String {
     json::obj(&fields)
 }
 
-/// Handles one raw request line with no deadline (the stdin path and
-/// pre-resilience callers).
+/// Handles one raw request line with no deadline (in-process callers:
+/// tests, benches and replication links).
 pub fn handle_line(ctx: &ServeCtx, line: &str) -> Handled {
     handle_request(ctx, line, None)
 }
@@ -666,7 +574,7 @@ pub fn handle_request_gated(ctx: &ServeCtx, line: &str, deadline: Option<Instant
         });
     }
 
-    let Some(permit) = ctx.gate_arc().admit_owned() else {
+    let Some(permit) = ctx.gate.admit_owned() else {
         engine.recorder().add(Counter::ServeOverloads, 1);
         return GatedHandled::ungated(err_code("overloaded", "admission queue full, request shed"));
     };
@@ -735,20 +643,7 @@ fn handle_admitted(
                     "request deadline passed before scoring",
                 );
             }
-            let scored = match (&tenant.batcher, deadline) {
-                (Some(b), Some(t)) => match b.submit_deadline(src, dst, t) {
-                    Some(s) => s,
-                    None => {
-                        engine.recorder().add(Counter::ServeDeadlines, 1);
-                        return err_code(
-                            "deadline_exceeded",
-                            "batch queue did not flush within the deadline",
-                        );
-                    }
-                },
-                (Some(b), None) => b.submit(src, dst),
-                (None, _) => engine.score(src, dst),
-            };
+            let scored = engine.score(src, dst);
             Handled {
                 response: ok_obj(
                     "score",
@@ -975,32 +870,32 @@ mod tests {
 
     #[test]
     fn admission_gate_caps_and_releases() {
-        let gate = AdmissionGate::new(2);
-        let a = gate.admit().expect("slot 1");
-        let _b = gate.admit().expect("slot 2");
-        assert!(gate.admit().is_none(), "third admit must shed");
+        let gate = Arc::new(AdmissionGate::new(2));
+        let a = gate.admit_owned().expect("slot 1");
+        let _b = gate.admit_owned().expect("slot 2");
+        assert!(gate.admit_owned().is_none(), "third admit must shed");
         assert_eq!(gate.inflight(), 2);
         drop(a);
-        assert!(gate.admit().is_some(), "released slot is reusable");
+        assert!(gate.admit_owned().is_some(), "released slot is reusable");
     }
 
     #[test]
     fn unbounded_gate_always_admits() {
-        let gate = AdmissionGate::new(0);
-        let permits: Vec<_> = (0..64).map(|_| gate.admit().unwrap()).collect();
+        let gate = Arc::new(AdmissionGate::new(0));
+        let permits: Vec<_> = (0..64).map(|_| gate.admit_owned().unwrap()).collect();
         assert_eq!(gate.inflight(), 0, "capacity 0 does not count");
         drop(permits);
     }
 
     #[test]
-    fn owned_permits_share_the_borrowed_gate_accounting() {
-        let gate = Arc::new(AdmissionGate::new(2));
-        let a = gate.admit_owned().expect("slot 1");
-        let _b = gate.admit().expect("borrowed slot 2");
-        assert!(gate.admit_owned().is_none(), "third admit must shed");
-        assert_eq!(gate.inflight(), 2);
-        drop(a);
-        assert_eq!(gate.inflight(), 1, "owned permit releases on drop");
+    fn owned_permits_release_wherever_they_drop() {
+        // A front end may drop a permit on another thread (or long after
+        // the handler returned): the slot still returns to the gate.
+        let gate = Arc::new(AdmissionGate::new(1));
+        let permit = gate.admit_owned().expect("slot 1");
+        assert!(gate.admit_owned().is_none(), "second admit must shed");
+        std::thread::spawn(move || drop(permit)).join().unwrap();
+        assert_eq!(gate.inflight(), 0, "permit releases on drop");
         assert!(gate.admit_owned().is_some());
     }
 

@@ -1,14 +1,18 @@
-//! Serving front ends: a stdin/stdout loop and a nonblocking event-loop
-//! TCP listener.
+//! Serving front ends: a blocking stdin/stdout loop and a nonblocking
+//! event-loop TCP listener.
 //!
-//! Both speak the [`crate::proto`] JSON-lines protocol. The stdin loop is
-//! the scriptable path (CI pipes a request file through it and diffs the
-//! output). The TCP front end is readiness-driven: an accept thread feeds
-//! sharded event loops (one per core by default, `PRIM_SERVE_SHARDS`
-//! overrides), each running a [`crate::poll::Poller`] over per-connection
-//! state machines — read buffer, [`LineFramer`], write buffer — with **no
-//! per-connection thread**. Ten thousand mostly-idle connections cost ten
-//! thousand small buffers, not ten thousand stacks.
+//! Both speak the [`crate::proto`] JSON-lines protocol over one request
+//! path: every byte read goes through a [`LineFramer`], and every framed
+//! line through one handler (admission, deadline stamped at read, a direct
+//! engine call). The stdin loop is the scriptable path (CI pipes a request
+//! file through it and diffs the output); it blocks on reads, because
+//! epoll refuses regular files and CI feeds stdin from one. The TCP front
+//! end is readiness-driven: an accept thread feeds sharded event loops
+//! (one per core by default, `PRIM_SERVE_SHARDS` overrides), each running
+//! a [`crate::poll::Poller`] over per-connection state machines — read
+//! buffer, [`LineFramer`], write buffer — with **no per-connection
+//! thread**. Ten thousand mostly-idle connections cost ten thousand small
+//! buffers, not ten thousand stacks.
 //!
 //! ## Backpressure and shedding
 //!
@@ -25,9 +29,9 @@
 //! ## Failure semantics
 //!
 //! A client that vanishes — broken pipe, connection reset, aborted, or a
-//! half-written line at EOF — is *routine*, not an error: both front ends
-//! log a structured `client_disconnect` event, bump
-//! `Counter::ServeDisconnects`, and keep the server healthy. When
+//! half-written line at EOF (which gets no response) — is *routine*, not
+//! an error: both front ends log a structured `client_disconnect` event,
+//! bump `Counter::ServeDisconnects`, and keep the server healthy. When
 //! [`crate::proto::ServeLimits`] sets a `read_timeout`, a connection
 //! stalled mid-line (slow loris) is closed and counted under
 //! `Counter::ServeDeadlines`; a `write_timeout` closes connections whose
@@ -36,12 +40,12 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::proto::{
-    handle_request, handle_request_gated, oversized_line_error, GatePermit, ServeCtx,
+    handle_request_gated, oversized_line_error, GatePermit, GatedHandled, ServeCtx,
 };
 use prim_obs::json;
 use prim_obs::Counter;
 use std::collections::VecDeque;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,48 +77,72 @@ fn note_disconnect(ctx: &ServeCtx, front: &str, e: &std::io::Error) {
     );
 }
 
-/// Runs the protocol over any line-based reader/writer pair until EOF or a
-/// `shutdown` op. Each request line produces exactly one response line. A
-/// peer that disappears mid-stream (broken pipe on either side) ends the
-/// loop cleanly — logged and counted, not an error.
+/// Answers one framed line — the per-line handler both front ends share.
+/// A request line goes through admission and the protocol handler with
+/// its deadline stamped at `read_at`; an oversized line is counted and
+/// rejected without touching the gate.
+fn answer(ctx: &ServeCtx, event: LineEvent, read_at: Instant) -> GatedHandled {
+    match event {
+        LineEvent::Line(line) => {
+            let deadline = ctx.limits.deadline.map(|d| read_at + d);
+            handle_request_gated(ctx, &line, deadline)
+        }
+        LineEvent::Oversized(len) => {
+            ctx.engine().recorder().add(Counter::ServeOversized, 1);
+            GatedHandled::ungated(oversized_line_error(len, ctx.limits.max_line_bytes))
+        }
+    }
+}
+
+/// Runs the protocol over a blocking reader/writer pair until EOF or a
+/// `shutdown` op. Bytes are framed exactly as a TCP connection's are, and
+/// each framed line produces exactly one response line, written and
+/// flushed while its admission permit is held. A half-written line at EOF
+/// gets no response, and a peer that disappears mid-stream (broken pipe on
+/// either side) ends the loop cleanly — both logged and counted, not an
+/// error.
 pub fn serve_stdin(
     ctx: &ServeCtx,
-    reader: impl BufRead,
+    mut reader: impl Read,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
+    let mut framer = LineFramer::new(ctx.limits.max_line_bytes);
+    let mut chunk = [0u8; READ_CHUNK];
+    let mut line_events = Vec::new();
+    loop {
+        let n = match reader.read(&mut chunk) {
+            Ok(0) => {
+                if framer.mid_line_content() {
+                    let eof = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+                    note_disconnect(ctx, "stdin", &eof);
+                }
+                return Ok(());
+            }
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) if is_disconnect(&e) => {
                 note_disconnect(ctx, "stdin", &e);
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let max = ctx.limits.max_line_bytes;
-        let handled = if max > 0 && line.len() > max {
-            ctx.engine().recorder().add(Counter::ServeOversized, 1);
-            oversized_line_error(line.len(), max)
-        } else {
-            let deadline = ctx.limits.deadline.map(|d| Instant::now() + d);
-            handle_request(ctx, &line, deadline)
-        };
-        let wrote = writeln!(writer, "{}", handled.response).and_then(|_| writer.flush());
-        if let Err(e) = wrote {
-            if is_disconnect(&e) {
-                note_disconnect(ctx, "stdin", &e);
+        let read_at = Instant::now();
+        framer.push(&chunk[..n], &mut |ev| line_events.push(ev));
+        for ev in line_events.drain(..) {
+            let gated = answer(ctx, ev, read_at);
+            let wrote = writeln!(writer, "{}", gated.handled.response).and_then(|_| writer.flush());
+            if let Err(e) = wrote {
+                if is_disconnect(&e) {
+                    note_disconnect(ctx, "stdin", &e);
+                    return Ok(());
+                }
+                return Err(e);
+            }
+            if gated.handled.shutdown {
                 return Ok(());
             }
-            return Err(e);
-        }
-        if handled.shutdown {
-            break;
         }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -133,8 +161,8 @@ pub enum LineEvent {
 
 /// Incremental newline framing over arbitrary read-chunk boundaries.
 ///
-/// The event loop feeds whatever byte slices the socket yields; the framer
-/// reassembles lines regardless of how they were split across reads,
+/// Both front ends feed whatever byte slices their reader yields; the
+/// framer reassembles lines regardless of how they were split across reads,
 /// enforces `max_line_bytes` (0 = unlimited) with discard-to-newline
 /// resync, and tracks when the current partial line started so the shard
 /// can close slow-loris connections.
@@ -171,10 +199,10 @@ impl LineFramer {
     }
 
     /// Feeds one read chunk, emitting an event per completed (or
-    /// oversized) line. Empty/whitespace-only lines are skipped, matching
-    /// the stdin front end. Event payloads are *chunk-invariant*: however
-    /// the transport splits the stream across reads, the emitted sequence
-    /// is identical (pinned by the `proto_fuzz` properties).
+    /// oversized) line. Empty/whitespace-only lines are skipped. Event
+    /// payloads are *chunk-invariant*: however the transport splits the
+    /// stream across reads, the emitted sequence is identical (pinned by
+    /// the `proto_fuzz` properties).
     pub fn push(&mut self, bytes: &[u8], emit: &mut impl FnMut(LineEvent)) {
         let mut rest = bytes;
         while !rest.is_empty() {
@@ -698,25 +726,15 @@ fn read_and_handle(
             Ok(n) => {
                 conn.framer
                     .push(&chunk[..n], &mut |ev| line_events.push(ev));
-                for le in line_events.drain(..) {
-                    match le {
-                        LineEvent::Line(line) => {
-                            let deadline = ctx.limits.deadline.map(|d| tick_base + d);
-                            let gated = handle_request_gated(ctx, &line, deadline);
-                            conn.queue_response(&gated.handled.response, gated.permit);
-                            if gated.handled.shutdown {
-                                // Server-wide stop, mirroring the stdin
-                                // front end; the ack flushes in the
-                                // post-loop drain if the socket is busy.
-                                conn.close_after_flush = true;
-                                stop.store(true, Ordering::SeqCst);
-                            }
-                        }
-                        LineEvent::Oversized(len) => {
-                            ctx.engine().recorder().add(Counter::ServeOversized, 1);
-                            let h = oversized_line_error(len, ctx.limits.max_line_bytes);
-                            conn.queue_response(&h.response, None);
-                        }
+                for ev in line_events.drain(..) {
+                    let gated = answer(ctx, ev, tick_base);
+                    conn.queue_response(&gated.handled.response, gated.permit);
+                    if gated.handled.shutdown {
+                        // Server-wide stop, mirroring the stdin front end;
+                        // the ack flushes in the post-loop drain if the
+                        // socket is busy.
+                        conn.close_after_flush = true;
+                        stop.store(true, Ordering::SeqCst);
                     }
                 }
                 if n < READ_CHUNK {

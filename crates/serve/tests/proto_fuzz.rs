@@ -10,10 +10,11 @@ use prim_data::{Dataset, Scale};
 use prim_obs::json::{self, Value};
 use prim_obs::Recorder;
 use prim_serve::{
-    handle_line, handle_request, EmbeddingStore, EngineOpts, LineEvent, LineFramer, ServeCtx,
-    ServeEngine,
+    handle_line, handle_request, serve_stdin, EmbeddingStore, EngineOpts, LineEvent, LineFramer,
+    ServeCtx, ServeEngine, ServeLimits,
 };
 use proptest::prelude::*;
+use std::io::Read;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -59,6 +60,31 @@ fn assert_well_formed(input: &str, response: &str) {
     match v.get("ok") {
         Some(Value::Bool(_)) => {}
         other => panic!("response to {input:?} lacks boolean \"ok\": {other:?}"),
+    }
+}
+
+/// A reader that hands out a byte stream in the same pieces the split
+/// list cuts it into, then the remainder. Empty pieces are skipped: a
+/// zero-byte read means EOF.
+struct SplitReader<'a> {
+    rest: &'a [u8],
+    splits: std::slice::Iter<'a, usize>,
+}
+
+impl Read for SplitReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut want = self.rest.len();
+        for s in self.splits.by_ref() {
+            let cut = s % (self.rest.len() + 1);
+            if cut > 0 {
+                want = cut;
+                break;
+            }
+        }
+        let n = want.min(buf.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
     }
 }
 
@@ -166,6 +192,22 @@ proptest! {
                 }
                 LineEvent::Oversized(len) => prop_assert!(max > 0 && *len > max),
             }
+        }
+
+        // The stdin front end frames the same stream, read in the same
+        // pieces, into one response line per framer event.
+        let stdin_ctx = ctx().clone().with_limits(ServeLimits {
+            max_line_bytes: max,
+            ..ServeLimits::default()
+        });
+        let reader = SplitReader { rest: &stream, splits: splits.iter() };
+        let mut out = Vec::new();
+        serve_stdin(&stdin_ctx, reader, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let responses: Vec<&str> = text.lines().collect();
+        prop_assert_eq!(responses.len(), one_shot.len(), "{}", text);
+        for (ev, response) in one_shot.iter().zip(&responses) {
+            assert_well_formed(&format!("{ev:?}"), response);
         }
     }
 

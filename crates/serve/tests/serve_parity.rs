@@ -1,14 +1,14 @@
 //! Serving parity: after save → load → rebuild, the engine's scores are
 //! bitwise identical to [`PrimModel::score_pair_eager`] — with the cache
 //! cold and warm, at one and at four kernel threads, through single,
-//! batched and top-k paths, and via the micro-batcher.
+//! batched and top-k paths, and through both front ends.
 
 use prim_core::{fit, ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
 use prim_graph::PoiId;
-use prim_obs::Recorder;
+use prim_obs::{Counter, Recorder};
 use prim_serve::{
-    load_checkpoint, save_checkpoint, Batcher, EmbeddingStore, EngineOpts, ServeCtx, ServeEngine,
+    load_checkpoint, save_checkpoint, EmbeddingStore, EngineOpts, ServeCtx, ServeEngine,
 };
 use prim_tensor::kernel;
 use rand::rngs::StdRng;
@@ -255,41 +255,6 @@ fn top_k_is_deterministic_and_correctly_ranked() {
 }
 
 #[test]
-fn micro_batcher_returns_engine_bits() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 12,
-            cat_dim: 6,
-            epochs: 3,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        256,
-    );
-    let opts = EngineOpts::default();
-    let batcher = Arc::new(Batcher::new(Arc::clone(&fx.engine), &opts));
-    let pairs = random_pairs(fx.engine.store().n_pois(), 64, 3);
-
-    // Concurrent submitters exercise actual batch formation.
-    let results: Vec<prim_serve::PairScores> = std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .iter()
-            .map(|&(a, b)| {
-                let batcher = Arc::clone(&batcher);
-                s.spawn(move || batcher.submit(a, b))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for r in &results {
-        let direct = fx.engine.score(r.src, r.dst);
-        for (a, b) in r.scores().iter().zip(direct.scores()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "batcher vs direct");
-        }
-    }
-}
-
-#[test]
 fn tcp_server_round_trip_on_loopback() {
     use std::io::{BufRead, BufReader, Write};
 
@@ -355,20 +320,32 @@ fn stdin_front_end_handles_requests_and_errors() {
         },
         256,
     );
-    let ctx = ServeCtx::direct(Arc::clone(&fx.engine));
-    let requests = "\
+    // Same store, but a recorder that counts, so the disconnect shows.
+    let engine = Arc::new(ServeEngine::new(
+        fx.engine.store().clone(),
+        &EngineOpts::default(),
+        Recorder::enabled("stdin-front-end"),
+    ));
+    let ctx = ServeCtx::direct(Arc::clone(&engine));
+    let requests: &[u8] = b"\
 {\"op\": \"score\", \"src\": 0, \"dst\": 2}\n\
 {\"op\": \"batch\", \"pairs\": [[0, 1], [2, 3]]}\n\
 {\"op\": \"top_k\", \"src\": 0, \"radius_km\": 2.0, \"k\": 3, \"relation\": \"phi\"}\n\
 {\"op\": \"nope\"}\n\
 {\"op\": \"score\", \"src\": 999999, \"dst\": 0}\n\
-{\"op\": \"shutdown\"}\n";
+{\"op\": \"sc\xffore\", \"src\": 0, \"dst\": 2}\n\
+{\"op\": \"health\"}\n\
+{\"op\": \"health\"}";
     let mut out = Vec::new();
-    prim_serve::serve_stdin(&ctx, requests.as_bytes(), &mut out).unwrap();
+    prim_serve::serve_stdin(&ctx, requests, &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 6, "one response per request:\n{text}");
-    for (i, ok_expected) in [true, true, true, false, false, true].iter().enumerate() {
+    // The unterminated last line is a vanished client: no response.
+    assert_eq!(lines.len(), 7, "one response per complete line:\n{text}");
+    for (i, ok_expected) in [true, true, true, false, false, false, true]
+        .iter()
+        .enumerate()
+    {
         let v = prim_obs::json::parse(lines[i]).unwrap();
         assert_eq!(
             v.get("ok"),
@@ -377,4 +354,17 @@ fn stdin_front_end_handles_requests_and_errors() {
             lines[i]
         );
     }
+    // A non-UTF-8 byte earns the structured error TCP gives it, and the
+    // requests after it are still answered.
+    let v = prim_obs::json::parse(lines[5]).unwrap();
+    assert_eq!(v.get("code").and_then(|c| c.as_str()), Some("unknown_op"));
+    assert_eq!(engine.recorder().counter(Counter::ServeDisconnects), 1);
+
+    // `shutdown` ends the loop: nothing after it is answered.
+    let mut out = Vec::new();
+    let requests: &[u8] = b"{\"op\": \"shutdown\"}\n{\"op\": \"health\"}\n";
+    prim_serve::serve_stdin(&ctx, requests, &mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(text.contains("\"op\": \"shutdown\""), "{text}");
 }

@@ -8,7 +8,7 @@ use prim_data::{Dataset, Scale};
 use prim_obs::json::{self, Value};
 use prim_obs::{Counter, Recorder};
 use prim_serve::{
-    handle_line, handle_request, save_checkpoint, Batcher, ChaosClient, EmbeddingStore, EngineOpts,
+    handle_line, handle_request, save_checkpoint, ChaosClient, EmbeddingStore, EngineOpts,
     ServeCtx, ServeEngine, ServeLimits, TcpServer,
 };
 use std::path::PathBuf;
@@ -100,7 +100,7 @@ fn saturated_gate_sheds_with_overloaded_and_recovers() {
         queue_capacity: 1,
         ..ServeLimits::default()
     });
-    let held = ctx.gate().admit().expect("first slot admits");
+    let held = ctx.gate().admit_owned().expect("first slot admits");
 
     let h = handle_line(&ctx, r#"{"op": "score", "src": 0, "dst": 1}"#);
     let v = parse(&h.response);
@@ -189,8 +189,7 @@ fn reload_swaps_the_engine_and_reports_failures_structurally() {
 fn hot_reload_fails_zero_inflight_requests() {
     let fx = fixture("hot-a", "v1");
     let fx2 = fixture("hot-b", "v2");
-    let batcher = Arc::new(Batcher::new(Arc::clone(&fx.engine), &EngineOpts::default()));
-    let ctx = ServeCtx::batched(Arc::clone(&fx.engine), batcher);
+    let ctx = ServeCtx::direct(Arc::clone(&fx.engine));
     let server = TcpServer::bind("127.0.0.1:0", ctx).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run());
@@ -418,37 +417,6 @@ fn shed_path_stays_prompt_despite_slow_readers_and_loris() {
     server_thread.join().unwrap().unwrap();
     drop(floods);
     drop(loris);
-}
-
-/// A zero-capacity batcher must not spawn a worker at all and still serve
-/// every submission inline, bitwise-identical to direct engine calls.
-#[test]
-fn zero_capacity_batcher_serves_inline() {
-    let fx = fixture("inline-batcher", "v1");
-    let opts = EngineOpts {
-        batch_max_pairs: 0,
-        ..EngineOpts::default()
-    };
-    let batcher = Arc::new(Batcher::new(Arc::clone(&fx.engine), &opts));
-    assert!(batcher.is_inline(), "zero capacity means no worker thread");
-
-    let inline = batcher.submit(0, 1);
-    let direct = fx.engine.score(0, 1);
-    assert_eq!(inline.scores(), direct.scores(), "inline path is bitwise");
-    assert_eq!(inline.best, direct.best);
-    assert_eq!(inline.best_score.to_bits(), direct.best_score.to_bits());
-
-    // The deadline variant honours an expired budget and serves otherwise.
-    let soon = Instant::now() + Duration::from_secs(30);
-    let scored = batcher.submit_deadline(2 % fx.engine.store().n_pois() as u32, 1, soon);
-    assert!(scored.is_some(), "live budget must serve inline");
-    let expired = batcher.submit_deadline(0, 1, Instant::now() - Duration::from_millis(1));
-    assert!(expired.is_none(), "expired budget must miss, not panic");
-
-    // End-to-end: a batched context over the inline batcher still answers.
-    let ctx = ServeCtx::batched(Arc::clone(&fx.engine), batcher);
-    let h = handle_line(&ctx, r#"{"op": "score", "src": 0, "dst": 1}"#);
-    assert_eq!(parse(&h.response).get("ok"), Some(&Value::Bool(true)));
 }
 
 #[test]

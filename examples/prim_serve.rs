@@ -45,7 +45,7 @@
 use prim::model::{fit, ModelInputs, NoopHook, PrimConfig, PrimModel};
 use prim::prelude::*;
 use prim::serve::{
-    fit_resumable, fit_resumable_hooked, Batcher, ChaosIo, EngineOpts, FaultPlan, ResilienceOpts,
+    fit_resumable, fit_resumable_hooked, ChaosIo, EngineOpts, FaultPlan, ResilienceOpts,
     ResumeError, ServeCtx, TcpServer, TenantSpec,
 };
 use std::io::{BufRead, BufReader, Write};
@@ -212,7 +212,7 @@ fn load_engine_as(path: &str, opts: &EngineOpts, run: &str) -> Arc<ServeEngine> 
 
 fn serve_stdin_mode(path: &str, opts: EngineOpts) {
     let engine = load_engine(path, &opts);
-    let ctx = ServeCtx::direct(Arc::clone(&engine));
+    let ctx = ServeCtx::direct(Arc::clone(&engine)).with_engine_opts(opts);
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     prim::serve::serve_stdin(&ctx, stdin.lock(), stdout.lock()).unwrap_or_else(|e| {
@@ -401,8 +401,9 @@ fn reload_mode(addr: &str, ckpt: &str) {
 /// Serves one checkpoint (`<ckpt>`) or several named tenants
 /// (`city=ckpt,city=ckpt`). The single-path form keeps the historical
 /// single-tenant behavior; the multi-tenant form routes requests on their
-/// `"city"` field and gives every city its own batcher and telemetry run
-/// (`prim-serve:<city>`).
+/// `"city"` field and gives every city its own engine and telemetry run
+/// (`prim-serve:<city>`). Either way, `reload` builds its engine with the
+/// options this process started with.
 fn serve_tcp_mode(spec: &str, addr: &str, opts: EngineOpts) {
     let engines: Vec<Arc<ServeEngine>>;
     let ctx = if spec.contains('=') {
@@ -417,22 +418,16 @@ fn serve_tcp_mode(spec: &str, addr: &str, opts: EngineOpts) {
                 }
             };
             let engine = load_engine_as(path, &opts, &format!("prim-serve:{city}"));
-            let batcher = Arc::new(Batcher::new(Arc::clone(&engine), &opts));
             loaded.push(Arc::clone(&engine));
-            tenants.push(
-                TenantSpec::new(city, engine)
-                    .with_batcher(batcher)
-                    .with_ckpt_path(path),
-            );
+            tenants.push(TenantSpec::new(city, engine).with_ckpt_path(path));
         }
         eprintln!("routing {} tenants by \"city\"", tenants.len());
         engines = loaded;
         ServeCtx::multi(tenants).with_engine_opts(opts)
     } else {
         let engine = load_engine(spec, &opts);
-        let batcher = Arc::new(Batcher::new(Arc::clone(&engine), &opts));
         engines = vec![Arc::clone(&engine)];
-        ServeCtx::batched(engine, batcher)
+        ServeCtx::direct(engine).with_engine_opts(opts)
     };
     let server = TcpServer::bind(addr, ctx).unwrap_or_else(|e| {
         eprintln!("prim_serve: binding {addr}: {e}");
