@@ -266,6 +266,11 @@ impl PrimModel {
     }
 
     /// Runs the full forward pass on a fresh tape.
+    ///
+    /// The pass is cut into scopes — each layer, its message block, each
+    /// attention head, the spatial-context block — whose ends free the
+    /// edge-sized intermediates on an inference tape ([`PrimModel::embed`])
+    /// and do nothing on a training tape.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, inputs: &ModelInputs) -> ForwardOutput {
         let adj = &inputs.adjacency;
         let plans = &inputs.plans;
@@ -293,11 +298,13 @@ impl PrimModel {
         let head_dim = self.cfg.head_dim();
         let dist_dim = self.cfg.dist_feat_dim;
         for layer in &self.layers {
+            let layer_scope = g.scope("layer");
             let h_star = g.concat_cols(&[h, q]);
             let mut head_outs = Vec::with_capacity(layer.heads.len());
             if has_edges {
                 // Relation-specific messages γ(h*_j, h_r) (Eq. 1) do not
                 // depend on the head, so compute them once per layer.
+                let message = g.scope("message");
                 let h_src = g.gather_rows_planned(h_star, &plans.edge_src);
                 let hr_edge = g.gather_rows_planned(hr, &plans.edge_rel_all);
                 let msg = match self.cfg.gamma {
@@ -320,10 +327,12 @@ impl PrimModel {
                 let ha_all = g.matmul(h_star, w_att_cat);
                 let dproj_all = g.matmul(dist_feats, w_dist_cat);
                 let msg_p_all = g.matmul(msg, w_msg_cat);
+                g.end_scope(message, &[ha_all, dproj_all, msg_p_all]);
                 let ha_dst_all = g.gather_rows_planned(ha_all, &plans.edge_dst);
                 let ha_src_all = g.gather_rows_planned(ha_all, &plans.edge_src);
 
                 for (k, head) in layer.heads.iter().enumerate() {
+                    let head_scope = g.scope("head");
                     // Spatial-aware attention (Eq. 3-4).
                     let ha_dst = g.slice_cols(ha_dst_all, k * head_dim, head_dim);
                     let ha_src = g.slice_cols(ha_src_all, k * head_dim, head_dim);
@@ -340,6 +349,7 @@ impl PrimModel {
                     let seg_agg = g.segment_sum_planned(weighted, &plans.intra);
                     // … then inter-relation aggregation into each POI.
                     let node_agg = g.segment_sum_planned(seg_agg, &plans.seg_dst);
+                    g.end_scope(head_scope, &[node_agg]);
                     head_outs.push(node_agg);
                 }
             }
@@ -352,10 +362,12 @@ impl PrimModel {
             };
             h = g.elu(combined);
             hr = g.matmul(hr, bind.var(layer.w_rel));
+            g.end_scope(layer_scope, &[h, hr]);
         }
 
         // Self-attentive spatial context (Eq. 6-10).
         if self.cfg.use_spatial_context && !inputs.spatial.is_empty() {
+            let spatial = g.scope("spatial context");
             // One fused projection for queries/keys/values instead of three
             // passes over `h`; each slice equals its standalone matmul.
             let dim = self.cfg.dim;
@@ -377,6 +389,7 @@ impl PrimModel {
             let ctx_seg = g.segment_sum_planned(ctx_edges, &plans.sp_seg);
             let ctx = g.segment_sum_planned(ctx_seg, &plans.sp_seg_dst);
             h = g.add(h, ctx);
+            g.end_scope(spatial, &[h]);
         } else if self.cfg.use_spatial_context {
             if let Some(zero_ctx) = &inputs.spatial_forced_zero {
                 // Subset with no spatial edges while the full graph has
@@ -639,8 +652,12 @@ impl PrimModel {
     }
 
     /// Runs a gradient-free forward pass and detaches all embeddings.
+    ///
+    /// The pass runs on an inference tape, so each scope of
+    /// [`PrimModel::forward`] frees its intermediates when it ends; the
+    /// result is bitwise equal to the same forward on a training tape.
     pub fn embed(&self, inputs: &ModelInputs) -> EmbeddingTable {
-        let mut g = Graph::new();
+        let mut g = Graph::inference();
         let bind = self.store.bind(&mut g);
         let fwd = self.forward(&mut g, &bind, inputs);
         let bin_raw = self.store.value(self.w_bins);
@@ -832,14 +849,126 @@ mod tests {
         assert!(preds.iter().all(|&p| p <= model.phi()));
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn embed_is_deterministic() {
         let (_, cfg, inputs) = tiny();
         let model = PrimModel::new(cfg, &inputs);
         let t1 = model.embed(&inputs);
         let t2 = model.embed(&inputs);
-        assert_eq!(t1.pois.row(0), t2.pois.row(0));
-        assert_eq!(t1.relations.row(0), t2.relations.row(0));
+        assert_eq!(t1.pois.shape(), t2.pois.shape());
+        assert_eq!(bits(&t1.pois), bits(&t2.pois));
+        assert_eq!(bits(&t1.relations), bits(&t2.relations));
+        assert_eq!(bits(&t1.bin_normals), bits(&t2.bin_normals));
+    }
+
+    /// `embed` (an inference tape whose scopes free intermediates) against
+    /// the same forward on a training tape, bit for bit on both tables.
+    fn assert_embed_matches_training_tape(model: &PrimModel, inputs: &ModelInputs, case: &str) {
+        let table = model.embed(inputs);
+        let mut g = Graph::new();
+        let bind = model.store.bind(&mut g);
+        let fwd = model.forward(&mut g, &bind, inputs);
+        let (pois, relations) = (g.value(fwd.h_final), g.value(fwd.rel_score));
+        assert_eq!(table.pois.shape(), pois.shape(), "{case}: POI table shape");
+        assert_eq!(bits(&table.pois), bits(pois), "{case}: POI table");
+        assert_eq!(
+            table.relations.shape(),
+            relations.shape(),
+            "{case}: relation table shape"
+        );
+        assert_eq!(
+            bits(&table.relations),
+            bits(relations),
+            "{case}: relation table"
+        );
+    }
+
+    #[test]
+    fn embed_matches_training_tape_forward_on_every_branch() {
+        use crate::config::GammaOp;
+        use prim_geo::{GridIndex, Location};
+        let (ds, quick, inputs) = tiny();
+        assert!(inputs.adjacency.num_directed_edges() > 0 && !inputs.spatial.is_empty());
+        // Node embeddings on, so subset inputs gather their `node_rows`.
+        let cfg = PrimConfig {
+            use_node_embeddings: true,
+            ..quick
+        };
+        let cases = [
+            ("multiply, path sum", cfg.clone()),
+            (
+                "subtract",
+                PrimConfig {
+                    gamma: GammaOp::Subtract,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "circular correlation",
+                PrimConfig {
+                    gamma: GammaOp::CircularCorrelation,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "independent categories",
+                PrimConfig {
+                    taxonomy: TaxonomyMode::Independent,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "no spatial context",
+                PrimConfig {
+                    use_spatial_context: false,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "no node embeddings",
+                PrimConfig {
+                    use_node_embeddings: false,
+                    ..cfg.clone()
+                },
+            ),
+        ];
+        for (case, c) in cases {
+            assert_embed_matches_training_tape(&PrimModel::new(c, &inputs), &inputs, case);
+        }
+
+        let model = PrimModel::new(cfg.clone(), &inputs);
+        let edgeless = ModelInputs::build(&ds.graph, &ds.taxonomy, &ds.attrs, &[], None, &cfg);
+        assert_eq!(edgeless.adjacency.num_directed_edges(), 0);
+        assert_embed_matches_training_tape(&model, &edgeless, "edgeless");
+
+        let locations: Vec<Location> = ds.graph.pois().iter().map(|p| p.location).collect();
+        let mut grid = GridIndex::build(&locations, cfg.spatial_radius_km.max(1e-6));
+        let subset = |grid: &GridIndex, targets: &[u32]| {
+            ModelInputs::build_subset(
+                &ds.graph,
+                &ds.taxonomy,
+                &ds.attrs,
+                grid,
+                targets,
+                true,
+                &cfg,
+            )
+            .inputs
+        };
+        let sub = subset(&grid, &[0, 2, 9]);
+        assert!(sub.node_rows.is_some() && sub.spatial_forced_zero.is_none());
+        assert_embed_matches_training_tape(&model, &sub, "subset");
+
+        // A retired target has no spatial sources while the city has some,
+        // so the subset adds the zero-context stand-in.
+        grid.retire(4);
+        let lone = subset(&grid, &[4]);
+        assert!(lone.spatial_forced_zero.is_some());
+        assert_embed_matches_training_tape(&model, &lone, "subset with forced-zero context");
     }
 
     #[test]

@@ -147,8 +147,13 @@ fn open_repl(
 /// recovery path must reproduce bitwise.
 fn expected_bits(j: usize) -> Vec<u32> {
     static CACHE: OnceLock<Mutex<HashMap<usize, Vec<u32>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(b) = cache.lock().unwrap().get(&j) {
+    // Held while the oracle runs: tests asking for the same prefix
+    // concurrently would otherwise share, and delete, one WAL directory.
+    let mut cache = CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap();
+    if let Some(b) = cache.get(&j) {
         return b.clone();
     }
     let wal = tmp(&format!("oracle-{j}.wal"));
@@ -186,7 +191,7 @@ fn expected_bits(j: usize) -> Vec<u32> {
         .map(|v| v.to_bits())
         .collect();
     let _ = std::fs::remove_dir_all(&wal);
-    cache.lock().unwrap().insert(j, bits.clone());
+    cache.insert(j, bits.clone());
     bits
 }
 

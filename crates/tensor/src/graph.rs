@@ -27,6 +27,19 @@
 //! graph structure instead of cloning an E-sized index slice per call, and
 //! run their reductions in parallel by output segment (bitwise identical to
 //! serial — see [`crate::segment`]).
+//!
+//! ## Inference tape
+//!
+//! A gradient-free forward needs only its outputs, yet a training tape
+//! keeps every intermediate alive until it is reset. [`Graph::inference`]
+//! builds a tape that refuses [`Graph::backward`] and honours
+//! [`Graph::scope`] marks: [`Graph::end_scope`] drops the value of every
+//! node recorded inside the scope except the named survivors, handing the
+//! buffers back to the allocator (not to the pool — later ops mostly ask
+//! for other shapes, so pooled buffers would only sit idle). On a training
+//! tape ending a scope does nothing, so one forward serves both modes. A
+//! scope's keep list must name every value read after the scope ends;
+//! reading a released value panics, naming the node and its scope.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -115,6 +128,31 @@ struct Node {
     value: Matrix,
     op: Op,
     requires_grad: bool,
+    /// Name of the scope whose end dropped `value` (inference tapes only).
+    released_by: Option<&'static str>,
+}
+
+/// Value of node `v`, checked against release. A free function over the
+/// node list so an op can read its inputs while it borrows the pool.
+fn live(nodes: &[Node], v: Var) -> &Matrix {
+    let node = &nodes[v.0];
+    if let Some(scope) = node.released_by {
+        panic!(
+            "value of node {} was released when scope `{scope}` ended; \
+             name it in that scope's keep list to read it afterwards",
+            v.0
+        );
+    }
+    &node.value
+}
+
+/// A tape region opened by [`Graph::scope`] and closed by
+/// [`Graph::end_scope`].
+#[derive(Clone, Copy, Debug)]
+pub struct Scope {
+    /// Index of the first node recorded inside the scope.
+    start: usize,
+    name: &'static str,
 }
 
 /// Size-keyed recycling pool of `f32` buffers.
@@ -225,12 +263,17 @@ impl Gradients {
 /// [`Graph::backward`] on the scalar loss, then [`Graph::recycle`] the
 /// gradients and [`Graph::reset`] the tape before the next step — steady
 /// state steps then run allocation-free.
+///
+/// For gradient-free passes, build the tape with [`Graph::inference`] (see
+/// the module docs).
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     pool: BufferPool,
     /// Recycled gradient-slot vector, reused by the next backward pass.
     spare_grads: Vec<Option<Matrix>>,
+    /// Inference tape: no backward pass, and scope ends drop values.
+    inference: bool,
 }
 
 const NORM_EPS: f32 = 1e-12;
@@ -255,6 +298,40 @@ impl Graph {
     /// Creates an empty graph with an empty buffer pool.
     pub fn new() -> Self {
         Graph::default()
+    }
+
+    /// Creates an empty inference tape: [`Graph::backward`] panics on it,
+    /// and [`Graph::end_scope`] drops the values a scope does not keep.
+    pub fn inference() -> Self {
+        Graph {
+            inference: true,
+            ..Graph::default()
+        }
+    }
+
+    /// Opens a scope at the current end of the tape; `name` appears in the
+    /// panic message of any later read of a value the scope released.
+    pub fn scope(&self, name: &'static str) -> Scope {
+        Scope {
+            start: self.nodes.len(),
+            name,
+        }
+    }
+
+    /// Ends `scope`. On an inference tape, drops the value of every node
+    /// recorded since the scope opened except those in `keep`, so `keep`
+    /// must name every such value read afterwards. On a training tape the
+    /// backward pass needs every value, and this does nothing.
+    pub fn end_scope(&mut self, scope: Scope, keep: &[Var]) {
+        if !self.inference {
+            return;
+        }
+        for (idx, node) in self.nodes.iter_mut().enumerate().skip(scope.start) {
+            if node.released_by.is_none() && !keep.contains(&Var(idx)) {
+                node.value = Matrix::zeros(0, 0);
+                node.released_by = Some(scope.name);
+            }
+        }
     }
 
     /// Number of recorded nodes.
@@ -300,6 +377,7 @@ impl Graph {
             value,
             op,
             requires_grad,
+            released_by: None,
         });
         Var(self.nodes.len() - 1)
     }
@@ -334,23 +412,21 @@ impl Graph {
         self.push(value, Op::Leaf, true)
     }
 
-    /// Value of a node.
+    /// Value of a node. Panics if a scope released it.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        live(&self.nodes, v)
     }
 
-    /// Shape of a node's value.
+    /// Shape of a node's value. Panics if a scope released it.
     pub fn shape(&self, v: Var) -> (usize, usize) {
-        self.nodes[v.0].value.shape()
+        live(&self.nodes, v).shape()
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (m, n) = (self.shape(a).0, self.shape(b).1);
         let mut value = self.pool.uninit(m, n);
-        self.nodes[a.0]
-            .value
-            .matmul_into(&self.nodes[b.0].value, &mut value);
+        live(&self.nodes, a).matmul_into(live(&self.nodes, b), &mut value);
         let rg = self.rg(a) || self.rg(b);
         self.push(value, Op::MatMul(a, b), rg)
     }
@@ -358,8 +434,8 @@ impl Graph {
     /// Element-wise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "add shape mismatch");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        kernel::par_zip_apply(value.data_mut(), self.nodes[b.0].value.data(), |x, y| {
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
+        kernel::par_zip_apply(value.data_mut(), live(&self.nodes, b).data(), |x, y| {
             *x += y
         });
         let rg = self.rg(a) || self.rg(b);
@@ -369,8 +445,8 @@ impl Graph {
     /// Element-wise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "sub shape mismatch");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        kernel::par_zip_apply(value.data_mut(), self.nodes[b.0].value.data(), |x, y| {
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
+        kernel::par_zip_apply(value.data_mut(), live(&self.nodes, b).data(), |x, y| {
             *x -= y
         });
         let rg = self.rg(a) || self.rg(b);
@@ -380,8 +456,8 @@ impl Graph {
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "mul shape mismatch");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        kernel::par_zip_apply(value.data_mut(), self.nodes[b.0].value.data(), |x, y| {
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
+        kernel::par_zip_apply(value.data_mut(), live(&self.nodes, b).data(), |x, y| {
             *x *= y
         });
         let rg = self.rg(a) || self.rg(b);
@@ -392,9 +468,9 @@ impl Graph {
     pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
         let (_, c) = self.shape(a);
         assert_eq!(self.shape(b), (1, c), "add_row_broadcast: b must be 1x{c}");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         if c > 0 {
-            let bm = &self.nodes[b.0].value;
+            let bm = live(&self.nodes, b);
             kernel::par_row_chunks(value.data_mut(), c, row_grain(c), |_, chunk| {
                 for row in chunk.chunks_mut(c) {
                     for (x, &y) in row.iter_mut().zip(bm.row(0)) {
@@ -409,7 +485,7 @@ impl Graph {
 
     /// Multiplies every element by the constant `k`.
     pub fn scale(&mut self, a: Var, k: f32) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v *= k);
         let rg = self.rg(a);
         self.push(value, Op::Scale(a, k), rg)
@@ -417,7 +493,7 @@ impl Graph {
 
     /// Adds the constant `k` to every element.
     pub fn add_scalar(&mut self, a: Var, k: f32) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v += k);
         let rg = self.rg(a);
         self.push(value, Op::AddScalar(a), rg)
@@ -426,8 +502,8 @@ impl Graph {
     /// Multiplies a matrix by a `1×1` variable.
     pub fn mul_scalar_var(&mut self, a: Var, s: Var) -> Var {
         assert_eq!(self.shape(s), (1, 1), "mul_scalar_var: s must be 1x1");
-        let k = self.nodes[s.0].value.scalar();
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let k = live(&self.nodes, s).scalar();
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v *= k);
         let rg = self.rg(a) || self.rg(s);
         self.push(value, Op::MulScalarVar(a, s), rg)
@@ -451,7 +527,7 @@ impl Graph {
                     let r = r0 + dr;
                     let mut offset = 0;
                     for &p in parts {
-                        let m = &nodes[p.0].value;
+                        let m = live(nodes, p);
                         row[offset..offset + m.cols()].copy_from_slice(m.row(r));
                         offset += m.cols();
                     }
@@ -474,7 +550,7 @@ impl Graph {
         );
         let mut value = self.pool.uninit(n, width);
         if width > 0 {
-            let input = &self.nodes[a.0].value;
+            let input = live(&self.nodes, a);
             kernel::par_row_chunks(value.data_mut(), width, row_grain(width), |r0, chunk| {
                 for (dr, row) in chunk.chunks_mut(width).enumerate() {
                     row.copy_from_slice(&input.row(r0 + dr)[start..start + width]);
@@ -498,7 +574,7 @@ impl Graph {
         let mut value = self.pool.uninit(rows, cols);
         let mut offset = 0;
         for &p in parts {
-            let m = &self.nodes[p.0].value;
+            let m = live(&self.nodes, p);
             value.data_mut()[offset..offset + m.len()].copy_from_slice(m.data());
             offset += m.len();
         }
@@ -529,7 +605,7 @@ impl Graph {
             plan.n_segments()
         );
         let mut value = self.pool.uninit(plan.len(), c);
-        segment::broadcast_segments_into(&self.nodes[a.0].value, plan, &mut value);
+        segment::broadcast_segments_into(live(&self.nodes, a), plan, &mut value);
         let rg = self.rg(a);
         self.push(value, Op::GatherRows(a, Arc::clone(plan)), rg)
     }
@@ -549,7 +625,7 @@ impl Graph {
         let (n, c) = self.shape(a);
         assert_eq!(plan.len(), n, "segment_sum: segment map length mismatch");
         let mut value = self.pool.zeroed(plan.n_segments(), c);
-        segment::segment_sum_into(&self.nodes[a.0].value, plan, &mut value);
+        segment::segment_sum_into(live(&self.nodes, a), plan, &mut value);
         let rg = self.rg(a);
         self.push(
             value,
@@ -588,7 +664,7 @@ impl Graph {
         let mut seg_sum = self.pool.zeroed(n_segments, c);
         let mut value = self.pool.uninit(n, c);
         {
-            let input = &self.nodes[a.0].value;
+            let input = live(&self.nodes, a);
             let seg = plan.segment_of_row();
             segment::segment_max_into(input, plan, &mut seg_max);
             // The exponentiation and division passes are per-row independent;
@@ -637,7 +713,7 @@ impl Graph {
         assert_eq!(self.shape(b), (n, c), "rows_dot shape mismatch");
         let mut value = self.pool.uninit(n, 1);
         {
-            let (ma, mb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+            let (ma, mb) = (live(&self.nodes, a), live(&self.nodes, b));
             kernel::par_row_chunks(value.data_mut(), 1, row_grain(c), |r0, chunk| {
                 for (dr, out) in chunk.iter_mut().enumerate() {
                     *out = ma.row_dot(r0 + dr, mb, r0 + dr);
@@ -656,7 +732,7 @@ impl Graph {
         assert_eq!(self.shape(b), (n, d), "rows_circ_corr shape mismatch");
         let mut value = self.pool.uninit(n, d);
         if d > 0 {
-            let (ma, mb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+            let (ma, mb) = (live(&self.nodes, a), live(&self.nodes, b));
             kernel::par_row_chunks(value.data_mut(), d, row_grain(d * d), |r0, chunk| {
                 for (dr, out) in chunk.chunks_mut(d).enumerate() {
                     let (ra, rb) = (ma.row(r0 + dr), mb.row(r0 + dr));
@@ -678,8 +754,8 @@ impl Graph {
     pub fn scale_rows(&mut self, a: Var, s: Var) -> Var {
         let (n, _) = self.shape(a);
         assert_eq!(self.shape(s), (n, 1), "scale_rows: scale must be {n}x1");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        scale_rows_in_place(&mut value, &self.nodes[s.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
+        scale_rows_in_place(&mut value, live(&self.nodes, s));
         let rg = self.rg(a) || self.rg(s);
         self.push(value, Op::ScaleRows(a, s), rg)
     }
@@ -687,7 +763,7 @@ impl Graph {
     /// L2-normalises each row (rows of zeros stay zero thanks to an epsilon).
     pub fn normalize_rows(&mut self, a: Var) -> Var {
         let (_, c) = self.shape(a);
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         if c > 0 {
             kernel::par_row_chunks(value.data_mut(), c, row_grain(2 * c), |_, chunk| {
                 for row in chunk.chunks_mut(c) {
@@ -704,7 +780,7 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v = v.max(0.0));
         let rg = self.rg(a);
         self.push(value, Op::Relu(a), rg)
@@ -712,7 +788,7 @@ impl Graph {
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| {
             if *v < 0.0 {
                 *v *= slope;
@@ -724,7 +800,7 @@ impl Graph {
 
     /// Exponential linear unit (α = 1).
     pub fn elu(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| {
             if *v < 0.0 {
                 *v = v.exp() - 1.0;
@@ -736,7 +812,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v = stable_sigmoid(*v));
         let rg = self.rg(a);
         self.push(value, Op::Sigmoid(a), rg)
@@ -744,7 +820,7 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(live(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v = v.tanh());
         let rg = self.rg(a);
         self.push(value, Op::Tanh(a), rg)
@@ -752,7 +828,7 @@ impl Graph {
 
     /// Sum of all elements → `1×1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let s = self.nodes[a.0].value.sum();
+        let s = live(&self.nodes, a).sum();
         let mut value = self.pool.uninit(1, 1);
         value.data_mut()[0] = s;
         let rg = self.rg(a);
@@ -761,7 +837,7 @@ impl Graph {
 
     /// Mean of all elements → `1×1`.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let m = self.nodes[a.0].value.mean();
+        let m = live(&self.nodes, a).mean();
         let mut value = self.pool.uninit(1, 1);
         value.data_mut()[0] = m;
         let rg = self.rg(a);
@@ -784,7 +860,7 @@ impl Graph {
         assert_eq!(targets.len(), n, "bce_with_logits target length mismatch");
         let mut total = 0.0f64;
         for (r, &y) in targets.iter().enumerate() {
-            let x = self.nodes[logits.0].value[(r, 0)];
+            let x = live(&self.nodes, logits)[(r, 0)];
             // max(x,0) - x*y + ln(1 + exp(-|x|))
             total += (x.max(0.0) - x * y + (-x.abs()).exp().ln_1p()) as f64;
         }
@@ -804,8 +880,9 @@ impl Graph {
     /// Runs the reverse pass from `loss` (which must be `1×1`) and returns
     /// gradients for every participating node. Gradient buffers come from
     /// the graph's pool; hand them back with [`Graph::recycle`] once
-    /// consumed.
+    /// consumed. Panics on an inference tape.
     pub fn backward(&mut self, loss: Var) -> Gradients {
+        self.assert_training("backward");
         assert_eq!(
             self.shape(loss),
             (1, 1),
@@ -833,8 +910,10 @@ impl Graph {
     /// [`Graph::recycle`] as usual.
     ///
     /// # Panics
-    /// Panics if a seed's shape differs from its node's value shape.
+    /// Panics on an inference tape, or if a seed's shape differs from its
+    /// node's value shape.
     pub fn backward_seeded(&mut self, seeds: Vec<(Var, Matrix)>) -> Gradients {
+        self.assert_training("backward_seeded");
         let (mut grads, mut pool) = self.grad_slots();
         let mut top = 0usize;
         for (var, seed) in seeds {
@@ -848,6 +927,13 @@ impl Graph {
             Self::accumulate(&mut pool, &mut grads, var, seed);
         }
         self.run_backward(top, grads, pool)
+    }
+
+    fn assert_training(&self, what: &str) {
+        assert!(
+            !self.inference,
+            "{what} on an inference tape: build the graph with Graph::new to differentiate"
+        );
     }
 
     /// Fresh (recycled) gradient-slot vector plus the pool, detached for a
@@ -1529,6 +1615,134 @@ mod tests {
         assert_eq!(g1.value(s1).data(), g2.value(s2).data());
         assert_eq!(g1.value(sm1).data(), g2.value(sm2).data());
         assert_eq!(g1.value(gr1).data(), g2.value(gr2).data());
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A small forward with two nested scopes; `end` decides whether the
+    /// scopes are ended. Returns the trainable leaf and the scalar loss.
+    fn nested_scope_forward(g: &mut Graph, end: bool) -> (Var, Var) {
+        let w = g.leaf(Matrix::from_fn(3, 2, |r, c| {
+            (r as f32 - c as f32) * 0.3 + 0.1
+        }));
+        let x = g.constant(Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f32).sin()));
+        let outer = g.scope("outer");
+        let h = g.matmul(x, w);
+        let inner = g.scope("inner");
+        let e = g.elu(h);
+        let s = g.segment_softmax(e, &[0, 0, 1, 1]);
+        let y = g.mul(s, h);
+        if end {
+            g.end_scope(inner, &[y]);
+        }
+        let z = g.tanh(y);
+        if end {
+            g.end_scope(outer, &[z]);
+        }
+        (w, g.mean_all(z))
+    }
+
+    #[test]
+    fn inference_scope_releases_exactly_the_unkept_nodes_inside_it() {
+        let mut g = Graph::inference();
+        let x = g.leaf(Matrix::from_fn(3, 2, |r, c| r as f32 - 0.5 * c as f32));
+        let before = g.relu(x);
+        let scope = g.scope("block");
+        let a = g.scale(before, 2.0);
+        let b = g.tanh(a);
+        let c = g.add(a, b);
+        let d = g.sigmoid(c);
+        let snapshot: Vec<Vec<u32>> = (0..g.len()).map(|i| bits(g.value(Var(i)))).collect();
+        g.end_scope(scope, &[c]);
+
+        let released = [a.index(), b.index(), d.index()];
+        for (i, old) in snapshot.iter().enumerate() {
+            let node = &g.nodes[i];
+            if released.contains(&i) {
+                assert_eq!(node.released_by, Some("block"), "node {i} kept");
+                assert_eq!(node.value.len(), 0, "node {i} still holds its buffer");
+            } else {
+                assert_eq!(node.released_by, None, "node {i} released");
+                assert_eq!(&bits(&node.value), old, "node {i} changed");
+            }
+        }
+        // Released buffers go back to the allocator, not to the pool.
+        assert_eq!(g.pooled_buffers(), 0);
+        // Kept and earlier values still feed later ops.
+        let e = g.mul(c, before);
+        assert_eq!(g.shape(e), (3, 2));
+    }
+
+    #[test]
+    fn training_tape_scopes_leave_values_and_gradients_bitwise_unchanged() {
+        let mut plain = Graph::new();
+        let (w1, loss1) = nested_scope_forward(&mut plain, false);
+        let mut scoped = Graph::new();
+        let (w2, loss2) = nested_scope_forward(&mut scoped, true);
+        assert_eq!(plain.len(), scoped.len());
+        for i in 0..plain.len() {
+            assert_eq!(bits(plain.value(Var(i))), bits(scoped.value(Var(i))));
+        }
+        let g1 = plain.backward(loss1);
+        let g2 = scoped.backward(loss2);
+        for i in 0..plain.len() {
+            assert_eq!(
+                g1.get(Var(i)).map(bits),
+                g2.get(Var(i)).map(bits),
+                "gradient of node {i}"
+            );
+        }
+        assert!(g1.get(w1).is_some() && g2.get(w2).is_some());
+
+        // The same forward on an inference tape ends with the same bits.
+        let mut inf = Graph::inference();
+        let (_, loss3) = nested_scope_forward(&mut inf, true);
+        assert_eq!(bits(inf.value(loss3)), bits(plain.value(loss1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on an inference tape")]
+    fn backward_panics_on_an_inference_tape() {
+        let mut g = Graph::inference();
+        let (_, loss) = nested_scope_forward(&mut g, false);
+        g.backward(loss);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward_seeded on an inference tape")]
+    fn backward_seeded_panics_on_an_inference_tape() {
+        let mut g = Graph::inference();
+        let (_, loss) = nested_scope_forward(&mut g, false);
+        g.backward_seeded(vec![(loss, Matrix::ones(1, 1))]);
+    }
+
+    /// An inference tape whose node 3 (`e` of [`nested_scope_forward`])
+    /// was released by the inner scope.
+    fn tape_with_released_node() -> Graph {
+        let mut g = Graph::inference();
+        nested_scope_forward(&mut g, true);
+        assert_eq!(g.nodes[3].released_by, Some("inner"));
+        g
+    }
+
+    #[test]
+    #[should_panic(expected = "value of node 3 was released when scope `inner` ended")]
+    fn value_of_a_released_node_panics() {
+        tape_with_released_node().value(Var(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "value of node 3 was released when scope `inner` ended")]
+    fn shape_of_a_released_node_panics() {
+        tape_with_released_node().shape(Var(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "value of node 3 was released when scope `inner` ended")]
+    fn op_reading_a_released_node_panics() {
+        tape_with_released_node().relu(Var(3));
     }
 
     #[test]

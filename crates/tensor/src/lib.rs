@@ -8,7 +8,9 @@
 //! * [`Matrix`] — row-major dense matrix with eager helper ops;
 //! * [`Graph`] / [`Var`] — the autodiff tape, with GNN-specific primitives
 //!   (`gather_rows`, `segment_sum`, `segment_softmax`, `rows_dot`,
-//!   `scale_rows`, `normalize_rows`);
+//!   `scale_rows`, `normalize_rows`), and an inference mode whose scopes
+//!   free intermediates as soon as a gradient-free forward is done with
+//!   them;
 //! * [`SegmentPlan`] — CSR-style inverted segment maps that let the scatter
 //!   reductions (`segment_sum`, `segment_softmax`, gather backward) run in
 //!   parallel by output segment, bitwise identical to their serial
@@ -42,6 +44,6 @@ pub mod matrix;
 pub mod pool;
 pub mod segment;
 
-pub use graph::{stable_sigmoid, Gradients, Graph, Var};
+pub use graph::{stable_sigmoid, Gradients, Graph, Scope, Var};
 pub use matrix::Matrix;
 pub use segment::SegmentPlan;
