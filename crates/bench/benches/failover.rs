@@ -228,7 +228,6 @@ fn main() {
     let opts = IngestOpts {
         batch_max: 32,
         wal_segment_bytes: 4 * 1024,
-        ..IngestOpts::default()
     };
 
     // -- Crash-recovery: 1× and 10× histories, compacted vs not.

@@ -60,11 +60,8 @@ fn setup() -> (Dataset, PrimConfig, ModelInputs) {
 
 fn opts() -> ResilienceOpts {
     ResilienceOpts {
-        every_epochs: 1,
         retain: 3,
         max_retries: 0,
-        lr_decay: 0.5,
-        backoff: std::time::Duration::ZERO,
     }
 }
 

@@ -93,32 +93,30 @@ pub struct IngestOpts {
     /// `ingest_flush` op). Smaller batches shrink the staleness window;
     /// larger ones amortise the subset embed.
     pub batch_max: usize,
-    /// Delta-segment floor before a publish re-seals the HNSW graph.
-    pub reseal_min: usize,
-    /// Re-seal when the delta segment exceeds `sealed_len / reseal_frac`
-    /// (whichever of the two bounds is larger). Values below 1 are
-    /// treated as 1.
-    pub reseal_frac: usize,
     /// Active-WAL-segment byte budget: appends roll to a fresh segment
     /// file past this, and compaction prunes whole segments — smaller
     /// segments compact sooner, at the cost of more files.
     pub wal_segment_bytes: usize,
-    /// Snapshot checkpoints retained by the rotator (replicated pipelines
-    /// only). Clamped to at least 1.
-    pub snapshot_retain: usize,
 }
 
 impl Default for IngestOpts {
     fn default() -> Self {
         IngestOpts {
             batch_max: 32,
-            reseal_min: 256,
-            reseal_frac: 4,
             wal_segment_bytes: wal::DEFAULT_SEGMENT_BYTES,
-            snapshot_retain: 2,
         }
     }
 }
+
+/// Delta-segment floor before a publish re-seals the HNSW graph.
+const RESEAL_MIN: usize = 256;
+
+/// A publish re-seals the HNSW graph when the delta segment exceeds
+/// `sealed_len / RESEAL_FRAC` or [`RESEAL_MIN`], whichever is larger.
+const RESEAL_FRAC: usize = 4;
+
+/// Snapshot checkpoints the rotator retains (replicated pipelines only).
+const SNAPSHOT_RETAIN: usize = 2;
 
 /// Failure opening the ingest pipeline.
 #[derive(Debug)]
@@ -393,7 +391,7 @@ impl CityIngest {
         engine_opts: EngineOpts,
         opts: IngestOpts,
     ) -> Result<Arc<Self>, IngestError> {
-        let rotator = CkptRotator::new(snapshot_dir.into(), opts.snapshot_retain)
+        let rotator = CkptRotator::new(snapshot_dir.into(), SNAPSHOT_RETAIN)
             .map_err(|e| IngestError::Snapshot(e.to_string()))?;
         let recovered = rotator
             .latest_valid()
@@ -883,10 +881,7 @@ impl CityIngest {
         let reseal = match &store.ann {
             Some(ann) => {
                 let sealed = ann.len();
-                let floor = self
-                    .opts
-                    .reseal_min
-                    .max(sealed / self.opts.reseal_frac.max(1));
+                let floor = RESEAL_MIN.max(sealed / RESEAL_FRAC);
                 (store.n_pois() - sealed > floor).then_some(ann.graph.params)
             }
             None => None,

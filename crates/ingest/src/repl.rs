@@ -554,8 +554,8 @@ impl ReplFollower {
             }
         }
         drop(ckpt);
-        let rot = CkptRotator::new(&self.snapshot_dir, self.opts.snapshot_retain)
-            .map_err(ReplError::Io)?;
+        let rot =
+            CkptRotator::new(&self.snapshot_dir, crate::SNAPSHOT_RETAIN).map_err(ReplError::Io)?;
         rot.save(&*self.io, snapshot_seq as usize, bytes)
             .map_err(ReplError::Io)?;
         let fresh = CityIngest::open_replicated(

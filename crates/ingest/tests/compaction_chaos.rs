@@ -135,8 +135,6 @@ fn open_repl(
         IngestOpts {
             batch_max: 1000, // flushes are the only publish/snapshot points
             wal_segment_bytes: 1,
-            snapshot_retain: 2,
-            ..IngestOpts::default()
         },
     )?;
     Ok((ingest, slot))

@@ -393,7 +393,6 @@ fn ann_beam_surfaces_delta_segment_candidates() {
             ef_search: 1 << 14,
             oversample: 1 << 20,
             budget_mult: usize::MAX,
-            ..AnnOpts::default()
         },
         ..EngineOpts::default()
     };

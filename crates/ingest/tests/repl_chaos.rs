@@ -138,7 +138,6 @@ fn open_primary(io: Arc<dyn FileIo>, wal: &PathBuf, snap: &PathBuf) -> Option<Pr
         IngestOpts {
             batch_max: 1000,
             wal_segment_bytes: 1,
-            ..IngestOpts::default()
         },
     )
     .ok()?;
@@ -167,7 +166,6 @@ fn open_follower(wal: &PathBuf, snap: &PathBuf) -> (Arc<ReplFollower>, Arc<Engin
         IngestOpts {
             batch_max: 1000,
             wal_segment_bytes: 1,
-            ..IngestOpts::default()
         },
     )
     .unwrap();

@@ -4,8 +4,8 @@
 //!
 //! * [`hnsw`] — a deterministic, seeded HNSW graph over the L2-normalized
 //!   POI embeddings (the part a checkpoint persists),
-//! * [`quant`] — int8/f16 compressed embedding tiers with SIMD dot
-//!   kernels the search loop scores candidates through (rebuilt from the
+//! * [`quant`] — the int8 compressed embedding tier with the SIMD dot
+//!   kernel the search loop scores candidates through (rebuilt from the
 //!   embeddings at load, never persisted),
 //! * the existing `geo::GridIndex` — the spatial filter; candidates are
 //!   always `ANN beam ∩ radius`, and every survivor is re-scored through
@@ -15,7 +15,7 @@ pub mod hnsw;
 pub mod quant;
 
 pub use hnsw::{Hnsw, Layer, SearchStats};
-pub use quant::{l2_normalized, QuantStore, QuantTier};
+pub use quant::{l2_normalized, QuantStore};
 
 use prim_tensor::Matrix;
 
@@ -33,8 +33,6 @@ pub struct AnnParams {
     /// Seed for the geometric level assignment (the engine passes the
     /// checkpoint config's seed).
     pub seed: u64,
-    /// Which compressed tier candidate scoring reads.
-    pub tier: QuantTier,
 }
 
 impl Default for AnnParams {
@@ -44,7 +42,6 @@ impl Default for AnnParams {
             ef_construction: 64,
             ef_search: 64,
             seed: 0,
-            tier: QuantTier::Int8,
         }
     }
 }

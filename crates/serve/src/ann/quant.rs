@@ -1,34 +1,23 @@
-//! Quantized embedding tiers for approximate candidate scoring.
+//! The quantized embedding tier for approximate candidate scoring.
 //!
 //! The ANN search loop evaluates one dot product per visited node, so its
 //! inner kernel reads a *compressed* copy of the POI table instead of the
-//! exact f32 rows: an int8 tier (per-vector scale, 4 bytes + d bytes per
-//! row) and an f16 tier (2d bytes per row). Both decode deterministically,
-//! and every final candidate is re-scored through the exact f32 kernel, so
-//! quantization error can only affect *which* candidates surface, never
-//! the scores the client sees.
+//! exact f32 rows: int8 codes with one f32 scale per vector (4 bytes + d
+//! bytes per row). Decoding is deterministic, and every final candidate is
+//! re-scored through the exact f32 kernel, so quantization error can only
+//! affect *which* candidates surface, never the scores the client sees.
 //!
 //! ## Bitwise SIMD/scalar contract
 //!
-//! Each dot kernel is defined as four interleaved accumulator chains —
-//! chain `j` sums terms `q[4i+j] · dec(code[4i+j])` in ascending `i` —
+//! The dot kernel is defined as four interleaved accumulator chains —
+//! chain `j` sums terms `q[4i+j] · code[4i+j]` in ascending `i` —
 //! combined as `(c0 + c1) + (c2 + c3)`, followed by a scalar tail for
-//! `d % 4` and (for int8) one final multiply by the row scale. The SSE
-//! versions run the same four chains in vector lanes; lane-wise IEEE
-//! arithmetic with no FMA contraction makes them bitwise identical to the
-//! scalar references, which the proptests in `quant_props.rs` pin.
+//! `d % 4` and one final multiply by the row scale. The SSE version runs
+//! the same four chains in vector lanes; lane-wise IEEE arithmetic with no
+//! FMA contraction makes it bitwise identical to the scalar reference,
+//! which the proptests in `quant_props.rs` pin.
 
 use prim_tensor::Matrix;
-
-/// Which compressed tier the search loop scores candidates with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuantTier {
-    /// int8 codes with one f32 scale per vector (default: smallest and
-    /// fastest, error bounded by `scale / 2` per component).
-    Int8,
-    /// IEEE binary16 codes (≈3 decimal digits, no per-vector state).
-    F16,
-}
 
 /// Compressed snapshot of the POI embedding table.
 ///
@@ -39,38 +28,24 @@ pub enum QuantTier {
 pub struct QuantStore {
     dim: usize,
     /// `n × dim` int8 codes, row-major.
-    codes_i8: Vec<i8>,
+    codes: Vec<i8>,
     /// Per-row dequantization scale (`value ≈ code · scale`).
     scales: Vec<f32>,
-    /// `n × dim` binary16 codes, row-major.
-    codes_f16: Vec<u16>,
 }
 
 impl QuantStore {
-    /// Encodes every row of `table` into both tiers.
+    /// Encodes every row of `table`.
     pub fn build(table: &Matrix) -> Self {
         let (n, dim) = (table.rows(), table.cols());
-        let mut codes_i8 = Vec::with_capacity(n * dim);
-        let mut scales = Vec::with_capacity(n);
-        let mut codes_f16 = Vec::with_capacity(n * dim);
-        for r in 0..n {
-            let row = table.row(r);
-            let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let scale = max_abs / 127.0;
-            let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-            scales.push(scale);
-            for &v in row {
-                let c = (v * inv).round().clamp(-127.0, 127.0) as i8;
-                codes_i8.push(c);
-                codes_f16.push(f32_to_f16(v));
-            }
-        }
-        QuantStore {
+        let mut store = QuantStore {
             dim,
-            codes_i8,
-            scales,
-            codes_f16,
+            codes: Vec::with_capacity(n * dim),
+            scales: Vec::with_capacity(n),
+        };
+        for r in 0..n {
+            store.append_row(table.row(r));
         }
+        store
     }
 
     /// Embedding width.
@@ -88,22 +63,17 @@ impl QuantStore {
         let (scale, inv) = Self::row_scale(values);
         self.scales[row] = scale;
         let at = row * self.dim;
-        for (k, &v) in values.iter().enumerate() {
-            self.codes_i8[at + k] = (v * inv).round().clamp(-127.0, 127.0) as i8;
-            self.codes_f16[at + k] = f32_to_f16(v);
+        for (c, &v) in self.codes[at..at + self.dim].iter_mut().zip(values) {
+            *c = encode(v, inv);
         }
     }
 
-    /// Appends one newly-onboarded row to both tiers.
+    /// Appends one newly-onboarded row.
     pub fn append_row(&mut self, values: &[f32]) {
         assert_eq!(values.len(), self.dim, "row width mismatch");
         let (scale, inv) = Self::row_scale(values);
         self.scales.push(scale);
-        for &v in values {
-            self.codes_i8
-                .push((v * inv).round().clamp(-127.0, 127.0) as i8);
-            self.codes_f16.push(f32_to_f16(v));
-        }
+        self.codes.extend(values.iter().map(|&v| encode(v, inv)));
     }
 
     fn row_scale(values: &[f32]) -> (f32, f32) {
@@ -123,118 +93,37 @@ impl QuantStore {
         self.scales.is_empty()
     }
 
-    /// int8 codes of one row.
+    /// int8 codes of one row, with its scale.
     pub fn row_i8(&self, row: usize) -> (&[i8], f32) {
         (
-            &self.codes_i8[row * self.dim..(row + 1) * self.dim],
+            &self.codes[row * self.dim..(row + 1) * self.dim],
             self.scales[row],
         )
     }
 
-    /// binary16 codes of one row.
-    pub fn row_f16(&self, row: usize) -> &[u16] {
-        &self.codes_f16[row * self.dim..(row + 1) * self.dim]
+    /// Dequantized copy of one row.
+    pub fn decode_row(&self, row: usize) -> Vec<f32> {
+        let (codes, scale) = self.row_i8(row);
+        codes.iter().map(|&c| c as f32 * scale).collect()
     }
 
-    /// Dequantized copy of one row under `tier`.
-    pub fn decode_row(&self, tier: QuantTier, row: usize) -> Vec<f32> {
-        match tier {
-            QuantTier::Int8 => {
-                let (codes, scale) = self.row_i8(row);
-                codes.iter().map(|&c| c as f32 * scale).collect()
-            }
-            QuantTier::F16 => self.row_f16(row).iter().map(|&h| f16_to_f32(h)).collect(),
-        }
-    }
-
-    /// `q · dec(row)` under `tier` (SIMD on x86_64, bitwise equal to the
-    /// scalar references either way).
+    /// `q · dec(row)` (SIMD on x86_64, bitwise equal to the scalar
+    /// reference either way).
     #[inline]
-    pub fn dot(&self, tier: QuantTier, row: usize, q: &[f32]) -> f32 {
-        match tier {
-            QuantTier::Int8 => {
-                let (codes, scale) = self.row_i8(row);
-                dot_i8(codes, scale, q)
-            }
-            QuantTier::F16 => dot_f16(self.row_f16(row), q),
-        }
+    pub fn dot(&self, row: usize, q: &[f32]) -> f32 {
+        let (codes, scale) = self.row_i8(row);
+        dot_i8(codes, scale, q)
     }
 }
 
-// ---------------------------------------------------------------------------
-// binary16 conversions
-// ---------------------------------------------------------------------------
-
-/// f32 → binary16 bits with IEEE round-to-nearest-even. Values past the
-/// f16 range saturate to ±inf (the serve embeddings are guard-checked
-/// finite and far below 65504, so saturation never fires in practice).
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf / NaN (NaN keeps a payload bit so it stays a NaN).
-        return sign | 0x7c00 | if man != 0 { 0x0200 } else { 0 };
-    }
-    let e = exp - 127 + 15;
-    if e >= 0x1f {
-        return sign | 0x7c00;
-    }
-    if e <= 0 {
-        if e < -10 {
-            return sign; // underflows even the smallest subnormal
-        }
-        // Subnormal: the 24-bit significand (implicit 1 restored) lands
-        // in units of 2^-24 after an `e`-dependent shift.
-        let m = man | 0x0080_0000;
-        let shift = (14 - e) as u32;
-        let val = m >> shift;
-        let rem = m & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let mut v = val as u16;
-        if rem > half || (rem == half && (val & 1) != 0) {
-            v += 1; // may carry into the smallest normal — still correct
-        }
-        return sign | v;
-    }
-    let val = man >> 13;
-    let rem = man & 0x1fff;
-    let mut out = sign | ((e as u16) << 10) | val as u16;
-    if rem > 0x1000 || (rem == 0x1000 && (val & 1) != 0) {
-        out = out.wrapping_add(1); // mantissa carry rolls into the exponent
-    }
-    out
-}
-
-/// binary16 bits → f32 (exact: every f16 value is representable in f32).
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = (h as u32 & 0x8000) << 16;
-    let exp = (h as u32 >> 10) & 0x1f;
-    let man = h as u32 & 0x03ff;
-    let bits = if exp == 0 {
-        if man == 0 {
-            sign // ±0
-        } else {
-            // Subnormal: normalize into an f32 exponent.
-            let mut e = 113u32; // biased f32 exponent of 2^-14
-            let mut m = man;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            sign | (e << 23) | ((m & 0x03ff) << 13)
-        }
-    } else if exp == 0x1f {
-        sign | 0x7f80_0000 | (man << 13)
-    } else {
-        sign | ((exp + 112) << 23) | (man << 13)
-    };
-    f32::from_bits(bits)
+/// int8 code of `v` under its row's inverse scale.
+#[inline]
+fn encode(v: f32, inv: f32) -> i8 {
+    (v * inv).round().clamp(-127.0, 127.0) as i8
 }
 
 // ---------------------------------------------------------------------------
-// Dot kernels
+// Dot kernel
 // ---------------------------------------------------------------------------
 
 /// Scalar reference for the int8 dot: the canonical four-chain reduction
@@ -260,28 +149,6 @@ pub fn dot_i8_scalar(codes: &[i8], scale: f32, q: &[f32]) -> f32 {
     sum * scale
 }
 
-/// Scalar reference for the binary16 dot (same chain structure).
-pub fn dot_f16_scalar(codes: &[u16], q: &[f32]) -> f32 {
-    debug_assert_eq!(codes.len(), q.len());
-    let d = q.len();
-    let d4 = d & !3;
-    let (mut c0, mut c1, mut c2, mut c3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let mut k = 0;
-    while k < d4 {
-        c0 += q[k] * f16_to_f32(codes[k]);
-        c1 += q[k + 1] * f16_to_f32(codes[k + 1]);
-        c2 += q[k + 2] * f16_to_f32(codes[k + 2]);
-        c3 += q[k + 3] * f16_to_f32(codes[k + 3]);
-        k += 4;
-    }
-    let mut sum = (c0 + c1) + (c2 + c3);
-    while k < d {
-        sum += q[k] * f16_to_f32(codes[k]);
-        k += 1;
-    }
-    sum
-}
-
 /// int8 dot: SSE on x86_64, scalar reference elsewhere.
 #[inline]
 pub fn dot_i8(codes: &[i8], scale: f32, q: &[f32]) -> f32 {
@@ -292,18 +159,6 @@ pub fn dot_i8(codes: &[i8], scale: f32, q: &[f32]) -> f32 {
     }
     #[cfg(not(target_arch = "x86_64"))]
     dot_i8_scalar(codes, scale, q)
-}
-
-/// binary16 dot: SSE on x86_64, scalar reference elsewhere.
-#[inline]
-pub fn dot_f16(codes: &[u16], q: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is part of the x86_64 baseline.
-    unsafe {
-        dot_f16_sse(codes, q)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    dot_f16_scalar(codes, q)
 }
 
 /// SSE int8 dot. Four codes sign-extend i8→i32 through two unpack/compare
@@ -343,41 +198,6 @@ unsafe fn dot_i8_sse(codes: &[i8], scale: f32, q: &[f32]) -> f32 {
     sum * scale
 }
 
-/// SSE binary16 dot. Decode is the exact scalar [`f16_to_f32`] per code
-/// (batched four at a time); only the accumulation vectorises, in the same
-/// four chains as [`dot_f16_scalar`] — bitwise identical.
-#[cfg(target_arch = "x86_64")]
-unsafe fn dot_f16_sse(codes: &[u16], q: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(codes.len(), q.len());
-    let d = q.len();
-    let d4 = d & !3;
-    let qp = q.as_ptr();
-    let mut acc = _mm_setzero_ps();
-    let mut k = 0;
-    while k < d4 {
-        let dec = [
-            f16_to_f32(codes[k]),
-            f16_to_f32(codes[k + 1]),
-            f16_to_f32(codes[k + 2]),
-            f16_to_f32(codes[k + 3]),
-        ];
-        acc = _mm_add_ps(
-            acc,
-            _mm_mul_ps(_mm_loadu_ps(qp.add(k)), _mm_loadu_ps(dec.as_ptr())),
-        );
-        k += 4;
-    }
-    let mut lanes = [0.0f32; 4];
-    _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    while k < d {
-        sum += q[k] * f16_to_f32(codes[k]);
-        k += 1;
-    }
-    sum
-}
-
 /// Row-wise L2 normalization (zero rows stay zero) — the geometry the
 /// HNSW graph is built over, so construction similarity is cosine.
 pub fn l2_normalized(table: &Matrix) -> Matrix {
@@ -402,48 +222,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f16_round_trips_exact_halves() {
-        for &v in &[0.0f32, 1.0, -1.0, 0.5, 2.0, 65504.0, -65504.0, 0.099975586] {
-            let h = f32_to_f16(v);
-            let back = f16_to_f32(h);
-            assert_eq!(f32_to_f16(back), h, "{v}");
-        }
-        // Exact f16 values survive bitwise.
-        assert_eq!(f16_to_f32(f32_to_f16(1.5)), 1.5);
-        assert_eq!(f16_to_f32(f32_to_f16(-0.25)), -0.25);
-    }
-
-    #[test]
-    fn f16_handles_specials() {
-        assert_eq!(f16_to_f32(f32_to_f16(f32::INFINITY)), f32::INFINITY);
-        assert_eq!(f16_to_f32(f32_to_f16(f32::NEG_INFINITY)), f32::NEG_INFINITY);
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-        assert_eq!(f32_to_f16(1e9), 0x7c00); // saturates to +inf
-        assert_eq!(f32_to_f16(0.0), 0);
-        assert_eq!(f32_to_f16(-0.0), 0x8000);
-        // Smallest f16 subnormal (2^-24) and below.
-        assert_eq!(f16_to_f32(0x0001), 2.0f32.powi(-24));
-        assert_eq!(f32_to_f16(2.0f32.powi(-26)), 0); // rounds to zero (RNE)
-    }
-
-    #[test]
-    fn f16_rounds_to_nearest_even() {
-        // 1 + 2^-11 is exactly halfway between 1.0 and the next f16; RNE
-        // picks the even mantissa (1.0).
-        assert_eq!(f32_to_f16(1.0 + 2.0f32.powi(-11)), f32_to_f16(1.0));
-        // 1 + 3·2^-11 is halfway between the 1st and 2nd steps; RNE picks
-        // the even 2nd step.
-        let up = f32_to_f16(1.0 + 3.0 * 2.0f32.powi(-11));
-        assert_eq!(up, f32_to_f16(1.0) + 2);
-    }
-
-    #[test]
     fn int8_round_trip_error_is_half_scale() {
         let m = Matrix::from_fn(3, 7, |r, c| ((r * 31 + c * 17) as f32).sin() * 3.0);
         let qs = QuantStore::build(&m);
         for r in 0..3 {
             let (_, scale) = qs.row_i8(r);
-            let dec = qs.decode_row(QuantTier::Int8, r);
+            let dec = qs.decode_row(r);
             for (a, b) in m.row(r).iter().zip(&dec) {
                 assert!((a - b).abs() <= scale * 0.5000001 + 1e-12, "{a} vs {b}");
             }
@@ -455,9 +239,8 @@ mod tests {
         let m = Matrix::zeros(2, 5);
         let qs = QuantStore::build(&m);
         assert_eq!(qs.row_i8(0).1, 0.0);
-        assert_eq!(qs.decode_row(QuantTier::Int8, 1), vec![0.0; 5]);
-        assert_eq!(qs.dot(QuantTier::Int8, 0, &[1.0; 5]), 0.0);
-        assert_eq!(qs.dot(QuantTier::F16, 0, &[1.0; 5]), 0.0);
+        assert_eq!(qs.decode_row(1), vec![0.0; 5]);
+        assert_eq!(qs.dot(0, &[1.0; 5]), 0.0);
     }
 
     #[test]
@@ -468,14 +251,9 @@ mod tests {
             let q: Vec<f32> = (0..d).map(|c| ((c * 13) as f32).sin()).collect();
             let (codes, scale) = qs.row_i8(0);
             assert_eq!(
-                qs.dot(QuantTier::Int8, 0, &q).to_bits(),
+                qs.dot(0, &q).to_bits(),
                 dot_i8_scalar(codes, scale, &q).to_bits(),
                 "int8 d={d}"
-            );
-            assert_eq!(
-                qs.dot(QuantTier::F16, 0, &q).to_bits(),
-                dot_f16_scalar(qs.row_f16(0), &q).to_bits(),
-                "f16 d={d}"
             );
         }
     }

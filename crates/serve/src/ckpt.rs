@@ -32,7 +32,7 @@
 //! `as f32`, which is exact for values that originated as f32 — the
 //! round-trip is bitwise.
 
-use crate::ann::{hnsw::Layer, AnnGraph, AnnParams, Hnsw, QuantTier};
+use crate::ann::{hnsw::Layer, AnnGraph, AnnParams, Hnsw};
 use crate::chaos::atomic_write;
 use prim_core::config::{GammaOp, PrimConfig, TaxonomyMode};
 use prim_core::{ModelInputs, PrimModel, ResumeState};
@@ -629,10 +629,7 @@ fn push_ann_graph(w: &mut Writer, graph: &AnnGraph) {
             p.ef_search as f64,
             seed_hi,
             seed_lo,
-            match p.tier {
-                QuantTier::Int8 => 0.0,
-                QuantTier::F16 => 1.0,
-            },
+            0.0, // quantized tier code: int8, the only tier
             h.entry as f64,
             h.layers.len() as f64,
         ],
@@ -669,20 +666,19 @@ fn decode_ann_graph(raw: &RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> 
             meta.values.len()
         )));
     }
+    // The graph never depended on the tier code, so files that name the
+    // retired f16 tier (1) load like int8 ones (0).
+    let tier = meta.values[5] as i64;
+    if !matches!(tier, 0 | 1) {
+        return Err(CkptError::Malformed(format!(
+            "unknown ann quant tier code {tier}"
+        )));
+    }
     let params = AnnParams {
         m: meta.values[0] as usize,
         ef_construction: meta.values[1] as usize,
         ef_search: meta.values[2] as usize,
         seed: join_u64(meta.values[3], meta.values[4]),
-        tier: match meta.values[5] as i64 {
-            0 => QuantTier::Int8,
-            1 => QuantTier::F16,
-            other => {
-                return Err(CkptError::Malformed(format!(
-                    "unknown ann quant tier code {other}"
-                )));
-            }
-        },
     };
     let entry = meta.values[6] as u32;
     let n_layers = meta.values[7] as usize;
@@ -1089,35 +1085,6 @@ pub fn save_checkpoint_indexed(
         relation_names,
         None,
         Some(ann),
-    );
-    atomic_write(path.as_ref(), &bytes)?;
-    Ok(())
-}
-
-/// [`save_checkpoint`] carrying a mid-run [`ResumeState`] (optimiser
-/// moments, RNG, epoch bookkeeping) so training can continue
-/// bitwise-identically from the file. Scoring-side loaders ignore the
-/// extra `train.*` tensors.
-#[allow(clippy::too_many_arguments)] // full training + persistence context
-pub fn save_checkpoint_with_state(
-    path: impl AsRef<Path>,
-    run: &str,
-    model: &PrimModel,
-    graph: &HeteroGraph,
-    taxonomy: &Taxonomy,
-    attrs: &Matrix,
-    relation_names: &[String],
-    state: &ResumeState,
-) -> Result<(), CkptError> {
-    let bytes = encode_checkpoint(
-        run,
-        model,
-        graph,
-        taxonomy,
-        attrs,
-        relation_names,
-        Some(state),
-        None,
     );
     atomic_write(path.as_ref(), &bytes)?;
     Ok(())

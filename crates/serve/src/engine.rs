@@ -51,9 +51,6 @@ pub const CACHE_AUTO: usize = usize::MAX;
 /// f32 kernel, so returned scores are always bitwise-exact.
 #[derive(Clone, Copy, Debug)]
 pub struct AnnOpts {
-    /// Serve the approximate path at all (`false` = `top_k_related_ann`
-    /// is the exact path with a `"exact"` mode tag).
-    pub enabled: bool,
     /// Cell-population estimate at or below which the exact path wins
     /// outright and the ANN layer steps aside.
     pub min_exact: usize,
@@ -80,7 +77,6 @@ pub struct AnnOpts {
 impl Default for AnnOpts {
     fn default() -> Self {
         AnnOpts {
-            enabled: true,
             min_exact: 64,
             beam_cutoff: 4096,
             ef_search: 0,
@@ -354,10 +350,11 @@ impl ServeEngine {
         ranked
     }
 
-    /// [`Self::top_k_related`] with a mode switch: `exact` forces the
-    /// brute-force path; otherwise the ANN dispatch decides. Returns the
-    /// ranked neighbors plus the mode actually served (`"exact"` /
-    /// `"ann"`), which the protocol layer reports per response.
+    /// [`Self::top_k_related`] with a mode switch: `exact` (or a store
+    /// built without an index) forces the brute-force path; otherwise the
+    /// ANN dispatch decides. Returns the ranked neighbors plus the mode
+    /// actually served (`"exact"` / `"ann"`), which the protocol layer
+    /// reports per response.
     pub fn top_k_related_mode(
         &self,
         src: u32,
@@ -366,7 +363,7 @@ impl ServeEngine {
         relation: usize,
         exact: bool,
     ) -> (Vec<Neighbor>, &'static str) {
-        if exact || !self.ann_opts.enabled || self.store.ann.is_none() {
+        if exact || self.store.ann.is_none() {
             return (self.top_k_related(src, radius_km, k, relation), "exact");
         }
         self.top_k_related_ann(src, radius_km, k, relation)
@@ -380,7 +377,7 @@ impl ServeEngine {
     /// 1. **exact** — at or below `min_exact` candidates the setup cost of
     ///    anything approximate exceeds the full scan it replaces.
     /// 2. **quantized scan** — enumerate the in-radius candidates
-    ///    (unsorted), score each with one int8/f16 SIMD dot against the
+    ///    (unsorted), score each with one int8 SIMD dot against the
     ///    relation-linearised query, keep the `ef` best.
     /// 3. **HNSW beam** — above `beam_cutoff` *and* with the radius
     ///    covering most of the store, the candidate set is too big to
@@ -420,7 +417,6 @@ impl ServeEngine {
         let ef = base_ef.max(k.saturating_mul(opts.oversample)).max(1);
         let (queries, n_query_rows) = self.ann_query_rows(src, relation);
         let d = self.store.dim();
-        let tier = index.graph.params.tier;
         // Query-row selection bins the *grid's* projected distance — the
         // value the radius filter already computed — rather than re-running
         // the per-pair equirectangular projection `pair_bin` does. The two
@@ -465,7 +461,7 @@ impl ServeEngine {
             );
             let mut scored: Vec<(f32, u32)> = candidates
                 .into_iter()
-                .map(|(j, dist)| (index.quant.dot(tier, j, query_row(dist)), j as u32))
+                .map(|(j, dist)| (index.quant.dot(j, query_row(dist)), j as u32))
                 .collect();
             // Keep the top `ef` under the (score desc, id asc) total order.
             // A partition suffices — the order is total, so the kept *set*
@@ -482,7 +478,7 @@ impl ServeEngine {
             let (mut kept, stats) = index.graph.hnsw.search(
                 |id| {
                     let dist = self.store.grid.distance_km(src as usize, id as usize);
-                    index.quant.dot(tier, id as usize, query_row(dist))
+                    index.quant.dot(id as usize, query_row(dist))
                 },
                 |id| {
                     id != src && self.store.grid.distance_km(src as usize, id as usize) < radius_km
@@ -510,7 +506,7 @@ impl ServeEngine {
                 }
                 let dist = self.store.grid.distance_km(src as usize, id as usize);
                 if dist < radius_km {
-                    kept.push((index.quant.dot(tier, id as usize, query_row(dist)), id));
+                    kept.push((index.quant.dot(id as usize, query_row(dist)), id));
                 }
             }
             if delta_len > 0 {

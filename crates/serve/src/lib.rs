@@ -36,15 +36,14 @@ pub mod rotate;
 pub mod server;
 pub mod store;
 
-pub use ann::{AnnGraph, AnnIndex, AnnParams, Hnsw, QuantStore, QuantTier, SearchStats};
+pub use ann::{AnnGraph, AnnIndex, AnnParams, Hnsw, QuantStore, SearchStats};
 pub use cache::ScoreCache;
 pub use chaos::{atomic_write, ChaosClient, ChaosIo, Fault, FaultPlan, FileIo, RealIo};
 pub use ckpt::{
     checksum, decode_bytes, decode_checkpoint, encode_checkpoint, encode_checkpoint_ingest,
     load_checkpoint, load_pair_model, load_params, load_params_into, load_raw, save_checkpoint,
-    save_checkpoint_indexed, save_checkpoint_with_state, save_pair_model, save_params, CkptError,
-    IngestSnapshotState, ParamsCheckpoint, PrimCheckpoint, RawCheckpoint, FLAG_NO_DECAY, MAGIC,
-    VERSION,
+    save_checkpoint_indexed, save_pair_model, save_params, CkptError, IngestSnapshotState,
+    ParamsCheckpoint, PrimCheckpoint, RawCheckpoint, FLAG_NO_DECAY, MAGIC, VERSION,
 };
 pub use engine::{
     score_pairs_all, AnnOpts, EngineOpts, EngineSlot, Neighbor, PairScores, ServeEngine, CACHE_AUTO,

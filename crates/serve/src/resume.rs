@@ -7,15 +7,14 @@
 //! * On entry it restores the newest valid checkpoint in the directory (if
 //!   any) — parameters plus the `train.*` resume state — and continues
 //!   training **bitwise-identically** to a run that never stopped.
-//! * Every `every_epochs` epochs (and on the final epoch) it writes a
-//!   rotation slot carrying parameters + optimiser moments + RNG/epoch
-//!   state, each step atomic.
+//! * Every epoch it writes a rotation slot carrying parameters +
+//!   optimiser moments + RNG/epoch state, each step atomic.
 //! * When the `prim-obs` finite guard aborts training (NaN/Inf loss or
 //!   gradient), the rollback policy restores the last good checkpoint,
-//!   decays the learning rate by `lr_decay`, optionally sleeps `backoff`,
-//!   and retries — at most `max_retries` times, after which the abort
-//!   surfaces as [`ResumeError::Aborted`]. Every recovery event lands in
-//!   the telemetry: `Counter::Resumes` / `Counter::Rollbacks` /
+//!   multiplies the learning rate by `LR_DECAY` (0.5) and retries — at most
+//!   `max_retries` times, after which the abort surfaces as
+//!   [`ResumeError::Aborted`]. Every recovery event lands in the
+//!   telemetry: `Counter::Resumes` / `Counter::Rollbacks` /
 //!   `Counter::CkptSaves` plus `resilience/*` scalar series.
 //!
 //! Checkpoint I/O flows through a [`FileIo`], so the fault-injection
@@ -34,32 +33,24 @@ use prim_tensor::Matrix;
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::time::Duration;
 
-/// Knobs for checkpoint cadence, retention and the rollback policy.
+/// Learning-rate multiplier applied at each rollback.
+const LR_DECAY: f32 = 0.5;
+
+/// Knobs for checkpoint retention and the rollback policy.
 #[derive(Clone, Debug)]
 pub struct ResilienceOpts {
-    /// Checkpoint every this many epochs (the final epoch always saves).
-    pub every_epochs: usize,
     /// Rotation slots kept on disk.
     pub retain: usize,
     /// Rollback attempts before a `TrainAbort` becomes fatal.
     pub max_retries: u32,
-    /// Learning-rate multiplier applied at each rollback.
-    pub lr_decay: f32,
-    /// Sleep between rollback and retry (0 in tests; give a flaky disk or
-    /// NFS mount a beat in production).
-    pub backoff: Duration,
 }
 
 impl Default for ResilienceOpts {
     fn default() -> Self {
         ResilienceOpts {
-            every_epochs: 1,
             retain: 3,
             max_retries: 3,
-            lr_decay: 0.5,
-            backoff: Duration::ZERO,
         }
     }
 }
@@ -112,15 +103,13 @@ pub struct ResumableRun {
     pub rollbacks: u32,
 }
 
-/// The per-epoch checkpointing hook: delegates to the user hook, then on
-/// cadence epochs encodes and rotates a resumable checkpoint. A failed
-/// save breaks the training loop — the crash model — and is surfaced by
-/// the caller as [`ResumeError::Io`].
+/// The per-epoch checkpointing hook: delegates to the user hook, then
+/// encodes and rotates a resumable checkpoint. A failed save breaks the
+/// training loop — the crash model — and is surfaced by the caller as
+/// [`ResumeError::Io`].
 struct CkptHook<'a> {
     rotator: &'a CkptRotator,
     io: &'a dyn FileIo,
-    opts: &'a ResilienceOpts,
-    epochs_total: usize,
     run: &'a str,
     graph: &'a HeteroGraph,
     taxonomy: &'a Taxonomy,
@@ -139,10 +128,6 @@ impl FitHook for CkptHook<'_> {
     fn on_epoch_end(&mut self, view: &FitCkptView<'_>) -> ControlFlow<()> {
         if self.user.on_epoch_end(view).is_break() {
             return ControlFlow::Break(());
-        }
-        let done = view.epoch + 1;
-        if !done.is_multiple_of(self.opts.every_epochs.max(1)) && done != self.epochs_total {
-            return ControlFlow::Continue(());
         }
         let state = view.resume_state();
         let bytes = encode_checkpoint(
@@ -246,8 +231,6 @@ pub fn fit_resumable_hooked(
         let mut hook = CkptHook {
             rotator: &rotator,
             io,
-            opts,
-            epochs_total: model.config().epochs,
             run,
             graph,
             taxonomy,
@@ -310,7 +293,7 @@ pub fn fit_resumable_hooked(
                                 continue;
                             }
                         };
-                        state.adam.lr *= opts.lr_decay;
+                        state.adam.lr *= LR_DECAY;
                         telemetry
                             .recorder
                             .record_scalar("resilience/lr_after_rollback", state.adam.lr as f64);
@@ -320,16 +303,13 @@ pub fn fit_resumable_hooked(
                         // No good checkpoint yet: restart from scratch
                         // with a decayed rate.
                         let mut cfg = model.config().clone();
-                        cfg.lr *= opts.lr_decay.powi(rollbacks as i32);
+                        cfg.lr *= LR_DECAY.powi(rollbacks as i32);
                         telemetry
                             .recorder
                             .record_scalar("resilience/lr_after_rollback", cfg.lr as f64);
                         *model = PrimModel::new(cfg, inputs);
                         resume = None;
                     }
-                }
-                if !opts.backoff.is_zero() {
-                    std::thread::sleep(opts.backoff);
                 }
             }
         }

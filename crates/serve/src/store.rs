@@ -7,7 +7,7 @@
 //! spatial candidate queries. After construction nothing references the
 //! model or the autograd tape: scoring is pure table lookups.
 
-use crate::ann::{AnnGraph, AnnIndex, AnnParams};
+use crate::ann::{AnnIndex, AnnParams};
 use crate::ckpt::{CkptError, PrimCheckpoint};
 use prim_core::{ModelInputs, PrimConfig, PrimModel};
 use prim_geo::{DistanceBins, GridIndex, Location};
@@ -86,20 +86,6 @@ impl EmbeddingStore {
         }
     }
 
-    /// [`from_model`] reusing a persisted [`AnnGraph`] instead of
-    /// reconstructing it (the quantized tier is rebuilt from the — bitwise
-    /// reproduced — embeddings, which is cheap).
-    pub fn from_model_with_graph(
-        model: &PrimModel,
-        inputs: &ModelInputs,
-        relation_names: Vec<String>,
-        graph: AnnGraph,
-    ) -> Self {
-        let mut store = Self::from_model_unindexed(model, inputs, relation_names);
-        store.ann = Some(AnnIndex::from_graph(graph, &store.pois));
-        store
-    }
-
     /// Materialises a serving store straight from a decoded checkpoint:
     /// rebuild the model, embed once, and either adopt the persisted
     /// `ann.*` graph or construct a fresh index seeded from the config.
@@ -109,12 +95,14 @@ impl EmbeddingStore {
     pub fn from_checkpoint(ckpt: &PrimCheckpoint) -> Result<Self, CkptError> {
         let (model, inputs) = ckpt.rebuild()?;
         let mut store = match &ckpt.ann_graph {
-            Some(graph) => Self::from_model_with_graph(
-                &model,
-                &inputs,
-                ckpt.relation_names.clone(),
-                graph.clone(),
-            ),
+            // The quantized tier is rebuilt from the (bitwise reproduced)
+            // embeddings, which is cheap next to graph construction.
+            Some(graph) => {
+                let mut store =
+                    Self::from_model_unindexed(&model, &inputs, ckpt.relation_names.clone());
+                store.ann = Some(AnnIndex::from_graph(graph.clone(), &store.pois));
+                store
+            }
             None => Self::from_model(&model, &inputs, ckpt.relation_names.clone()),
         };
         // Ingest snapshots: the serving grid must be the *frozen*

@@ -280,8 +280,8 @@ fn tie_break_is_identical_on_exact_and_ann_paths() {
 }
 
 /// Dispatch contract: `exact: true` and tiny candidate sets both serve
-/// the exact path (and say so), disabled ANN serves exact, and the ANN
-/// regimes report their counters.
+/// the exact path (and say so), a store without an index serves exact,
+/// and the ANN regimes report their counters.
 #[test]
 fn dispatch_modes_and_counters() {
     // exact=true forces the oracle path even with ANN available.
@@ -305,15 +305,10 @@ fn dispatch_modes_and_counters() {
     let (_, mode) = engine.top_k_related_mode(5, 1.0, 10, 1, false);
     assert_eq!(mode, "exact");
 
-    // enabled=false is a global off switch.
-    let engine = engine_with(
-        synthetic_store(2000, 16, 23, true),
-        AnnOpts {
-            enabled: false,
-            ..scan_opts()
-        },
-        Recorder::disabled(),
-    );
+    // A store built without an index always serves exact.
+    let mut unindexed = synthetic_store(2000, 16, 23, true);
+    unindexed.ann = None;
+    let engine = engine_with(unindexed, scan_opts(), Recorder::disabled());
     let (_, mode) = engine.top_k_related_mode(5, 1.0, 10, 1, false);
     assert_eq!(mode, "exact");
 

@@ -354,3 +354,52 @@ fn ingest_state_round_trips_and_retires_stay_tombstoned() {
     }
     assert!(saw_live > 0, "retired ids never candidates even when live");
 }
+
+/// `ann.meta` slot 5 holds the quantized tier code: 0 for int8, the only
+/// tier, which the writer always puts there. Older files may carry 1
+/// (f16); the HNSW graph never depended on the code, so both decode to
+/// the same graph, and any other code is corrupt.
+#[test]
+fn ann_tier_slot_accepts_both_known_codes_and_rejects_others() {
+    use prim_serve::{decode_bytes, decode_checkpoint, encode_checkpoint, EmbeddingStore};
+    let (ds, _cfg, inputs, model) = tiny_trained();
+    let store = EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone());
+    let graph = store.ann.expect("from_model indexes").graph;
+    let bytes = encode_checkpoint(
+        "tier-run",
+        &model,
+        &ds.graph,
+        &ds.taxonomy,
+        &ds.attrs,
+        &ds.relation_names,
+        None,
+        Some(&graph),
+    );
+    // Tensor entries start with the u32 name length, then the name, a u8
+    // flag byte, u64 rows and u64 cols; the f64 slots follow.
+    let entry: Vec<u8> = [&8u32.to_le_bytes()[..], b"ann.meta"].concat();
+    let at = bytes
+        .windows(entry.len())
+        .position(|w| w == entry.as_slice())
+        .expect("indexed checkpoint carries ann.meta");
+    let slot5 = at + entry.len() + 1 + 8 + 8 + 5 * 8;
+    let with_tier = |code: f64| {
+        let mut b = bytes.clone();
+        b[slot5..slot5 + 8].copy_from_slice(&code.to_le_bytes());
+        let body_len = b.len() - 8;
+        let sum = checksum(&b[..body_len]);
+        b[body_len..].copy_from_slice(&sum.to_le_bytes());
+        b
+    };
+    assert_eq!(with_tier(0.0), bytes, "the writer puts 0 in slot 5");
+
+    let int8 = decode_checkpoint(decode_bytes(&bytes).unwrap()).unwrap();
+    assert_eq!(int8.ann_graph.as_ref(), Some(&graph));
+    let f16 = decode_checkpoint(decode_bytes(&with_tier(1.0)).unwrap()).unwrap();
+    assert_eq!(f16.ann_graph, int8.ann_graph);
+
+    match decode_bytes(&with_tier(2.0)).and_then(decode_checkpoint) {
+        Err(CkptError::Malformed(msg)) => assert!(msg.contains("tier code 2"), "{msg}"),
+        other => panic!("expected Malformed, got {:?}", other.map(|_| "Ok")),
+    }
+}

@@ -1,25 +1,10 @@
-//! Property tests for the quantized embedding tiers: encode→decode error
-//! stays inside the format's bound, the SIMD dot kernels are bitwise the
-//! scalar references, and f16 conversion round-trips exactly on values
-//! f16 can represent.
+//! Property tests for the quantized embedding tier: encode→decode error
+//! stays inside the format's bound, and the SIMD dot kernel is bitwise the
+//! scalar reference.
 
-use prim_serve::ann::quant::{
-    dot_f16, dot_f16_scalar, dot_i8, dot_i8_scalar, f16_to_f32, f32_to_f16, QuantStore, QuantTier,
-};
+use prim_serve::ann::quant::{dot_i8, dot_i8_scalar, QuantStore};
 use prim_tensor::Matrix;
 use proptest::prelude::*;
-
-/// A finite f32 comfortably inside f16's normal range, mixing magnitudes
-/// from the full normal span down through subnormals and zero.
-fn half_range() -> impl Strategy<Value = f32> {
-    ((0u32..5), (-1.0f32..1.0)).prop_map(|(pick, u)| match pick {
-        0 => u * 60000.0,
-        1 => u,
-        2 => u * 1e-3,
-        3 => u * 1e-6, // f16-subnormal territory
-        _ => 0.0,
-    })
-}
 
 fn vector(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-8.0f32..8.0, 0..max_len)
@@ -28,35 +13,13 @@ fn vector(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// f16 rounding: relative error ≤ 2⁻¹¹ in the normal range plus an
-    /// absolute floor of 2⁻²⁴ in the subnormal range.
-    #[test]
-    fn f16_round_trip_error_in_bound(x in half_range()) {
-        let back = f16_to_f32(f32_to_f16(x));
-        let bound = x.abs() * (1.0 / 2048.0) + 1.0 / 16_777_216.0;
-        prop_assert!(
-            (back - x).abs() <= bound,
-            "{x} -> {back}, err {} > bound {bound}", (back - x).abs()
-        );
-    }
-
-    /// Values f16 represents exactly survive the f32→f16→f32 round trip
-    /// with identical bits (modulo the -0.0 they started with).
-    #[test]
-    fn f16_exact_values_are_fixed_points(h in 0u16..=u16::MAX) {
-        // Skip NaN/inf payloads: NaN bits legitimately canonicalise.
-        prop_assume!((h & 0x7C00) != 0x7C00);
-        let x = f16_to_f32(h);
-        prop_assert_eq!(f32_to_f16(x), h);
-    }
-
     /// int8 tier: every decoded component is within half a quantization
     /// step of the original (scale = max|v| / 127).
     #[test]
     fn i8_encode_decode_error_in_bound(v in prop::collection::vec(-8.0f32..8.0, 1..64)) {
         let m = Matrix::from_vec(1, v.len(), v.clone());
         let q = QuantStore::build(&m);
-        let dec = q.decode_row(QuantTier::Int8, 0);
+        let dec = q.decode_row(0);
         let max_abs = v.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
         let step = max_abs / 127.0;
         for (i, (&orig, &d)) in v.iter().zip(&dec).enumerate() {
@@ -64,18 +27,6 @@ proptest! {
                 (orig - d).abs() <= step * 0.5 + 1e-6,
                 "component {i}: {orig} -> {d}, step {step}"
             );
-        }
-    }
-
-    /// f16 tier decodes to the per-component f16 rounding of the input.
-    #[test]
-    fn f16_tier_decodes_to_componentwise_rounding(v in vector(64)) {
-        prop_assume!(!v.is_empty());
-        let m = Matrix::from_vec(1, v.len(), v.clone());
-        let q = QuantStore::build(&m);
-        let dec = q.decode_row(QuantTier::F16, 0);
-        for (&orig, &d) in v.iter().zip(&dec) {
-            prop_assert_eq!(d.to_bits(), f16_to_f32(f32_to_f16(orig)).to_bits());
         }
     }
 
@@ -91,16 +42,6 @@ proptest! {
         let codes: Vec<i8> = v[..n].iter().map(|&x| (x * 15.0) as i8).collect();
         let simd = dot_i8(&codes, scale, &q[..n]);
         let scalar = dot_i8_scalar(&codes, scale, &q[..n]);
-        prop_assert_eq!(simd.to_bits(), scalar.to_bits());
-    }
-
-    /// Same for the f16 kernel.
-    #[test]
-    fn f16_simd_dot_matches_scalar_bitwise(v in vector(70), q in vector(70)) {
-        let n = v.len().min(q.len());
-        let codes: Vec<u16> = v[..n].iter().map(|&x| f32_to_f16(x)).collect();
-        let simd = dot_f16(&codes, &q[..n]);
-        let scalar = dot_f16_scalar(&codes, &q[..n]);
         prop_assert_eq!(simd.to_bits(), scalar.to_bits());
     }
 
@@ -121,12 +62,8 @@ proptest! {
         for r in 0..rows {
             let (codes, scale) = store.row_i8(r);
             prop_assert_eq!(
-                store.dot(QuantTier::Int8, r, &query).to_bits(),
+                store.dot(r, &query).to_bits(),
                 dot_i8_scalar(codes, scale, &query).to_bits()
-            );
-            prop_assert_eq!(
-                store.dot(QuantTier::F16, r, &query).to_bits(),
-                dot_f16_scalar(store.row_f16(r), &query).to_bits()
             );
         }
     }

@@ -55,11 +55,8 @@ fn setup() -> (Dataset, PrimConfig, ModelInputs, Vec<Edge>) {
 
 fn opts() -> ResilienceOpts {
     ResilienceOpts {
-        every_epochs: 1,
         retain: 16,
         max_retries: 0,
-        lr_decay: 0.5,
-        backoff: std::time::Duration::ZERO,
     }
 }
 

@@ -15,24 +15,20 @@
 //!
 //! Thread count resolution, in priority order:
 //!
-//! 1. the `serial` cargo feature pins everything to one thread at compile
-//!    time (zero threading overhead, easiest debugging);
-//! 2. [`set_threads`] — a process-wide runtime override, used by the
+//! 1. [`set_threads`] — a process-wide runtime override, used by the
 //!    determinism tests to compare pool sizes in-process;
-//! 3. `PRIM_NUM_THREADS`, then `RAYON_NUM_THREADS` (honoured for
-//!    familiarity), from the environment;
-//! 4. [`std::thread::available_parallelism`].
+//! 2. `PRIM_NUM_THREADS` from the environment (`1` keeps every kernel on
+//!    the calling thread: the pool never starts a worker);
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! Parallel regions execute on the persistent worker pool in
 //! [`crate::pool`]: the helpers here compute a shape-dependent partition
 //! (chunk boundaries never depend on the thread count), then hand the chunk
 //! indices to [`pool::run`], which fans them out over long-lived parked
-//! workers. The previous implementation spawned a fresh
-//! `std::thread::scope` per call; those scoped kernels are retained
-//! verbatim in [`scoped`] as the parity baseline for property tests and the
-//! "fresh spawn" benchmark reference. Spawn-free or not, parallelism is
-//! only worth it for large inputs, so every helper takes (or hard-codes) a
-//! grain size below which it stays on the calling thread.
+//! workers. Each helper is bitwise its plain serial loop at any pool size,
+//! which the property tests check. Spawn-free or not, parallelism is only
+//! worth it for large inputs, so every helper takes (or hard-codes) a grain
+//! size below which it stays on the calling thread.
 
 use crate::pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,27 +64,20 @@ pub fn fused_multiply_add() -> bool {
 /// The number of threads kernels may fan out to, resolved per the
 /// module-level priority order. Always ≥ 1.
 pub fn configured_threads() -> usize {
-    if cfg!(feature = "serial") {
-        return 1;
-    }
     let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if o != 0 {
         return o;
     }
     *DEFAULT_THREADS.get_or_init(|| {
-        for var in ["PRIM_NUM_THREADS", "RAYON_NUM_THREADS"] {
-            if let Some(n) = std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        std::env::var("PRIM_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
     })
 }
 
@@ -240,121 +229,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// The original per-call `std::thread::scope` kernels, retained verbatim as
-/// the parity baseline: property tests assert the pooled helpers above are
-/// bitwise identical to these, and the microbenchmarks use them as the
-/// "fresh spawn" reference the pool is measured against.
-#[doc(hidden)]
-pub mod scoped {
-    use super::{configured_threads, PAR_ELEM_CUTOFF};
-
-    /// Scoped-spawn reference for [`super::par_row_chunks`].
-    pub fn par_row_chunks<F>(out: &mut [f32], cols: usize, grain_rows: usize, f: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        let rows = out.len().checked_div(cols).unwrap_or(0);
-        let chunks = configured_threads().min((rows / grain_rows.max(1)).max(1));
-        if chunks <= 1 {
-            f(0, out);
-            return;
-        }
-        let base = rows / chunks;
-        let rem = rows % chunks;
-        std::thread::scope(|s| {
-            let f = &f;
-            let mut rest = out;
-            let mut row0 = 0usize;
-            for c in 0..chunks {
-                let take_rows = base + usize::from(c < rem);
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(take_rows * cols);
-                rest = tail;
-                let r0 = row0;
-                row0 += take_rows;
-                s.spawn(move || f(r0, head));
-            }
-        });
-    }
-
-    /// Scoped-spawn reference for [`super::par_apply`].
-    pub fn par_apply<F>(data: &mut [f32], f: F)
-    where
-        F: Fn(&mut f32) + Sync,
-    {
-        let threads = configured_threads();
-        if threads <= 1 || data.len() < PAR_ELEM_CUTOFF {
-            data.iter_mut().for_each(f);
-            return;
-        }
-        let chunk = data.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let f = &f;
-            for piece in data.chunks_mut(chunk) {
-                s.spawn(move || piece.iter_mut().for_each(f));
-            }
-        });
-    }
-
-    /// Scoped-spawn reference for [`super::par_zip_apply`].
-    pub fn par_zip_apply<F>(dst: &mut [f32], src: &[f32], f: F)
-    where
-        F: Fn(&mut f32, f32) + Sync,
-    {
-        assert_eq!(dst.len(), src.len(), "par_zip_apply length mismatch");
-        let threads = configured_threads();
-        if threads <= 1 || dst.len() < PAR_ELEM_CUTOFF {
-            dst.iter_mut().zip(src).for_each(|(a, &b)| f(a, b));
-            return;
-        }
-        let chunk = dst.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let f = &f;
-            for (d, sc) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-                s.spawn(move || d.iter_mut().zip(sc).for_each(|(a, &b)| f(a, b)));
-            }
-        });
-    }
-
-    /// Scoped-spawn reference for [`super::par_map_chunks`].
-    pub fn par_map_chunks<T, U, F>(items: &[T], grain: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        let n = items.len();
-        let chunks = configured_threads().min((n / grain.max(1)).max(1));
-        if chunks <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let base = n / chunks;
-        let rem = n % chunks;
-        let mut results: Vec<Vec<U>> = Vec::with_capacity(chunks);
-        std::thread::scope(|s| {
-            let f = &f;
-            let mut handles = Vec::with_capacity(chunks);
-            let mut start = 0usize;
-            for c in 0..chunks {
-                let len = base + usize::from(c < rem);
-                let slice = &items[start..start + len];
-                let s0 = start;
-                start += len;
-                handles.push(s.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(s0 + i, t))
-                        .collect::<Vec<U>>()
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("kernel worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,13 +313,10 @@ mod tests {
 
     #[test]
     fn pooled_helpers_match_scoped_references() {
-        // Direct pooled-vs-scoped parity at a size that engages the pool
-        // (the proptest suite covers randomized shapes).
-        set_threads(4);
-        let rows = 513;
-        let cols = 7;
-        let mut pooled = vec![0.0f32; rows * cols];
-        let mut fresh = pooled.clone();
+        // At sizes that engage the pool, each helper is bitwise its plain
+        // serial loop at every pool size from 2 to 5 (the proptest suite
+        // covers randomized shapes below the elementwise cutoff).
+        let (rows, cols) = (513, 7);
         let fill = |r0: usize, chunk: &mut [f32]| {
             for (local, row) in chunk.chunks_mut(cols).enumerate() {
                 for (c, v) in row.iter_mut().enumerate() {
@@ -453,13 +324,45 @@ mod tests {
                 }
             }
         };
-        par_row_chunks(&mut pooled, cols, 1, fill);
-        scoped::par_row_chunks(&mut fresh, cols, 1, fill);
-        set_threads(0);
-        assert!(pooled
+        let mut serial_rows = vec![0.0f32; rows * cols];
+        fill(0, &mut serial_rows);
+
+        let n = PAR_ELEM_CUTOFF + 123;
+        let base: Vec<f32> = (0..n).map(|i| (i % 89) as f32 * 0.03 - 1.0).collect();
+        let src: Vec<f32> = (0..n).map(|i| (i % 97) as f32 * 0.5).collect();
+        let mut serial_apply = base.clone();
+        serial_apply.iter_mut().for_each(|v| *v = v.exp());
+        let mut serial_zip = base.clone();
+        serial_zip
+            .iter_mut()
+            .zip(&src)
+            .for_each(|(a, &b)| *a += b * b);
+        let serial_map: Vec<f32> = base
             .iter()
-            .zip(&fresh)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+            .enumerate()
+            .map(|(i, &x)| x * i as f32)
+            .collect();
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in 2..=5 {
+            set_threads(threads);
+            let mut rows_out = vec![0.0f32; rows * cols];
+            par_row_chunks(&mut rows_out, cols, 1, fill);
+            let mut apply_out = base.clone();
+            par_apply(&mut apply_out, |v| *v = v.exp());
+            let mut zip_out = base.clone();
+            par_zip_apply(&mut zip_out, &src, |a, b| *a += b * b);
+            let map_out = par_map_chunks(&base, 1, |i, &x| x * i as f32);
+            for (helper, got, want) in [
+                ("par_row_chunks", &rows_out, &serial_rows),
+                ("par_apply", &apply_out, &serial_apply),
+                ("par_zip_apply", &zip_out, &serial_zip),
+                ("par_map_chunks", &map_out, &serial_map),
+            ] {
+                assert_eq!(bits(got), bits(want), "{helper} at {threads} threads");
+            }
+        }
+        set_threads(0);
     }
 
     #[test]

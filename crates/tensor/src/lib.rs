@@ -20,8 +20,7 @@
 //! * [`kernel`] — the execution-policy layer: cache-blocked, row-parallel
 //!   kernels whose results are bitwise identical for any thread count
 //!   (see that module's docs for the determinism contract). Thread count
-//!   comes from `PRIM_NUM_THREADS` / `RAYON_NUM_THREADS` / the machine;
-//!   the `serial` cargo feature pins it to one thread at compile time.
+//!   comes from `PRIM_NUM_THREADS` or the machine.
 //!
 //! ## Example
 //!

@@ -12,8 +12,8 @@
 //!   thread. Waking a parked worker is a futex wake (~5 µs), three orders of
 //!   magnitude cheaper than spawning it.
 //! * Workers are spawned lazily on first use and grow to
-//!   `configured_threads() - 1`, so the `serial` feature and
-//!   single-threaded configurations never start a thread at all.
+//!   `configured_threads() - 1`, so a single-threaded configuration
+//!   (`PRIM_NUM_THREADS=1`) never starts a thread at all.
 //! * **Determinism is the caller's contract, enforced by construction**: the
 //!   pool only distributes *indices*; the caller partitions its output into
 //!   per-index disjoint regions whose boundaries depend on the problem shape
@@ -274,12 +274,12 @@ fn run_inline<F: Fn(usize)>(njobs: usize, f: F) {
 /// pool plus the calling thread. Returns once every index has completed;
 /// re-raises the first panic raised inside `f`.
 ///
-/// Runs inline (serially, on the caller) when any of these hold: the
-/// `serial` feature or a 1-thread configuration, a single job, a nested
-/// call from inside a pool worker or from inside another region on this
-/// thread, or a concurrent submitter already driving the pool. All of these
-/// produce bitwise-identical results by the partitioning contract described
-/// in the module docs.
+/// Runs inline (serially, on the caller) when any of these hold: a
+/// 1-thread configuration, a single job, a nested call from inside a pool
+/// worker or from inside another region on this thread, or a concurrent
+/// submitter already driving the pool. All of these produce
+/// bitwise-identical results by the partitioning contract described in the
+/// module docs.
 pub fn run<F>(njobs: usize, f: F)
 where
     F: Fn(usize) + Sync,

@@ -325,10 +325,10 @@ proptest! {
         prop_assert!(bits_equal(&g_serial, &g_par), "planned gradients drifted");
     }
 
-    /// The persistent-pool kernel helpers are bitwise identical to the
-    /// scoped-spawn references they replaced, on random shapes, grains and
-    /// thread counts — same partitioning arithmetic, different execution
-    /// substrate (parked workers vs per-call `std::thread::scope`).
+    /// The persistent-pool kernel helpers are bitwise their plain serial
+    /// loops on random shapes, grains and thread counts: chunk boundaries
+    /// depend on the shape alone, and every element is written by exactly
+    /// one job.
     #[test]
     fn pooled_helpers_match_scoped_spawn_bitwise(
         rows in 0usize..80,
@@ -341,43 +341,38 @@ proptest! {
         let base: Vec<f32> = data[..len].to_vec();
         kernel::set_threads(threads);
 
+        let scale_rows = |r0: usize, chunk: &mut [f32]| {
+            for (dr, row) in chunk.chunks_mut(cols).enumerate() {
+                let scale = (r0 + dr) as f32 + 0.5;
+                row.iter_mut().for_each(|x| *x *= scale);
+            }
+        };
         let mut pooled = base.clone();
-        kernel::par_row_chunks(&mut pooled, cols, grain, |r0, chunk| {
-            for (dr, row) in chunk.chunks_mut(cols).enumerate() {
-                let scale = (r0 + dr) as f32 + 0.5;
-                row.iter_mut().for_each(|x| *x *= scale);
-            }
-        });
-        let mut scoped = base.clone();
-        kernel::scoped::par_row_chunks(&mut scoped, cols, grain, |r0, chunk| {
-            for (dr, row) in chunk.chunks_mut(cols).enumerate() {
-                let scale = (r0 + dr) as f32 + 0.5;
-                row.iter_mut().for_each(|x| *x *= scale);
-            }
-        });
-        prop_assert_eq!(&pooled, &scoped, "par_row_chunks drifted");
+        kernel::par_row_chunks(&mut pooled, cols, grain, scale_rows);
+        let mut serial = base.clone();
+        scale_rows(0, &mut serial);
+        prop_assert_eq!(&pooled, &serial, "par_row_chunks drifted");
 
         let mut pooled = base.clone();
         kernel::par_apply(&mut pooled, |x| *x = x.exp());
-        let mut scoped = base.clone();
-        kernel::scoped::par_apply(&mut scoped, |x| *x = x.exp());
+        let mut serial = base.clone();
+        serial.iter_mut().for_each(|x| *x = x.exp());
         prop_assert_eq!(
             pooled.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            scoped.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            serial.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             "par_apply drifted"
         );
 
         let src: Vec<f32> = data[len..2 * len].to_vec();
         let mut pooled = base.clone();
         kernel::par_zip_apply(&mut pooled, &src, |a, b| *a += b * b);
-        let mut scoped = base.clone();
-        kernel::scoped::par_zip_apply(&mut scoped, &src, |a, b| *a += b * b);
-        prop_assert_eq!(&pooled, &scoped, "par_zip_apply drifted");
+        let mut serial = base.clone();
+        serial.iter_mut().zip(&src).for_each(|(a, &b)| *a += b * b);
+        prop_assert_eq!(&pooled, &serial, "par_zip_apply drifted");
 
-        let items: Vec<f32> = base.clone();
-        let pooled = kernel::par_map_chunks(&items, grain, |i, &x| x * i as f32);
-        let scoped = kernel::scoped::par_map_chunks(&items, grain, |i, &x| x * i as f32);
-        prop_assert_eq!(&pooled, &scoped, "par_map_chunks drifted");
+        let pooled = kernel::par_map_chunks(&base, grain, |i, &x| x * i as f32);
+        let serial: Vec<f32> = base.iter().enumerate().map(|(i, &x)| x * i as f32).collect();
+        prop_assert_eq!(&pooled, &serial, "par_map_chunks drifted");
         kernel::set_threads(0);
     }
 
