@@ -7,6 +7,10 @@
 //! 10×, while the snapshot-less pipeline (base checkpoint + full WAL
 //! replay) grows with the history — compaction has to pay for itself
 //! exactly where it matters, at the recovery path a failover takes.
+//! The primary snapshots on the first flush after its WAL rolls to a
+//! new segment (4 KiB, the default, here about 8 flushes of 8
+//! mutations), so the compacted pipeline replays at most about one
+//! segment plus one flush interval past its newest snapshot.
 //!
 //! Results land in the `failover` section of `BENCH_failover.json`
 //! (override with `PRIM_BENCH_JSON`), gated by `check_bench_regression`:
@@ -222,12 +226,12 @@ fn main() {
         &ds.relation_names,
     )
     .unwrap();
-    // Small segments so compaction actually prunes between flushes, and a
-    // realistic batch cap so uncompacted replay pays per-batch apply cost
-    // (one giant batch would hide the linear-replay penalty entirely).
+    // The default segment size (the snapshot cadence), and a realistic
+    // batch cap so uncompacted replay pays per-batch apply cost (one
+    // giant batch would hide the linear-replay penalty entirely).
     let opts = IngestOpts {
         batch_max: 32,
-        wal_segment_bytes: 4 * 1024,
+        ..IngestOpts::default()
     };
 
     // -- Crash-recovery: 1× and 10× histories, compacted vs not.

@@ -9,7 +9,9 @@
 
 use crate::config::PrimConfig;
 use prim_geo::GridIndex;
-use prim_graph::{Adjacency, Edge, HeteroGraph, Poi, PoiId, SpatialNeighbors, Taxonomy};
+use prim_graph::{
+    Adjacency, Edge, EdgeIncidence, HeteroGraph, Poi, PoiId, SpatialNeighbors, Taxonomy,
+};
 use prim_tensor::{Matrix, SegmentPlan};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -298,12 +300,17 @@ impl ModelInputs {
     /// the segment grouping of the spatial lists — so each op's per-row
     /// accumulation order, and therefore its bits, match the full pass.
     ///
-    /// `grid` is the city's frozen-projection spatial grid over all POIs;
+    /// `incidence` lists each POI's edges in `graph` (kept in step with it
+    /// by the caller), so the rings and the local edge set cost the
+    /// support's degrees rather than a scan of every edge. `grid` is the
+    /// city's frozen-projection spatial grid over all POIs;
     /// `spatial_active` states whether the *full* graph currently has any
     /// spatial edge (it gates the zero-context stand-in described on
     /// [`ModelInputs::spatial_forced_zero`]).
+    #[allow(clippy::too_many_arguments)] // the city's parts, borrowed as the caller holds them
     pub fn build_subset(
         graph: &HeteroGraph,
+        incidence: &EdgeIncidence,
         taxonomy: &Taxonomy,
         attrs: &Matrix,
         grid: &GridIndex,
@@ -347,24 +354,17 @@ impl ModelInputs {
         }
 
         // One ring of graph adjacency per WRGNN layer.
-        if cfg.n_layers > 0 {
-            let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); n_global];
-            for e in graph.edges() {
-                nbrs[e.src.0 as usize].push(e.dst.0);
-                nbrs[e.dst.0 as usize].push(e.src.0);
-            }
-            for _ in 0..cfg.n_layers {
-                let mut next = Vec::new();
-                for &v in &frontier {
-                    for &u in &nbrs[v as usize] {
-                        if !in_support[u as usize] {
-                            in_support[u as usize] = true;
-                            next.push(u);
-                        }
+        for _ in 0..cfg.n_layers {
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for u in incidence.neighbors(graph, v) {
+                    if !in_support[u as usize] {
+                        in_support[u as usize] = true;
+                        next.push(u);
                     }
                 }
-                frontier = next;
             }
+            frontier = next;
         }
 
         let support: Vec<u32> = (0..n_global as u32)
@@ -376,18 +376,30 @@ impl ModelInputs {
         }
 
         // Induced local subgraph: support POIs in global order, plus every
-        // edge with both endpoints inside. Relabeling is strictly monotone,
-        // so canonical edge order and the adjacency sort are preserved.
+        // edge with both endpoints inside, in global edge order (each such
+        // edge is listed under both endpoints, hence the dedup). Relabeling
+        // is strictly monotone, so canonical edge order and the adjacency
+        // sort are preserved.
+        let mut inside: Vec<u32> = support
+            .iter()
+            .flat_map(|&g| incidence.edges_of(g))
+            .copied()
+            .filter(|&i| {
+                let e = graph.edges()[i as usize];
+                in_support[e.src.0 as usize] && in_support[e.dst.0 as usize]
+            })
+            .collect();
+        inside.sort_unstable();
+        inside.dedup();
         let local_pois: Vec<Poi> = support.iter().map(|&g| *graph.poi(PoiId(g))).collect();
         let mut local_graph = HeteroGraph::new(local_pois, graph.num_relations());
-        for e in graph.edges() {
-            if in_support[e.src.0 as usize] && in_support[e.dst.0 as usize] {
-                local_graph.add_edge(
-                    PoiId(map[e.src.0 as usize]),
-                    PoiId(map[e.dst.0 as usize]),
-                    e.rel,
-                );
-            }
+        for &i in &inside {
+            let e = graph.edges()[i as usize];
+            local_graph.add_edge(
+                PoiId(map[e.src.0 as usize]),
+                PoiId(map[e.dst.0 as usize]),
+                e.rel,
+            );
         }
         let local_edges: Vec<Edge> = local_graph.edges().to_vec();
 

@@ -950,6 +950,7 @@ mod tests {
         let subset = |grid: &GridIndex, targets: &[u32]| {
             ModelInputs::build_subset(
                 &ds.graph,
+                &prim_graph::EdgeIncidence::build(&ds.graph),
                 &ds.taxonomy,
                 &ds.attrs,
                 grid,

@@ -107,6 +107,7 @@ fn subset_for(m: &Mutated, targets: &[u32]) -> SubsetInputs {
     );
     ModelInputs::build_subset(
         &m.graph,
+        &prim_graph::EdgeIncidence::build(&m.graph),
         &m.taxonomy,
         &m.attrs,
         &m.grid,

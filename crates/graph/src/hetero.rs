@@ -174,6 +174,83 @@ impl HeteroGraph {
     }
 }
 
+/// Per-POI lists of incident edges, as ascending indices into
+/// [`HeteroGraph::edges`].
+///
+/// A city that takes mutations keeps one of these beside its graph and
+/// updates it with each graph mutation, so neighbourhood walks cost the
+/// degrees they visit rather than a scan of every edge.
+#[derive(Debug, PartialEq, Eq)]
+pub struct EdgeIncidence {
+    lists: Vec<Vec<u32>>,
+}
+
+impl EdgeIncidence {
+    /// Lists every edge of `graph` under both of its endpoints.
+    pub fn build(graph: &HeteroGraph) -> Self {
+        let mut lists = vec![Vec::new(); graph.num_pois()];
+        for (i, e) in graph.edges().iter().enumerate() {
+            lists[e.src.0 as usize].push(i as u32);
+            lists[e.dst.0 as usize].push(i as u32);
+        }
+        EdgeIncidence { lists }
+    }
+
+    /// Follows [`HeteroGraph::add_poi`]: the new POI has no edges yet.
+    pub fn add_poi(&mut self) {
+        self.lists.push(Vec::new());
+    }
+
+    /// Follows [`HeteroGraph::add_edge`]: lists `graph`'s newest edge.
+    pub fn add_edge(&mut self, graph: &HeteroGraph) {
+        let i = graph.num_edges() - 1;
+        let e = graph.edges()[i];
+        self.lists[e.src.0 as usize].push(i as u32);
+        self.lists[e.dst.0 as usize].push(i as u32);
+    }
+
+    /// Follows [`HeteroGraph::remove_edges_of`]`(id)`: drops `id`'s edges
+    /// and shifts every later index down past them, as the graph's
+    /// order-preserving removal did. O(|E|), like the removal itself.
+    pub fn remove_edges_of(&mut self, id: PoiId) {
+        let gone = std::mem::take(&mut self.lists[id.0 as usize]);
+        if gone.is_empty() {
+            return;
+        }
+        for list in &mut self.lists {
+            list.retain_mut(|e| match gone.binary_search(e) {
+                Ok(_) => false,
+                Err(below) => {
+                    *e -= below as u32;
+                    true
+                }
+            });
+        }
+    }
+
+    /// Indices of `poi`'s edges, ascending.
+    pub fn edges_of(&self, poi: u32) -> &[u32] {
+        &self.lists[poi as usize]
+    }
+
+    /// `poi`'s relational neighbours, one per incident edge, in edge
+    /// order.
+    pub fn neighbors<'a>(
+        &'a self,
+        graph: &'a HeteroGraph,
+        poi: u32,
+    ) -> impl Iterator<Item = u32> + 'a {
+        self.edges_of(poi).iter().map(move |&i| {
+            let e = graph.edges()[i as usize];
+            if e.src.0 == poi {
+                e.dst.0
+            } else {
+                e.src.0
+            }
+        })
+    }
+}
+
 /// Per-relation adjacency in CSR form over a set of *directed* edges.
 ///
 /// GNN layers consume this: each undirected edge contributes two directed

@@ -6,7 +6,8 @@
 //!   with root paths and path distances;
 //! * [`hetero::HeteroGraph`] — the heterogeneous POI relationship graph
 //!   (Definition 3.3) and its per-`(target, relation)` CSR
-//!   [`hetero::Adjacency`] used by every GNN model;
+//!   [`hetero::Adjacency`] used by every GNN model, plus the
+//!   [`hetero::EdgeIncidence`] lists a mutating city keeps beside it;
 //! * [`spatial::SpatialNeighbors`] — materialised spatial neighbour lists
 //!   (Definition 3.1) with RBF weights for the spatial context extractor;
 //! * [`split`] — transductive, inductive and sparse evaluation splits;
@@ -18,7 +19,7 @@ pub mod spatial;
 pub mod split;
 pub mod taxonomy;
 
-pub use hetero::{Adjacency, Edge, HeteroGraph, Poi, PoiId, RelationId};
+pub use hetero::{Adjacency, Edge, EdgeIncidence, HeteroGraph, Poi, PoiId, RelationId};
 pub use sampling::{batches, negative_sampled_triples, sample_non_relation_pairs, Triple};
 pub use spatial::SpatialNeighbors;
 pub use split::{inductive_split, sparse_subset, split_edges, EdgeSplit, InductiveSplit};

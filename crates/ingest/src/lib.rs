@@ -40,13 +40,15 @@
 //!
 //! On top of durability the crate layers *availability*:
 //!
-//! 4. **Bounded recovery.** The WAL is segmented; every `ingest_flush`
-//!    publish writes a snapshot checkpoint (carrying the WAL high-water
-//!    seq and the frozen-grid provenance as `ingest.*` tensors) through a
-//!    [`prim_serve::CkptRotator`] and prunes the segments it covers.
-//!    Recovery is "load newest valid snapshot + replay the WAL tail",
-//!    one segment in memory at a time, regardless of how many mutations
-//!    the city has ever accepted.
+//! 4. **Bounded recovery.** The WAL is segmented; the first
+//!    `ingest_flush` publish after the log rolls to a new segment writes
+//!    a snapshot checkpoint (carrying the WAL high-water seq and the
+//!    frozen-grid provenance as `ingest.*` tensors) through a
+//!    [`prim_serve::CkptRotator`] and prunes the segments the previous
+//!    snapshot covers. Recovery is "load newest valid snapshot + replay
+//!    the WAL tail" — at most about one segment plus one flush interval
+//!    of records, one segment in memory at a time, regardless of how
+//!    many mutations the city has ever accepted.
 //! 5. **Warm-standby replication.** A follower ([`repl::ReplFollower`])
 //!    pulls acknowledged records over the ordinary JSONL protocol
 //!    (`repl_sync`), applies them through the same incremental re-embed
@@ -72,7 +74,7 @@ use prim_core::ModelInputs;
 use prim_core::{PrimConfig, PrimModel};
 use prim_geo::GridIndex;
 use prim_geo::Location;
-use prim_graph::{CategoryId, HeteroGraph, Poi, PoiId, RelationId, Taxonomy};
+use prim_graph::{CategoryId, EdgeIncidence, HeteroGraph, Poi, PoiId, RelationId, Taxonomy};
 use prim_obs::json::{self, Value};
 use prim_obs::{Counter, Recorder};
 use prim_serve::{
@@ -94,8 +96,12 @@ pub struct IngestOpts {
     /// larger ones amortise the subset embed.
     pub batch_max: usize,
     /// Active-WAL-segment byte budget: appends roll to a fresh segment
-    /// file past this, and compaction prunes whole segments — smaller
-    /// segments compact sooner, at the cost of more files.
+    /// file past this, and compaction prunes whole segments. On
+    /// replicated pipelines it is also the snapshot cadence: a flush
+    /// snapshots only after a roll, so recovery replays at most about one
+    /// segment plus one flush interval. Smaller segments snapshot and
+    /// compact sooner, at the cost of more snapshot writes and files; 1
+    /// gives every record its own segment and snapshots every flush.
     pub wal_segment_bytes: usize,
 }
 
@@ -210,6 +216,10 @@ pub struct IngestStatus {
 /// never touch this — they go through the [`EngineSlot`].
 struct Inner {
     graph: HeteroGraph,
+    /// Each POI's edges in `graph`, updated with every graph mutation so
+    /// the frontier walk and [`ModelInputs::build_subset`] never scan the
+    /// city's whole edge list.
+    incidence: EdgeIncidence,
     taxonomy: Taxonomy,
     attrs: Matrix,
     cfg: PrimConfig,
@@ -375,10 +385,11 @@ impl CityIngest {
         )
     }
 
-    /// [`CityIngest::open`] with snapshot-coupled compaction: every
-    /// `ingest_flush` publish writes a snapshot checkpoint (ingest state
-    /// included) into `snapshot_dir` through a [`CkptRotator`] and prunes
-    /// the WAL segments it covers. Recovery prefers the newest valid
+    /// [`CityIngest::open`] with snapshot-coupled compaction: the first
+    /// `ingest_flush` publish after the WAL rolls to a new segment writes
+    /// a snapshot checkpoint (ingest state included) into `snapshot_dir`
+    /// through a [`CkptRotator`] and prunes the WAL segments the previous
+    /// snapshot covers. Recovery prefers the newest valid
     /// snapshot (publishing its store into `slot` before replaying the
     /// remaining WAL tail); `base` is the cold-start fallback and may be
     /// `None` when a snapshot is known to exist (follower bootstrap).
@@ -494,6 +505,7 @@ impl CityIngest {
         // pruned out from under us.
         let tail = wal.tail(snapshot_seq).map_err(IngestError::Wal)?;
         let inner = Inner {
+            incidence: EdgeIncidence::build(&ckpt.graph),
             graph: ckpt.graph,
             taxonomy: ckpt.taxonomy,
             attrs: ckpt.attrs,
@@ -593,7 +605,8 @@ impl CityIngest {
 
     /// Applies every staged mutation now, returning how many became
     /// query-visible. On replicated pipelines the publish is followed by
-    /// a snapshot checkpoint + WAL compaction ([`Self::open_replicated`]).
+    /// a snapshot checkpoint + WAL compaction when the log has rolled to a
+    /// new segment since the newest snapshot ([`Self::open_replicated`]).
     pub fn flush(&self) -> usize {
         let mut inner = self.inner.lock().unwrap();
         let applied = self.apply_locked(&mut inner);
@@ -602,14 +615,18 @@ impl CityIngest {
     }
 
     /// Writes a snapshot checkpoint covering every applied mutation and
-    /// prunes the WAL segments it covers. Failures are swallowed after
-    /// recording `ingest/snapshot_errors` — the previous snapshot plus
-    /// the uncompacted WAL still recover everything acknowledged, and the
-    /// next flush retries.
+    /// prunes the WAL segments the previous one covers — but only once the
+    /// log has rolled to a segment that starts after the newest snapshot,
+    /// since only such a snapshot lets compaction free a segment. Failures
+    /// are swallowed after recording `ingest/snapshot_errors` — the
+    /// previous snapshot plus the uncompacted WAL still recover everything
+    /// acknowledged, and the next flush retries.
     fn maybe_snapshot(&self, inner: &mut Inner) {
         if let Some(rot) = &self.rotator {
             let high = inner.wal.next_seq() - 1;
-            if high > inner.snapshot_seq && inner.staged.is_empty() {
+            let rolled = inner.wal.active_first_seq() > inner.snapshot_seq;
+            if high > inner.snapshot_seq && rolled && inner.staged.is_empty() {
+                let t0 = Instant::now();
                 let retired: Vec<u32> = inner
                     .retired
                     .iter()
@@ -657,6 +674,8 @@ impl CityIngest {
                         inner.snapshot_path = Some(path);
                         self.recorder.add(Counter::IngestSnapshots, 1);
                         self.recorder.add(Counter::WalSegmentsPruned, pruned as u64);
+                        self.recorder
+                            .record_scalar("ingest/snapshot_ms", t0.elapsed().as_secs_f64() * 1e3);
                     }
                     Err(_) => {
                         self.recorder.record_scalar("ingest/snapshot_errors", 1.0);
@@ -733,6 +752,7 @@ impl CityIngest {
                         location: *location,
                         category: CategoryId(*category),
                     });
+                    inner.incidence.add_poi();
                     new_attr_rows.push(attrs.clone());
                     inner.locations.push(*location);
                     let gi = inner.spatial_grid.insert(*location);
@@ -749,6 +769,7 @@ impl CityIngest {
                     inner
                         .graph
                         .add_edge(PoiId(*src), PoiId(*dst), RelationId(*relation));
+                    inner.incidence.add_edge(&inner.graph);
                     changed.insert(*src);
                     changed.insert(*dst);
                 }
@@ -761,6 +782,7 @@ impl CityIngest {
                         changed.insert(e.src.0);
                         changed.insert(e.dst.0);
                     }
+                    inner.incidence.remove_edges_of(PoiId(*poi));
                     inner.spatial_grid.retire(p);
                     inner.serve_grid.retire(p);
                     inner.retired[p] = true;
@@ -790,24 +812,17 @@ impl CityIngest {
             in_b[c as usize] = true;
             frontier.push(c);
         }
-        if inner.cfg.n_layers > 0 {
-            let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for e in inner.graph.edges() {
-                nbrs[e.src.0 as usize].push(e.dst.0);
-                nbrs[e.dst.0 as usize].push(e.src.0);
-            }
-            for _ in 0..inner.cfg.n_layers {
-                let mut next = Vec::new();
-                for &v in &frontier {
-                    for &u in &nbrs[v as usize] {
-                        if !in_b[u as usize] {
-                            in_b[u as usize] = true;
-                            next.push(u);
-                        }
+        for _ in 0..inner.cfg.n_layers {
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for u in inner.incidence.neighbors(&inner.graph, v) {
+                    if !in_b[u as usize] {
+                        in_b[u as usize] = true;
+                        next.push(u);
                     }
                 }
-                frontier = next;
             }
+            frontier = next;
         }
         let mut targets: BTreeSet<u32> = BTreeSet::new();
         for (i, &hit) in in_b.iter().enumerate().take(n) {
@@ -835,6 +850,7 @@ impl CityIngest {
         }
         let sub = ModelInputs::build_subset(
             &inner.graph,
+            &inner.incidence,
             &inner.taxonomy,
             &inner.attrs,
             &inner.spatial_grid,

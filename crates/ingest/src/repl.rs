@@ -458,8 +458,10 @@ impl ReplFollower {
                     applied += self.apply_one(&ingest, seq, m)?;
                 }
                 if applied > 0 {
-                    // Publish + local snapshot/compaction, so a follower
-                    // crash recovers to its synced position.
+                    // Publish, plus the primary's snapshot/compaction rule
+                    // (snapshot once the local log has rolled), so a
+                    // follower crash recovers to its synced position from
+                    // a bounded WAL tail.
                     ingest.flush();
                     self.recorder.add(Counter::ReplApplied, applied);
                 }

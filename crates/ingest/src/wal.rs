@@ -67,8 +67,11 @@ const HEADER_LEN: usize = 4 + 4 + 8;
 /// gigabytes past a flipped bit.
 const MAX_PAYLOAD: u32 = 1 << 24;
 
-/// Default byte budget of the active segment before appends roll over.
-pub const DEFAULT_SEGMENT_BYTES: usize = 32 * 1024;
+/// Default byte budget of the active segment before appends roll over:
+/// about 64 records of the `onboard` benchmark's mix (64.6 B each). A
+/// replicated pipeline snapshots on the first flush after a roll, so this
+/// is also its snapshot cadence and bounds what recovery replays.
+pub const DEFAULT_SEGMENT_BYTES: usize = 4 * 1024;
 
 const TAG_ADD_POI: u8 = 1;
 const TAG_ADD_EDGE: u8 = 2;
@@ -533,6 +536,15 @@ impl MutationWal {
     pub fn first_seq(&self) -> u64 {
         self.segments
             .first()
+            .map(|&(f, _)| f)
+            .unwrap_or(self.next_seq)
+    }
+
+    /// The first sequence number of the active (newest) segment —
+    /// `next_seq` when there is none, since the next append starts one.
+    pub(crate) fn active_first_seq(&self) -> u64 {
+        self.segments
+            .last()
             .map(|&(f, _)| f)
             .unwrap_or(self.next_seq)
     }

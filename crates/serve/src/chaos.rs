@@ -322,11 +322,15 @@ pub struct ChaosClient {
 }
 
 impl ChaosClient {
-    /// Connects to a serve TCP front end.
+    /// Connects to a serve TCP front end. Nagle's algorithm is off, so
+    /// each write reaches the server when the script makes it: with it on,
+    /// a write behind unacknowledged bytes waits for the server's delayed
+    /// ACK (about 40 ms on Linux loopback), long enough for a server with
+    /// a short `read_timeout` to reap the connection as a slow loris.
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> std::io::Result<Self> {
-        Ok(ChaosClient {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(ChaosClient { stream })
     }
 
     /// Access to the raw stream (for reading responses).
@@ -355,10 +359,10 @@ impl ChaosClient {
         self.stream.flush()
     }
 
-    /// Sends a request and reads one response line.
+    /// Sends a request, line and newline in one write, and reads one
+    /// response line.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        self.stream.write_all(&framed(line))?;
         self.stream.flush()?;
         self.read_line()
     }
@@ -383,11 +387,10 @@ impl ChaosClient {
     /// on an event-loop front end. Returns how many lines were fully
     /// written (the server may shed/close mid-flood).
     pub fn flood_lines(&mut self, line: &str, n: usize) -> usize {
+        let framed = framed(line);
         let mut sent = 0;
         for _ in 0..n {
-            if self.stream.write_all(line.as_bytes()).is_err()
-                || self.stream.write_all(b"\n").is_err()
-            {
+            if self.stream.write_all(&framed).is_err() {
                 break;
             }
             sent += 1;
@@ -418,6 +421,12 @@ impl ChaosClient {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
         drop(self.stream);
     }
+}
+
+/// `line` with its terminating newline, so a well-formed request goes out
+/// in one write and never sits half-sent at the server.
+fn framed(line: &str) -> Vec<u8> {
+    format!("{line}\n").into_bytes()
 }
 
 #[cfg(test)]

@@ -1119,7 +1119,8 @@ pub fn encode_checkpoint(
 
 /// [`encode_checkpoint`] additionally carrying ingest continuation state
 /// as `ingest.*` tensors — the snapshot format streaming ingest persists
-/// on every flush and replication bootstraps followers from.
+/// on the first flush after each WAL segment roll and replication
+/// bootstraps followers from.
 #[allow(clippy::too_many_arguments)] // full model + persistence context
 pub fn encode_checkpoint_ingest(
     run: &str,

@@ -320,6 +320,44 @@ fn stalled_mid_line_connection_is_closed_after_read_timeout() {
     drop(loris);
 }
 
+/// A client that sends whole lines is never caught mid-line, so a read
+/// timeout shorter than a loopback delayed ACK (about 40 ms) must not
+/// reap it: every request on one connection, the shutdown included, gets
+/// its answer. A request whose newline trails in a second write would be
+/// held back by Nagle's algorithm from the second request on and closed
+/// as a slow loris here — a lost shutdown then leaves `run` waiting.
+#[test]
+fn prompt_client_outlives_a_read_timeout_shorter_than_a_delayed_ack() {
+    let fx = fixture("prompt", "v1");
+    let ctx = ServeCtx::direct(Arc::clone(&fx.engine)).with_limits(ServeLimits {
+        read_timeout: Some(Duration::from_millis(20)),
+        ..ServeLimits::default()
+    });
+    let server = TcpServer::bind("127.0.0.1:0", ctx).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let mut client = ChaosClient::connect(addr).unwrap();
+    for i in 0..8 {
+        let resp = client
+            .request(r#"{"op": "score", "src": 0, "dst": 1}"#)
+            .unwrap();
+        assert_eq!(
+            json::parse(&resp).ok().and_then(|v| v.get("ok").cloned()),
+            Some(Value::Bool(true)),
+            "request {i} on one connection got {resp:?}"
+        );
+    }
+    let resp = client.request(r#"{"op": "shutdown"}"#).unwrap();
+    assert_eq!(
+        json::parse(&resp).ok().and_then(|v| v.get("ok").cloned()),
+        Some(Value::Bool(true)),
+        "shutdown got {resp:?}"
+    );
+    server_thread.join().unwrap().unwrap();
+    assert_eq!(fx.engine.recorder().counter(Counter::ServeDeadlines), 0);
+}
+
 /// The event loop must keep the shed path prompt while misbehaving
 /// connections pile up: slow readers pin admission permits (their queued
 /// responses hold gate slots until flushed) and a slow loris holds a

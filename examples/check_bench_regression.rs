@@ -55,8 +55,8 @@
 //!
 //! * crash recovery of a 10×-longer mutation history must be at least
 //!   1.25× faster with snapshot-coupled compaction than from the raw
-//!   WAL — compaction must keep recovery time coupled to the flush
-//!   interval, not to total history length;
+//!   WAL — compaction must keep recovery time coupled to the snapshot
+//!   cadence (one WAL segment), not to total history length;
 //! * follower catch-up p99 must stay within 2.5× of the primary's
 //!   flush interval — the standby keeps pace with the flush cadence,
 //!   so steady-state lag stays bounded by roughly one interval;
