@@ -2,15 +2,19 @@
 //! without snapshot-coupled WAL compaction, steady-state replication
 //! lag, and promotion latency.
 //!
-//! The headline: recovery of a replicated pipeline (newest snapshot +
-//! WAL tail) must stay roughly *flat* as the mutation history grows
-//! 10×, while the snapshot-less pipeline (base checkpoint + full WAL
-//! replay) grows with the history — compaction has to pay for itself
+//! The headline: recovery of a compacted history (newest snapshot + WAL
+//! tail) must stay roughly *flat* as the mutation history grows 10×,
+//! while a raw history grows with it — compaction has to pay for itself
 //! exactly where it matters, at the recovery path a failover takes.
-//! The primary snapshots on the first flush after its WAL rolls to a
-//! new segment (4 KiB, the default, here about 8 flushes of 8
-//! mutations), so the compacted pipeline replays at most about one
-//! segment plus one flush interval past its newest snapshot.
+//! Compacted histories come from a pipeline that snapshots on the first
+//! flush after its WAL rolls to a new segment (4 KiB, the default, here
+//! about 8 flushes of 8 mutations), so recovery replays at most about
+//! one segment plus one flush interval past the newest snapshot. Raw
+//! histories are appended straight to a WAL, so nothing snapshots or
+//! compacts, and recovery replays the whole log onto the base
+//! checkpoint. Both recover through the same `open_replicated`, and
+//! both clocks run from process start (checkpoint load and base store
+//! build included) to a published store.
 //!
 //! Results land in the `failover` section of `BENCH_failover.json`
 //! (override with `PRIM_BENCH_JSON`), gated by `check_bench_regression`:
@@ -24,7 +28,7 @@ use prim_data::generator::generate_taxonomy;
 use prim_data::{CityConfig, Dataset, RelationConfig, Scale, TaxonomyConfig};
 use prim_geo::Location;
 use prim_graph::PoiId;
-use prim_ingest::{CityIngest, IngestOpts, Mutation, ReplFollower, ReplLink};
+use prim_ingest::{CityIngest, IngestOpts, Mutation, MutationWal, ReplFollower, ReplLink};
 use prim_obs::Recorder;
 use prim_serve::{
     handle_line, load_checkpoint, save_checkpoint, EmbeddingStore, EngineOpts, EngineSlot,
@@ -86,44 +90,44 @@ fn mutation(i: usize, ds: &Dataset, n0: u32) -> Mutation {
     }
 }
 
+/// Appends `n` mutations straight into a WAL at `wal`, as a pipeline
+/// that never flushed would have left them: no snapshot, nothing
+/// compacted.
+fn write_raw_history(ds: &Dataset, n0: u32, wal: &Path, n: usize, opts: &IngestOpts) {
+    let mut log = MutationWal::open(Arc::new(RealIo), wal).unwrap();
+    log.set_segment_bytes(opts.wal_segment_bytes);
+    for i in 0..n {
+        log.append(&mutation(i, ds, n0)).unwrap();
+    }
+}
+
 /// Stages `n` mutations (flushing every `flush_every`) into a pipeline
 /// opened at `wal`/`snap`, then drops it mid-flight exactly as a crash
 /// would — acknowledged WAL records and published snapshots are all that
-/// survives. Returns wall time of the run.
+/// survives.
 #[allow(clippy::too_many_arguments)]
 fn run_history(
     ckpt_path: &Path,
     ds: &Dataset,
     n0: u32,
     wal: &Path,
-    snap: Option<&Path>,
+    snap: &Path,
     n: usize,
     flush_every: usize,
     opts: &IngestOpts,
 ) {
     let ckpt = load_checkpoint(ckpt_path).unwrap();
     let slot = fresh_slot(&ckpt);
-    let ingest = match snap {
-        Some(snap) => CityIngest::open_replicated(
-            Some(ckpt),
-            wal,
-            snap,
-            Arc::new(RealIo),
-            slot,
-            EngineOpts::default(),
-            opts.clone(),
-        )
-        .unwrap(),
-        None => CityIngest::open(
-            ckpt,
-            wal,
-            Arc::new(RealIo),
-            slot,
-            EngineOpts::default(),
-            opts.clone(),
-        )
-        .unwrap(),
-    };
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        wal,
+        snap,
+        Arc::new(RealIo),
+        slot,
+        EngineOpts::default(),
+        opts.clone(),
+    )
+    .unwrap();
     for i in 0..n {
         ingest.stage(mutation(i, ds, n0)).unwrap();
         if (i + 1) % flush_every == 0 {
@@ -133,40 +137,30 @@ fn run_history(
     ingest.flush();
 }
 
-/// Times recovery: reopen the pipeline from whatever the crash left
-/// (snapshot + tail when `snap` is given, base + full replay otherwise)
-/// until the store is published and serving.
+/// Times recovery from process start to a published, serving store: load
+/// the base checkpoint, build the slot's store, and reopen the pipeline
+/// from whatever the crash left at `wal`/`snap` (newest snapshot + WAL
+/// tail, or the base checkpoint + the whole log when `snap` is empty).
 fn time_recovery(
     ckpt_path: &Path,
     wal: &Path,
-    snap: Option<&Path>,
+    snap: &Path,
     opts: &IngestOpts,
     expect_applied: u64,
 ) -> f64 {
+    let t = Instant::now();
     let ckpt = load_checkpoint(ckpt_path).unwrap();
     let slot = fresh_slot(&ckpt);
-    let t = Instant::now();
-    let ingest = match snap {
-        Some(snap) => CityIngest::open_replicated(
-            Some(ckpt),
-            wal,
-            snap,
-            Arc::new(RealIo),
-            Arc::clone(&slot),
-            EngineOpts::default(),
-            opts.clone(),
-        )
-        .unwrap(),
-        None => CityIngest::open(
-            ckpt,
-            wal,
-            Arc::new(RealIo),
-            Arc::clone(&slot),
-            EngineOpts::default(),
-            opts.clone(),
-        )
-        .unwrap(),
-    };
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        wal,
+        snap,
+        Arc::new(RealIo),
+        Arc::clone(&slot),
+        EngineOpts::default(),
+        opts.clone(),
+    )
+    .unwrap();
     let elapsed = ms(t);
     let status = ingest.status();
     assert_eq!(
@@ -243,10 +237,13 @@ fn main() {
         ("compact_10x", n_10x, true),
     ] {
         let wal = dir.join(format!("{label}.wal"));
-        let snap_dir = dir.join(format!("{label}.snap"));
-        let snap = compacted.then_some(snap_dir.as_path());
-        run_history(&ckpt_path, &ds, n0, &wal, snap, n, flush_every, &opts);
-        let t = time_recovery(&ckpt_path, &wal, snap, &opts, n as u64);
+        let snap = dir.join(format!("{label}.snap"));
+        if compacted {
+            run_history(&ckpt_path, &ds, n0, &wal, &snap, n, flush_every, &opts);
+        } else {
+            write_raw_history(&ds, n0, &wal, n, &opts);
+        }
+        let t = time_recovery(&ckpt_path, &wal, &snap, &opts, n as u64);
         println!("failover: {label} recovery {t:.1} ms ({n} mutations)");
         recovered.push((label, n, t));
     }
@@ -276,22 +273,13 @@ fn main() {
         &pwal,
         &psnap,
         Arc::new(RealIo),
-        pslot,
+        Arc::clone(&pslot),
         EngineOpts::default(),
         opts.clone(),
     )
     .unwrap();
-    let pengine = {
-        let ckpt = load_checkpoint(&ckpt_path).unwrap();
-        let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
-        Arc::new(ServeEngine::new(
-            store,
-            &EngineOpts::default(),
-            Recorder::disabled(),
-        ))
-    };
-    let ctx = ServeCtx::multi(vec![TenantSpec::new("beijing", Arc::clone(&pengine))
-        .with_slot(EngineSlot::new(pengine))
+    let ctx = ServeCtx::multi(vec![TenantSpec::new("beijing", pslot.get())
+        .with_slot(pslot)
         .with_ingest(Arc::clone(&primary) as Arc<dyn IngestBackend>)]);
 
     let ckpt = load_checkpoint(&ckpt_path).unwrap();

@@ -4,6 +4,10 @@
 //! checkpoint reload (load + full re-embed + ANN build), on a
 //! spatially-local 20k-POI city at quick scale (100k at full).
 //!
+//! The pipeline snapshots like every other: a flush after its WAL rolls
+//! to a new segment also writes a snapshot checkpoint, and the timed
+//! flushes below include that write whenever they pay it.
+//!
 //! Results land in the `ingest` section of `BENCH_ingest.json`
 //! (override with `PRIM_BENCH_JSON`), gated by `check_bench_regression`:
 //! the incremental path must be at least 5× faster to visibility than
@@ -129,11 +133,10 @@ fn main() {
     slot.swap(Arc::clone(&engine));
 
     // -- Ingest pipeline over the same slot.
-    let wal = dir.join("bench.wal");
-    let _ = std::fs::remove_dir_all(&wal);
-    let ingest = CityIngest::open(
-        load_checkpoint(&ckpt_path).unwrap(),
-        &wal,
+    let ingest = CityIngest::open_replicated(
+        Some(load_checkpoint(&ckpt_path).unwrap()),
+        dir.join("bench.wal"),
+        dir.join("bench.snap"),
         Arc::new(RealIo),
         Arc::clone(&slot),
         EngineOpts::default(),

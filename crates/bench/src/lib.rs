@@ -213,12 +213,30 @@ pub fn ensure_run_report(bench: &str) -> prim_obs::JsonSink {
 mod tests {
     use super::*;
 
+    /// A fresh scratch directory, removed with everything in it when
+    /// dropped — also when a failing assertion unwinds past it.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("prim-bench-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn json_sections_round_trip() {
-        let dir = std::env::temp_dir().join("prim_bench_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
-        let _ = std::fs::remove_file(&path);
+        let scratch = Scratch::new("json");
+        let path = scratch.0.join("bench.json");
 
         let a = json::obj(&[("ms", json::num(1.5)), ("name", json::str("matmul"))]);
         json::update_section(&path, "micro_kernels", &a);
@@ -238,7 +256,6 @@ mod tests {
             "{text}"
         );
         assert!(text.starts_with("{\n") && text.ends_with("}\n"), "{text}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -40,15 +40,17 @@
 //!
 //! On top of durability the crate layers *availability*:
 //!
-//! 4. **Bounded recovery.** The WAL is segmented; the first
-//!    `ingest_flush` publish after the log rolls to a new segment writes
-//!    a snapshot checkpoint (carrying the WAL high-water seq and the
-//!    frozen-grid provenance as `ingest.*` tensors) through a
-//!    [`prim_serve::CkptRotator`] and prunes the segments the previous
-//!    snapshot covers. Recovery is "load newest valid snapshot + replay
-//!    the WAL tail" — at most about one segment plus one flush interval
-//!    of records, one segment in memory at a time, regardless of how
-//!    many mutations the city has ever accepted.
+//! 4. **Bounded recovery.** Every pipeline opens over two directories,
+//!    its segmented WAL and its snapshot rotation
+//!    ([`CityIngest::open_replicated`]). The first `ingest_flush` publish
+//!    after the log rolls to a new segment writes a snapshot checkpoint
+//!    (carrying the WAL high-water seq and the frozen-grid provenance as
+//!    `ingest.*` tensors) through a [`prim_serve::CkptRotator`] and
+//!    prunes the segments the previous snapshot covers. Recovery is "load
+//!    the newest valid snapshot (the base checkpoint before the first
+//!    one) + replay the WAL tail" — at most about one segment plus one
+//!    flush interval of records, one segment in memory at a time,
+//!    regardless of how many mutations the city has ever accepted.
 //! 5. **Warm-standby replication.** A follower ([`repl::ReplFollower`])
 //!    pulls acknowledged records over the ordinary JSONL protocol
 //!    (`repl_sync`), applies them through the same incremental re-embed
@@ -96,12 +98,12 @@ pub struct IngestOpts {
     /// larger ones amortise the subset embed.
     pub batch_max: usize,
     /// Active-WAL-segment byte budget: appends roll to a fresh segment
-    /// file past this, and compaction prunes whole segments. On
-    /// replicated pipelines it is also the snapshot cadence: a flush
-    /// snapshots only after a roll, so recovery replays at most about one
-    /// segment plus one flush interval. Smaller segments snapshot and
-    /// compact sooner, at the cost of more snapshot writes and files; 1
-    /// gives every record its own segment and snapshots every flush.
+    /// file past this, and compaction prunes whole segments. It is also
+    /// the snapshot cadence: a flush snapshots only after a roll, so
+    /// recovery replays at most about one segment plus one flush
+    /// interval. Smaller segments snapshot and compact sooner, at the
+    /// cost of more snapshot writes and files; 1 gives every record its
+    /// own segment and snapshots every flush.
     pub wal_segment_bytes: usize,
 }
 
@@ -121,7 +123,7 @@ const RESEAL_MIN: usize = 256;
 /// `sealed_len / RESEAL_FRAC` or [`RESEAL_MIN`], whichever is larger.
 const RESEAL_FRAC: usize = 4;
 
-/// Snapshot checkpoints the rotator retains (replicated pipelines only).
+/// Snapshot checkpoints the rotator retains.
 const SNAPSHOT_RETAIN: usize = 2;
 
 /// Failure opening the ingest pipeline.
@@ -134,8 +136,8 @@ pub enum IngestError {
     /// A durable WAL record failed revalidation against the state it is
     /// replayed onto — the log belongs to a different checkpoint.
     Replay(String),
-    /// The snapshot rotation directory is unusable, or a replicated open
-    /// found neither a valid snapshot nor a base checkpoint to start from.
+    /// The snapshot rotation directory is unusable, or the open found
+    /// neither a valid snapshot nor a base checkpoint to start from.
     Snapshot(String),
 }
 
@@ -207,8 +209,7 @@ pub struct IngestStatus {
     pub wal_bytes: u64,
     /// Number of WAL segment files.
     pub wal_segments: usize,
-    /// High-water seq of the newest snapshot checkpoint (0 = none yet;
-    /// always 0 for pipelines opened without a rotation directory).
+    /// High-water seq of the newest snapshot checkpoint (0 = none yet).
     pub snapshot_seq: u64,
 }
 
@@ -224,12 +225,12 @@ struct Inner {
     attrs: Matrix,
     cfg: PrimConfig,
     model: PrimModel,
-    /// Frozen-projection grid the *model's* spatial attention reads
-    /// (cell size `spatial_radius_km`, reference latitude fixed at open).
-    spatial_grid: GridIndex,
-    /// The serving store's candidate grid (coarser cell floor), mutated
-    /// in lockstep and cloned into every published store.
-    serve_grid: GridIndex,
+    /// Frozen-projection grid (reference latitude fixed at open) that
+    /// both the model's spatial attention and the serving store's
+    /// candidate search read; cloned into every published store. Radius
+    /// queries answer the same at any cell size, so it uses the serving
+    /// store's cell floor.
+    grid: GridIndex,
     locations: Vec<Location>,
     /// Per-POI spatial in-degree plus its total, maintained across
     /// batches so `spatial_active` (does the *full* graph have any
@@ -351,48 +352,27 @@ pub struct CityIngest {
     relation_names: Vec<String>,
     opts: IngestOpts,
     io: Arc<dyn FileIo>,
-    /// Snapshot rotation (replicated pipelines); `None` = WAL-only
-    /// durability, exactly the pre-replication behaviour.
-    rotator: Option<CkptRotator>,
+    /// Snapshot rotation directory: flushes snapshot into it after a WAL
+    /// roll, and recovery and follower bootstrap read from it.
+    rotator: CkptRotator,
     /// Run label stamped into snapshot checkpoints.
     run: String,
 }
 
 impl CityIngest {
-    /// Opens the pipeline over a rebuilt checkpoint and its mutation WAL
-    /// (a *directory* of segments), replaying (in `batch_max` batches,
-    /// one segment in memory at a time) whatever the log holds. `slot`
-    /// must already serve the checkpoint's store; after `open` returns it
-    /// serves the replayed state — bitwise the store of a process that
-    /// staged and applied exactly the WAL's mutations.
-    pub fn open(
-        ckpt: PrimCheckpoint,
-        wal_dir: impl Into<PathBuf>,
-        io: Arc<dyn FileIo>,
-        slot: Arc<EngineSlot>,
-        engine_opts: EngineOpts,
-        opts: IngestOpts,
-    ) -> Result<Arc<Self>, IngestError> {
-        Self::open_inner(
-            ckpt,
-            wal_dir.into(),
-            io,
-            slot,
-            engine_opts,
-            opts,
-            None,
-            None,
-        )
-    }
-
-    /// [`CityIngest::open`] with snapshot-coupled compaction: the first
-    /// `ingest_flush` publish after the WAL rolls to a new segment writes
-    /// a snapshot checkpoint (ingest state included) into `snapshot_dir`
-    /// through a [`CkptRotator`] and prunes the WAL segments the previous
-    /// snapshot covers. Recovery prefers the newest valid
-    /// snapshot (publishing its store into `slot` before replaying the
-    /// remaining WAL tail); `base` is the cold-start fallback and may be
-    /// `None` when a snapshot is known to exist (follower bootstrap).
+    /// Opens the pipeline over its mutation WAL (a *directory* of
+    /// segments) and its snapshot rotation directory. Recovery starts from
+    /// the newest valid snapshot in `snapshot_dir`, publishing its store
+    /// into `slot`, or else from `base`, which `slot` must already serve
+    /// (`base` may be `None` when a snapshot is known to exist: follower
+    /// bootstrap). It then replays the WAL past that point in `batch_max`
+    /// batches, one segment in memory at a time, so that `slot` serves
+    /// bitwise the store of a process that staged and applied exactly the
+    /// logged mutations. After open, the first `ingest_flush` publish
+    /// after the WAL rolls to a new segment writes a snapshot checkpoint
+    /// (ingest state included) into `snapshot_dir` through a
+    /// [`CkptRotator`] and prunes the WAL segments the previous snapshot
+    /// covers.
     pub fn open_replicated(
         base: Option<PrimCheckpoint>,
         wal_dir: impl Into<PathBuf>,
@@ -418,29 +398,6 @@ impl CityIngest {
                 None,
             ),
         };
-        Self::open_inner(
-            ckpt,
-            wal_dir.into(),
-            io,
-            slot,
-            engine_opts,
-            opts,
-            Some(rotator),
-            snapshot_path,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)] // one internal assembly point
-    fn open_inner(
-        ckpt: PrimCheckpoint,
-        wal_dir: PathBuf,
-        io: Arc<dyn FileIo>,
-        slot: Arc<EngineSlot>,
-        engine_opts: EngineOpts,
-        opts: IngestOpts,
-        rotator: Option<CkptRotator>,
-        snapshot_path: Option<PathBuf>,
-    ) -> Result<Arc<Self>, IngestError> {
         let (model, inputs) = ckpt.rebuild().map_err(IngestError::Ckpt)?;
         let locations = inputs.locations().to_vec();
         let cfg = ckpt.config.clone();
@@ -449,18 +406,13 @@ impl CityIngest {
             .as_ref()
             .map_or(locations.len(), |s| s.base_pois as usize);
         let snapshot_seq = ing_state.as_ref().map_or(0, |s| s.snapshot_seq);
-        // Same construction (and therefore the same frozen reference
-        // latitude) as the full-build oracle's internal grid: built over
-        // the base population, grown insert-by-insert for snapshots.
-        let (spatial_grid, serve_grid) = match &ing_state {
-            Some(st) => (
-                st.frozen_grid(&locations, cfg.spatial_radius_km.max(1e-6)),
-                st.frozen_grid(&locations, cfg.spatial_radius_km.max(0.1)),
-            ),
-            None => (
-                GridIndex::build(&locations, cfg.spatial_radius_km.max(1e-6)),
-                GridIndex::build(&locations, cfg.spatial_radius_km.max(0.1)),
-            ),
+        // Same frozen reference latitude as the full-build oracle's
+        // internal grid: built over the base population, grown
+        // insert-by-insert for snapshots.
+        let cell_km = cfg.spatial_radius_km.max(0.1);
+        let grid = match &ing_state {
+            Some(st) => st.frozen_grid(&locations, cell_km),
+            None => GridIndex::build(&locations, cell_km),
         };
         let mut retired = vec![false; locations.len()];
         if let Some(st) = &ing_state {
@@ -489,7 +441,7 @@ impl CityIngest {
         if ing_state.is_some() {
             let mut store =
                 EmbeddingStore::from_model_unindexed(&model, &inputs, relation_names.clone());
-            store.grid = serve_grid.clone();
+            store.grid = grid.clone();
             store.build_ann(AnnParams {
                 seed: cfg.seed,
                 ..AnnParams::default()
@@ -511,8 +463,7 @@ impl CityIngest {
             attrs: ckpt.attrs,
             cfg,
             model,
-            spatial_grid,
-            serve_grid,
+            grid,
             locations,
             spatial_deg,
             spatial_total,
@@ -604,9 +555,9 @@ impl CityIngest {
     }
 
     /// Applies every staged mutation now, returning how many became
-    /// query-visible. On replicated pipelines the publish is followed by
-    /// a snapshot checkpoint + WAL compaction when the log has rolled to a
-    /// new segment since the newest snapshot ([`Self::open_replicated`]).
+    /// query-visible. The publish is followed by a snapshot checkpoint +
+    /// WAL compaction when the log has rolled to a new segment since the
+    /// newest snapshot ([`Self::open_replicated`]).
     pub fn flush(&self) -> usize {
         let mut inner = self.inner.lock().unwrap();
         let applied = self.apply_locked(&mut inner);
@@ -622,43 +573,44 @@ impl CityIngest {
     /// previous snapshot plus the uncompacted WAL still recover everything
     /// acknowledged, and the next flush retries.
     fn maybe_snapshot(&self, inner: &mut Inner) {
-        if let Some(rot) = &self.rotator {
-            let high = inner.wal.next_seq() - 1;
-            let rolled = inner.wal.active_first_seq() > inner.snapshot_seq;
-            if high > inner.snapshot_seq && rolled && inner.staged.is_empty() {
-                let t0 = Instant::now();
-                let retired: Vec<u32> = inner
-                    .retired
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &r)| r)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                let state = IngestSnapshotState {
-                    snapshot_seq: high,
-                    base_pois: inner.base_pois as u64,
-                    retired,
-                };
-                let bytes = encode_checkpoint_ingest(
-                    &self.run,
-                    &inner.model,
-                    &inner.graph,
-                    &inner.taxonomy,
-                    &inner.attrs,
-                    &self.relation_names,
-                    None,
-                    None,
-                    Some(&state),
-                );
-                // Compact to the *previous* snapshot, not the one just
-                // published: the log always retains the newest interval
-                // `(prev_snapshot, high]`, so a warm standby that is at
-                // most one flush behind can tail it instead of falling
-                // below the floor and re-downloading a full snapshot
-                // every round. The rotator keeps two snapshots for the
-                // same reason — floor and recovery points stay aligned.
-                let prev_snapshot = inner.snapshot_seq;
-                let result = rot.save(&*self.io, high as usize, &bytes).and_then(|path| {
+        let high = inner.wal.next_seq() - 1;
+        let rolled = inner.wal.active_first_seq() > inner.snapshot_seq;
+        if high > inner.snapshot_seq && rolled && inner.staged.is_empty() {
+            let t0 = Instant::now();
+            let retired: Vec<u32> = inner
+                .retired
+                .iter()
+                .enumerate()
+                .filter(|&(_, &r)| r)
+                .map(|(i, _)| i as u32)
+                .collect();
+            let state = IngestSnapshotState {
+                snapshot_seq: high,
+                base_pois: inner.base_pois as u64,
+                retired,
+            };
+            let bytes = encode_checkpoint_ingest(
+                &self.run,
+                &inner.model,
+                &inner.graph,
+                &inner.taxonomy,
+                &inner.attrs,
+                &self.relation_names,
+                None,
+                None,
+                Some(&state),
+            );
+            // Compact to the *previous* snapshot, not the one just published:
+            // the log always retains the newest interval `(prev_snapshot,
+            // high]`, so a warm standby that is at most one flush behind can
+            // tail it instead of falling below the floor and re-downloading
+            // a full snapshot every round. The rotator keeps two snapshots
+            // for the same reason — floor and recovery points stay aligned.
+            let prev_snapshot = inner.snapshot_seq;
+            let result = self
+                .rotator
+                .save(&*self.io, high as usize, &bytes)
+                .and_then(|path| {
                     inner
                         .wal
                         .compact(prev_snapshot)
@@ -668,18 +620,17 @@ impl CityIngest {
                             other => std::io::Error::other(other.to_string()),
                         })
                 });
-                match result {
-                    Ok((path, pruned)) => {
-                        inner.snapshot_seq = high;
-                        inner.snapshot_path = Some(path);
-                        self.recorder.add(Counter::IngestSnapshots, 1);
-                        self.recorder.add(Counter::WalSegmentsPruned, pruned as u64);
-                        self.recorder
-                            .record_scalar("ingest/snapshot_ms", t0.elapsed().as_secs_f64() * 1e3);
-                    }
-                    Err(_) => {
-                        self.recorder.record_scalar("ingest/snapshot_errors", 1.0);
-                    }
+            match result {
+                Ok((path, pruned)) => {
+                    inner.snapshot_seq = high;
+                    inner.snapshot_path = Some(path);
+                    self.recorder.add(Counter::IngestSnapshots, 1);
+                    self.recorder.add(Counter::WalSegmentsPruned, pruned as u64);
+                    self.recorder
+                        .record_scalar("ingest/snapshot_ms", t0.elapsed().as_secs_f64() * 1e3);
+                }
+                Err(_) => {
+                    self.recorder.record_scalar("ingest/snapshot_errors", 1.0);
                 }
             }
         }
@@ -755,13 +706,12 @@ impl CityIngest {
                     inner.incidence.add_poi();
                     new_attr_rows.push(attrs.clone());
                     inner.locations.push(*location);
-                    let gi = inner.spatial_grid.insert(*location);
+                    let gi = inner.grid.insert(*location);
                     debug_assert_eq!(gi, id.0 as usize);
-                    inner.serve_grid.insert(*location);
                     inner.spatial_deg.push(0);
                     inner.retired.push(false);
                     changed.insert(id.0);
-                    for (nb, _) in inner.spatial_grid.within_radius(id.0 as usize, radius) {
+                    for (nb, _) in inner.grid.within_radius(id.0 as usize, radius) {
                         changed.insert(nb as u32);
                     }
                 }
@@ -775,7 +725,7 @@ impl CityIngest {
                 }
                 Mutation::RetirePoi { poi } => {
                     let p = *poi as usize;
-                    for (nb, _) in inner.spatial_grid.within_radius(p, radius) {
+                    for (nb, _) in inner.grid.within_radius(p, radius) {
                         changed.insert(nb as u32);
                     }
                     for e in inner.graph.remove_edges_of(PoiId(*poi)) {
@@ -783,8 +733,7 @@ impl CityIngest {
                         changed.insert(e.dst.0);
                     }
                     inner.incidence.remove_edges_of(PoiId(*poi));
-                    inner.spatial_grid.retire(p);
-                    inner.serve_grid.retire(p);
+                    inner.grid.retire(p);
                     inner.retired[p] = true;
                     changed.insert(*poi);
                 }
@@ -828,7 +777,7 @@ impl CityIngest {
         for (i, &hit) in in_b.iter().enumerate().take(n) {
             if hit {
                 targets.insert(i as u32);
-                for (nb, _) in inner.spatial_grid.within_radius(i, radius) {
+                for (nb, _) in inner.grid.within_radius(i, radius) {
                     targets.insert(nb as u32);
                 }
             }
@@ -853,7 +802,7 @@ impl CityIngest {
             &inner.incidence,
             &inner.taxonomy,
             &inner.attrs,
-            &inner.spatial_grid,
+            &inner.grid,
             &tvec,
             outside > 0,
             &inner.cfg,
@@ -888,12 +837,8 @@ impl CityIngest {
             .map(|&g| g as usize)
             .filter(|&g| g < old_n)
             .collect();
-        let mut store = old_store.published(
-            pois,
-            inner.locations.clone(),
-            inner.serve_grid.clone(),
-            &touched,
-        );
+        let mut store =
+            old_store.published(pois, inner.locations.clone(), inner.grid.clone(), &touched);
         let reseal = match &store.ann {
             Some(ann) => {
                 let sealed = ann.len();
@@ -1118,7 +1063,7 @@ impl IngestBackend for CityIngest {
                     let snap = inner
                         .snapshot_path
                         .clone()
-                        .or_else(|| self.rotator.as_ref().and_then(|r| r.latest_path()));
+                        .or_else(|| self.rotator.latest_path());
                     let Some(path) = snap else {
                         return Err((
                             "repl_gap".to_string(),

@@ -1,12 +1,12 @@
 //! Warm-standby replication: follower catch-up over the JSONL protocol.
 //!
-//! A follower is a complete ingest pipeline ([`crate::CityIngest`],
-//! opened replicated) that, instead of taking writes from clients, pulls
-//! acknowledged mutations from the primary with `repl_sync` requests and
-//! re-applies them through the same incremental re-embed path. It
-//! publishes through its own [`prim_serve::EngineSlot`], so reads are
-//! served the whole time — before, during and after a promotion — and a
-//! reader never observes a half-applied batch.
+//! A follower is a complete ingest pipeline ([`crate::CityIngest`], with
+//! its own WAL and snapshot directories) that, instead of taking writes
+//! from clients, pulls acknowledged mutations from the primary with
+//! `repl_sync` requests and re-applies them through the same incremental
+//! re-embed path. It publishes through its own [`prim_serve::EngineSlot`],
+//! so reads are served the whole time — before, during and after a
+//! promotion — and a reader never observes a half-applied batch.
 //!
 //! The wire format is deliberately *bitwise*: tail frames carry raw WAL
 //! record bytes (hex-encoded inside the JSON line), so the follower runs
@@ -304,7 +304,7 @@ impl ReplFollower {
     /// recovering local state first (newest local snapshot + WAL tail;
     /// `base` is the cold-start fallback). `slot` is the follower's own
     /// serving slot — load the base store into it before calling, exactly
-    /// as for [`CityIngest::open`].
+    /// as for [`CityIngest::open_replicated`].
     #[allow(clippy::too_many_arguments)] // mirrors CityIngest::open_replicated
     pub fn new(
         base: Option<PrimCheckpoint>,

@@ -69,8 +69,8 @@ const MAX_PAYLOAD: u32 = 1 << 24;
 
 /// Default byte budget of the active segment before appends roll over:
 /// about 64 records of the `onboard` benchmark's mix (64.6 B each). A
-/// replicated pipeline snapshots on the first flush after a roll, so this
-/// is also its snapshot cadence and bounds what recovery replays.
+/// pipeline snapshots on the first flush after a roll, so this is also
+/// its snapshot cadence and bounds what recovery replays.
 pub const DEFAULT_SEGMENT_BYTES: usize = 4 * 1024;
 
 const TAG_ADD_POI: u8 = 1;
@@ -730,10 +730,24 @@ mod tests {
     use super::*;
     use prim_serve::RealIo;
 
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("prim-wal-test-{}-{name}", std::process::id()));
-        p
+    /// A fresh scratch path, removed with everything under it when
+    /// dropped — also when a failing assertion unwinds past it. The WAL
+    /// creates the directory.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("prim-wal-test-{}-{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Scratch(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn sample() -> Vec<Mutation> {
@@ -769,27 +783,26 @@ mod tests {
 
     #[test]
     fn roundtrip_and_replay() {
-        let dir = tmp("roundtrip");
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = Scratch::new("roundtrip");
+        let dir = &scratch.0;
         let io: Arc<dyn FileIo> = Arc::new(RealIo);
-        let mut wal = MutationWal::open(Arc::clone(&io), &dir).unwrap();
+        let mut wal = MutationWal::open(Arc::clone(&io), dir).unwrap();
         assert_eq!(wal.next_seq(), 1);
         for m in sample() {
             wal.append(&m).unwrap();
         }
-        let wal2 = MutationWal::open(io, &dir).unwrap();
+        let wal2 = MutationWal::open(io, dir).unwrap();
         let replay: Vec<Mutation> = replay_all(&wal2, 0).into_iter().map(|(_, m)| m).collect();
         assert_eq!(replay, sample());
         assert_eq!(wal2.next_seq(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rolls_and_compacts_segments() {
-        let dir = tmp("roll");
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = Scratch::new("roll");
+        let dir = &scratch.0;
         let io: Arc<dyn FileIo> = Arc::new(RealIo);
-        let mut wal = MutationWal::open(Arc::clone(&io), &dir).unwrap();
+        let mut wal = MutationWal::open(Arc::clone(&io), dir).unwrap();
         wal.set_segment_bytes(1); // tiny budget: one record per segment
         for i in 0..6u32 {
             wal.append(&Mutation::AddEdge {
@@ -803,7 +816,7 @@ mod tests {
         let total = wal.bytes();
 
         // Reopen mid-stream: same records, same numbering.
-        let wal2 = MutationWal::open(Arc::clone(&io), &dir).unwrap();
+        let wal2 = MutationWal::open(Arc::clone(&io), dir).unwrap();
         assert_eq!(wal2.next_seq(), 7);
         assert_eq!(wal2.bytes(), total);
         assert_eq!(replay_all(&wal2, 0).len(), 6);
@@ -822,18 +835,17 @@ mod tests {
         assert_eq!(wal3.next_seq(), 7);
         assert_eq!(wal3.first_seq(), 7);
         wal3.append(&sample()[1]).unwrap();
-        let wal4 = MutationWal::open(io, &dir).unwrap();
+        let wal4 = MutationWal::open(io, dir).unwrap();
         assert_eq!(wal4.next_seq(), 8);
         assert_eq!(replay_all(&wal4, 6).len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn pruned_acknowledged_tail_is_loud() {
-        let dir = tmp("gap");
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = Scratch::new("gap");
+        let dir = &scratch.0;
         let io: Arc<dyn FileIo> = Arc::new(RealIo);
-        let mut wal = MutationWal::open(Arc::clone(&io), &dir).unwrap();
+        let mut wal = MutationWal::open(Arc::clone(&io), dir).unwrap();
         wal.set_segment_bytes(1);
         for i in 0..4u32 {
             wal.append(&Mutation::AddEdge {
@@ -851,23 +863,21 @@ mod tests {
             Err(other) => panic!("expected out-of-order gap, got {other:?}"),
             Ok(_) => panic!("expected out-of-order gap, got a tail"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn ensure_seq_anchors_empty_log() {
-        let dir = tmp("anchor");
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = Scratch::new("anchor");
+        let dir = &scratch.0;
         let io: Arc<dyn FileIo> = Arc::new(RealIo);
-        let mut wal = MutationWal::open(Arc::clone(&io), &dir).unwrap();
+        let mut wal = MutationWal::open(Arc::clone(&io), dir).unwrap();
         wal.ensure_seq(41);
         assert_eq!(wal.next_seq(), 41);
         let seq = wal.append(&sample()[2]).unwrap();
         assert_eq!(seq, 41);
-        let wal2 = MutationWal::open(io, &dir).unwrap();
+        let wal2 = MutationWal::open(io, dir).unwrap();
         assert_eq!(wal2.next_seq(), 42);
         assert_eq!(replay_all(&wal2, 40), vec![(41, sample()[2].clone())]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -934,10 +944,10 @@ mod tests {
 
     #[test]
     fn collect_bytes_respects_budget_and_roundtrips() {
-        let dir = tmp("collect");
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = Scratch::new("collect");
+        let dir = &scratch.0;
         let io: Arc<dyn FileIo> = Arc::new(RealIo);
-        let mut wal = MutationWal::open(Arc::clone(&io), &dir).unwrap();
+        let mut wal = MutationWal::open(Arc::clone(&io), dir).unwrap();
         wal.set_segment_bytes(80);
         for m in sample() {
             wal.append(&m).unwrap();
@@ -959,6 +969,5 @@ mod tests {
                 .collect::<Vec<_>>(),
             sample()[1..].to_vec()
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,23 +24,20 @@ use prim_geo::Location;
 use prim_ingest::{encode_record, CityIngest, IngestOpts, IngestStatus, Mutation, StageError};
 use prim_obs::Recorder;
 use prim_serve::{
-    load_checkpoint, save_checkpoint, ChaosIo, EmbeddingStore, EngineOpts, EngineSlot, FaultPlan,
-    FileIo, PrimCheckpoint, RealIo, ServeEngine,
+    decode_bytes, decode_checkpoint, encode_checkpoint, ChaosIo, EmbeddingStore, EngineOpts,
+    EngineSlot, FaultPlan, FileIo, PrimCheckpoint, RealIo, ServeEngine,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-compaction-chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
-fn ckpt_path() -> &'static PathBuf {
-    static PATH: OnceLock<PathBuf> = OnceLock::new();
-    PATH.get_or_init(|| {
+fn ckpt_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
         let ds = Dataset::beijing(Scale::Quick).subsample(0.12, 11);
         let cfg = PrimConfig {
             dim: 8,
@@ -56,23 +53,21 @@ fn ckpt_path() -> &'static PathBuf {
             &cfg,
         );
         let model = PrimModel::new(cfg, &inputs);
-        let path = tmp("compaction-city.ckpt");
-        save_checkpoint(
-            &path,
+        encode_checkpoint(
             "compaction-chaos",
             &model,
             &ds.graph,
             &ds.taxonomy,
             &ds.attrs,
             &ds.relation_names,
+            None,
+            None,
         )
-        .unwrap();
-        path
     })
 }
 
 fn load() -> PrimCheckpoint {
-    load_checkpoint(ckpt_path()).unwrap()
+    decode_checkpoint(decode_bytes(ckpt_bytes()).unwrap()).unwrap()
 }
 
 /// Same shape as the `wal_chaos.rs` script: adds, edges (old↔new and
@@ -211,9 +206,10 @@ fn open_repl_with(
     Ok((ingest, slot))
 }
 
-/// Published POI-table bits of a clean *non-replicated* pipeline that
-/// staged exactly the first `j` mutations of the scenario's script — the
-/// oracle the snapshot recovery path must reproduce bitwise.
+/// Published POI-table bits of a clean pipeline that staged exactly the
+/// first `j` mutations of the scenario's script, flushed once and never
+/// reopened, so it never read a snapshot — the oracle the snapshot
+/// recovery path must reproduce bitwise.
 fn expected_bits(sc: Scenario, j: usize) -> Vec<u32> {
     type Oracles = HashMap<(&'static str, usize), Vec<u32>>;
     static CACHE: OnceLock<Mutex<Oracles>> = OnceLock::new();
@@ -226,8 +222,7 @@ fn expected_bits(sc: Scenario, j: usize) -> Vec<u32> {
     if let Some(b) = cache.get(&(sc.name, j)) {
         return b.clone();
     }
-    let wal = tmp(&format!("oracle-{}-{j}.wal", sc.name));
-    let _ = std::fs::remove_dir_all(&wal);
+    let scratch = Scratch::new("compaction-chaos-oracle");
     let ckpt = load();
     let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
     let slot = EngineSlot::new(Arc::new(ServeEngine::new(
@@ -235,9 +230,10 @@ fn expected_bits(sc: Scenario, j: usize) -> Vec<u32> {
         &EngineOpts::default(),
         Recorder::disabled(),
     )));
-    let ingest = CityIngest::open(
-        ckpt,
-        &wal,
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        scratch.path("oracle.wal"),
+        scratch.path("oracle.snap"),
         Arc::new(RealIo),
         Arc::clone(&slot),
         EngineOpts::default(),
@@ -260,7 +256,6 @@ fn expected_bits(sc: Scenario, j: usize) -> Vec<u32> {
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let _ = std::fs::remove_dir_all(&wal);
     cache.insert((sc.name, j), bits.clone());
     bits
 }
@@ -355,10 +350,9 @@ fn assert_converges_with(
 /// pruned) and recovery starts from the snapshot, not seq 1.
 #[test]
 fn snapshots_prune_covered_segments() {
-    let wal = tmp("prune.wal");
-    let snap = tmp("prune.snap");
-    let _ = std::fs::remove_dir_all(&wal);
-    let _ = std::fs::remove_dir_all(&snap);
+    let scratch = Scratch::new("compaction-chaos");
+    let wal = scratch.path("prune.wal");
+    let snap = scratch.path("prune.snap");
     let (ingest, _slot) = open_repl(Arc::new(RealIo), &wal, &snap).unwrap();
     for m in script(&load()) {
         ingest.stage(m).unwrap();
@@ -379,18 +373,15 @@ fn snapshots_prune_covered_segments() {
     // Recovery from the snapshot + retained tail: the next sequence
     // number continues the acknowledged numbering.
     assert_converges(&wal, &snap, 6, "post-compaction reopen");
-    let _ = std::fs::remove_dir_all(&wal);
-    let _ = std::fs::remove_dir_all(&snap);
 }
 
 /// Exhaustive sweep: kill every file operation (appends, snapshot slot
 /// writes, `LATEST` updates, prunes) and demand bitwise convergence.
 #[test]
 fn kill_at_every_op_recovers_pre_or_post_compaction() {
-    let probe_wal = tmp("probe.wal");
-    let probe_snap = tmp("probe.snap");
-    let _ = std::fs::remove_dir_all(&probe_wal);
-    let _ = std::fs::remove_dir_all(&probe_snap);
+    let scratch = Scratch::new("compaction-chaos");
+    let probe_wal = scratch.path("probe.wal");
+    let probe_snap = scratch.path("probe.snap");
     let io = Arc::new(ChaosIo::counting());
     {
         let (ingest, _slot) =
@@ -408,8 +399,8 @@ fn kill_at_every_op_recovers_pre_or_post_compaction() {
     assert!(total_ops >= 15, "scenario too small: {total_ops} ops");
 
     for at in 0..total_ops {
-        let wal = tmp(&format!("kill-{at}.wal"));
-        let snap = tmp(&format!("kill-{at}.snap"));
+        let wal = scratch.path(&format!("kill-{at}.wal"));
+        let snap = scratch.path(&format!("kill-{at}.snap"));
         match run_until_death(FaultPlan::kill_at(at), &wal, &snap, 2) {
             None => assert_eq!(at, 0, "only the open may abort the pipeline"),
             Some(acked) => assert_converges(&wal, &snap, acked, &format!("kill@{at}")),
@@ -440,10 +431,9 @@ fn newest_segment(wal: &PathBuf) -> u64 {
 #[test]
 fn multi_record_segments_snapshot_only_after_a_roll() {
     let sc = MULTI_RECORD;
-    let wal = tmp("roll.wal");
-    let snap = tmp("roll.snap");
-    let _ = std::fs::remove_dir_all(&wal);
-    let _ = std::fs::remove_dir_all(&snap);
+    let scratch = Scratch::new("compaction-chaos");
+    let wal = scratch.path("roll.wal");
+    let snap = scratch.path("roll.snap");
     let muts = (sc.script)(&load());
     let cadence = 2;
     let recorder = Recorder::enabled("compaction-chaos");
@@ -509,8 +499,6 @@ fn multi_record_segments_snapshot_only_after_a_roll() {
          one flush interval {cadence}",
         status.applied
     );
-    let _ = std::fs::remove_dir_all(&wal);
-    let _ = std::fs::remove_dir_all(&snap);
 }
 
 /// The kill-anywhere sweep with multi-record segments: kills land on
@@ -520,10 +508,9 @@ fn multi_record_segments_snapshot_only_after_a_roll() {
 fn kill_at_every_op_with_multi_record_segments_converges() {
     let sc = MULTI_RECORD;
     let cadence = 2;
-    let probe_wal = tmp("multi-probe.wal");
-    let probe_snap = tmp("multi-probe.snap");
-    let _ = std::fs::remove_dir_all(&probe_wal);
-    let _ = std::fs::remove_dir_all(&probe_snap);
+    let scratch = Scratch::new("compaction-chaos");
+    let probe_wal = scratch.path("multi-probe.wal");
+    let probe_snap = scratch.path("multi-probe.snap");
     let io = Arc::new(ChaosIo::counting());
     let snapshots = {
         let io = io.clone() as Arc<dyn FileIo>;
@@ -547,8 +534,8 @@ fn kill_at_every_op_with_multi_record_segments_converges() {
     );
     let total_ops = io.ops();
     for at in 0..total_ops {
-        let wal = tmp(&format!("multi-kill-{at}.wal"));
-        let snap = tmp(&format!("multi-kill-{at}.snap"));
+        let wal = scratch.path(&format!("multi-kill-{at}.wal"));
+        let snap = scratch.path(&format!("multi-kill-{at}.snap"));
         match run_until_death_with(sc, FaultPlan::kill_at(at), &wal, &snap, cadence) {
             None => assert_eq!(at, 0, "only the open may abort the pipeline"),
             Some(acked) => {
@@ -558,8 +545,6 @@ fn kill_at_every_op_with_multi_record_segments_converges() {
         let _ = std::fs::remove_dir_all(&wal);
         let _ = std::fs::remove_dir_all(&snap);
     }
-    let _ = std::fs::remove_dir_all(&probe_wal);
-    let _ = std::fs::remove_dir_all(&probe_snap);
 }
 
 proptest! {
@@ -570,13 +555,12 @@ proptest! {
     /// appends, snapshots and prunes the kill lands in.
     #[test]
     fn random_kill_and_cadence_converges(at in 0usize..40, cadence in 1usize..4) {
-        let wal = tmp(&format!("prop-{at}-{cadence}.wal"));
-        let snap = tmp(&format!("prop-{at}-{cadence}.snap"));
+        let scratch = Scratch::new("compaction-chaos");
+        let wal = scratch.path(&format!("prop-{at}-{cadence}.wal"));
+        let snap = scratch.path(&format!("prop-{at}-{cadence}.snap"));
         match run_until_death(FaultPlan::kill_at(at), &wal, &snap, cadence) {
             None => prop_assert_eq!(at, 0),
             Some(acked) => assert_converges(&wal, &snap, acked, &format!("prop kill@{at}/{cadence}")),
         }
-        let _ = std::fs::remove_dir_all(&wal);
-        let _ = std::fs::remove_dir_all(&snap);
     }
 }

@@ -14,24 +14,20 @@ use prim_graph::{CategoryId, HeteroGraph, Poi, PoiId, RelationId};
 use prim_ingest::{CityIngest, IngestOpts, Mutation, StageError};
 use prim_obs::Recorder;
 use prim_serve::{
-    load_checkpoint, save_checkpoint, AnnOpts, EmbeddingStore, EngineOpts, EngineSlot, Neighbor,
-    PrimCheckpoint, RealIo, ServeEngine,
+    decode_bytes, decode_checkpoint, encode_checkpoint, AnnOpts, EmbeddingStore, EngineOpts,
+    EngineSlot, Neighbor, PrimCheckpoint, RealIo, ServeEngine,
 };
 use prim_tensor::{kernel, Matrix};
-use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-ingest-parity-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
-/// Saves one small (untrained — parity is training-independent) city
+/// Encodes one small (untrained — parity is training-independent) city
 /// checkpoint shared by every test.
-fn ckpt_path() -> &'static PathBuf {
-    static PATH: OnceLock<PathBuf> = OnceLock::new();
-    PATH.get_or_init(|| {
+fn ckpt_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
         let ds = Dataset::beijing(Scale::Quick).subsample(0.15, 7);
         let cfg = PrimConfig {
             dim: 8,
@@ -47,23 +43,21 @@ fn ckpt_path() -> &'static PathBuf {
             &cfg,
         );
         let model = PrimModel::new(cfg, &inputs);
-        let path = tmp("city.ckpt");
-        save_checkpoint(
-            &path,
+        encode_checkpoint(
             "ingest-parity",
             &model,
             &ds.graph,
             &ds.taxonomy,
             &ds.attrs,
             &ds.relation_names,
+            None,
+            None,
         )
-        .unwrap();
-        path
     })
 }
 
 fn load() -> PrimCheckpoint {
-    load_checkpoint(ckpt_path()).unwrap()
+    decode_checkpoint(decode_bytes(ckpt_bytes()).unwrap()).unwrap()
 }
 
 /// A mixed mutation script in three flush groups: onboard POIs (one far
@@ -135,10 +129,12 @@ fn script(ckpt: &PrimCheckpoint) -> Vec<Vec<Mutation>> {
 struct Pipeline {
     ingest: Arc<CityIngest>,
     slot: Arc<EngineSlot>,
+    /// Holds the WAL and snapshot directories; dropped last.
+    _scratch: Scratch,
 }
 
-/// Opens a pipeline over a fresh WAL and runs the whole script,
-/// flushing after each group.
+/// Opens a pipeline over a fresh WAL and snapshot directory and runs the
+/// whole script, flushing after each group.
 fn run_pipeline(wal_name: &str, engine_opts: &EngineOpts) -> Pipeline {
     let ckpt = load();
     let groups = script(&ckpt);
@@ -148,11 +144,11 @@ fn run_pipeline(wal_name: &str, engine_opts: &EngineOpts) -> Pipeline {
         engine_opts,
         Recorder::disabled(),
     )));
-    let wal = tmp(wal_name);
-    let _ = std::fs::remove_dir_all(&wal);
-    let ingest = CityIngest::open(
-        ckpt,
-        &wal,
+    let scratch = Scratch::new("ingest-parity");
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        scratch.path(wal_name),
+        scratch.path("snap"),
         Arc::new(RealIo),
         Arc::clone(&slot),
         engine_opts.clone(),
@@ -168,7 +164,11 @@ fn run_pipeline(wal_name: &str, engine_opts: &EngineOpts) -> Pipeline {
         }
         assert!(ingest.flush() > 0);
     }
-    Pipeline { ingest, slot }
+    Pipeline {
+        ingest,
+        slot,
+        _scratch: scratch,
+    }
 }
 
 struct Oracle {
@@ -451,11 +451,11 @@ fn invalid_mutations_are_rejected_without_staging() {
         &EngineOpts::default(),
         Recorder::disabled(),
     )));
-    let wal = tmp("reject.wal");
-    let _ = std::fs::remove_dir_all(&wal);
-    let ingest = CityIngest::open(
-        ckpt,
-        &wal,
+    let scratch = Scratch::new("ingest-parity");
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        scratch.path("reject.wal"),
+        scratch.path("reject.snap"),
         Arc::new(RealIo),
         slot,
         EngineOpts::default(),

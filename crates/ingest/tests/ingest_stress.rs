@@ -14,10 +14,9 @@ use prim_ingest::{CityIngest, IngestOpts};
 use prim_obs::json::{self, Value};
 use prim_obs::{Counter, Recorder};
 use prim_serve::{
-    load_checkpoint, save_checkpoint, ChaosClient, EmbeddingStore, EngineOpts, EngineSlot,
-    ServeCtx, ServeEngine, TcpServer, TenantSpec,
+    decode_bytes, decode_checkpoint, encode_checkpoint, ChaosClient, EmbeddingStore, EngineOpts,
+    EngineSlot, ServeCtx, ServeEngine, TcpServer, TenantSpec,
 };
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,11 +29,8 @@ const BATCH_MAX: usize = 4;
 /// Generous wall-clock budget; blowing it means a deadlock, not slowness.
 const WATCHDOG: Duration = Duration::from_secs(120);
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-ingest-stress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
 fn parse(response: &str) -> Value {
     json::parse(response).expect("responses are valid JSON")
@@ -46,7 +42,8 @@ fn is_ok(v: &Value) -> bool {
 
 struct CityFixture {
     engine: Arc<ServeEngine>,
-    ckpt: PathBuf,
+    /// The encoded checkpoint.
+    ckpt: Vec<u8>,
     /// (lon, lat) anchor for valid onboarding coordinates.
     anchor: (f64, f64),
     category: u32,
@@ -70,17 +67,16 @@ fn city(name: &str, seed: u64) -> CityFixture {
         &cfg,
     );
     let model = PrimModel::new(cfg, &inputs);
-    let ckpt = tmp(&format!("{name}.prim"));
-    save_checkpoint(
-        &ckpt,
+    let ckpt = encode_checkpoint(
         name,
         &model,
         &ds.graph,
         &ds.taxonomy,
         &ds.attrs,
         &ds.relation_names,
-    )
-    .unwrap();
+        None,
+        None,
+    );
     let anchor_poi = ds.graph.poi(prim_graph::PoiId(0));
     let store = EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone());
     let engine = Arc::new(ServeEngine::new(
@@ -105,11 +101,11 @@ fn ingest_and_serve_survive_concurrent_hammering() {
 
     // Wire beijing's ingest pipeline to the slot the tenant serves from.
     let slot = EngineSlot::new(Arc::clone(&beijing.engine));
-    let wal = tmp("stress.wal");
-    let _ = std::fs::remove_dir_all(&wal);
-    let ingest = CityIngest::open(
-        load_checkpoint(&beijing.ckpt).unwrap(),
-        &wal,
+    let scratch = Scratch::new("ingest-stress");
+    let ingest = CityIngest::open_replicated(
+        Some(decode_checkpoint(decode_bytes(&beijing.ckpt).unwrap()).unwrap()),
+        scratch.path("stress.wal"),
+        scratch.path("stress.snap"),
         Arc::new(prim_serve::RealIo),
         Arc::clone(&slot),
         EngineOpts::default(),

@@ -24,23 +24,21 @@ use prim_ingest::{
 use prim_obs::json;
 use prim_obs::Recorder;
 use prim_serve::{
-    handle_line, load_checkpoint, save_checkpoint, ChaosIo, EmbeddingStore, EngineOpts, EngineSlot,
-    FaultPlan, FileIo, IngestBackend, PrimCheckpoint, RealIo, ServeCtx, ServeEngine, TenantSpec,
+    decode_bytes, decode_checkpoint, encode_checkpoint, handle_line, ChaosIo, EmbeddingStore,
+    EngineOpts, EngineSlot, FaultPlan, FileIo, IngestBackend, PrimCheckpoint, RealIo, ServeCtx,
+    ServeEngine, TenantSpec,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-repl-chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
-fn ckpt_path() -> &'static PathBuf {
-    static PATH: OnceLock<PathBuf> = OnceLock::new();
-    PATH.get_or_init(|| {
+fn ckpt_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
         let ds = Dataset::beijing(Scale::Quick).subsample(0.12, 11);
         let cfg = PrimConfig {
             dim: 8,
@@ -56,23 +54,21 @@ fn ckpt_path() -> &'static PathBuf {
             &cfg,
         );
         let model = PrimModel::new(cfg, &inputs);
-        let path = tmp("repl-city.ckpt");
-        save_checkpoint(
-            &path,
+        encode_checkpoint(
             "repl-chaos",
             &model,
             &ds.graph,
             &ds.taxonomy,
             &ds.attrs,
             &ds.relation_names,
+            None,
+            None,
         )
-        .unwrap();
-        path
     })
 }
 
 fn load() -> PrimCheckpoint {
-    load_checkpoint(ckpt_path()).unwrap()
+    decode_checkpoint(decode_bytes(ckpt_bytes()).unwrap()).unwrap()
 }
 
 fn script(ckpt: &PrimCheckpoint) -> Vec<Mutation> {
@@ -236,7 +232,8 @@ fn store_bits(slot: &EngineSlot) -> Vec<u32> {
 }
 
 /// Clean-pipeline oracle: the published bits after staging exactly the
-/// first `j` script mutations.
+/// first `j` script mutations and flushing once. It never reopens, so it
+/// never reads a snapshot.
 fn expected_bits(j: usize) -> Vec<u32> {
     static CACHE: OnceLock<Mutex<HashMap<usize, Vec<u32>>>> = OnceLock::new();
     // Held while the oracle runs: tests asking for the same prefix
@@ -248,8 +245,7 @@ fn expected_bits(j: usize) -> Vec<u32> {
     if let Some(b) = cache.get(&j) {
         return b.clone();
     }
-    let wal = tmp(&format!("oracle-{j}.wal"));
-    let _ = std::fs::remove_dir_all(&wal);
+    let scratch = Scratch::new("repl-chaos-oracle");
     let ckpt = load();
     let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
     let slot = EngineSlot::new(Arc::new(ServeEngine::new(
@@ -257,9 +253,10 @@ fn expected_bits(j: usize) -> Vec<u32> {
         &EngineOpts::default(),
         Recorder::disabled(),
     )));
-    let ingest = CityIngest::open(
-        ckpt,
-        &wal,
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        scratch.path("oracle.wal"),
+        scratch.path("oracle.snap"),
         Arc::new(RealIo),
         Arc::clone(&slot),
         EngineOpts::default(),
@@ -274,27 +271,24 @@ fn expected_bits(j: usize) -> Vec<u32> {
     }
     ingest.flush();
     let bits = store_bits(&slot);
-    let _ = std::fs::remove_dir_all(&wal);
     cache.insert(j, bits.clone());
     bits
 }
 
-fn clean_dirs(names: &[&str]) -> Vec<PathBuf> {
-    names
-        .iter()
-        .map(|n| {
-            let p = tmp(n);
-            let _ = std::fs::remove_dir_all(&p);
-            p
-        })
-        .collect()
+/// Fresh paths for `names` inside `scratch`.
+fn clean_dirs(scratch: &Scratch, names: &[&str]) -> Vec<PathBuf> {
+    names.iter().map(|n| scratch.path(n)).collect()
 }
 
 /// Tail replication: the follower tracks the primary bitwise, standbys
 /// refuse writes, and `repl_status` reports the lag honestly.
 #[test]
 fn follower_tracks_primary_bitwise_and_refuses_writes() {
-    let d = clean_dirs(&["track-p.wal", "track-p.snap", "track-f.wal", "track-f.snap"]);
+    let scratch = Scratch::new("repl-chaos");
+    let d = clean_dirs(
+        &scratch,
+        &["track-p.wal", "track-p.snap", "track-f.wal", "track-f.snap"],
+    );
     let primary = open_primary(Arc::new(RealIo), &d[0], &d[1]).unwrap();
     let (follower, fslot) = open_follower(&d[2], &d[3]);
     let mut link = CtxLink(&primary.ctx);
@@ -346,7 +340,11 @@ fn follower_tracks_primary_bitwise_and_refuses_writes() {
 /// a bounded sweep across one chunk.
 #[test]
 fn torn_frames_never_corrupt_the_follower() {
-    let d = clean_dirs(&["torn-p.wal", "torn-p.snap", "torn-f.wal", "torn-f.snap"]);
+    let scratch = Scratch::new("repl-chaos");
+    let d = clean_dirs(
+        &scratch,
+        &["torn-p.wal", "torn-p.snap", "torn-f.wal", "torn-f.snap"],
+    );
     let primary = open_primary(Arc::new(RealIo), &d[0], &d[1]).unwrap();
     let (follower, fslot) = open_follower(&d[2], &d[3]);
     // Stage without flushing: the WAL keeps every record, so from_seq 0
@@ -391,7 +389,7 @@ fn torn_frames_never_corrupt_the_follower() {
     let pstatus = primary.ingest.status();
     assert_eq!(pstatus.snapshot_seq, 7);
     assert_eq!(pstatus.wal_segments, 1, "floor must sit at the 6-snapshot");
-    let d2 = clean_dirs(&["torn-f2.wal", "torn-f2.snap"]);
+    let d2 = clean_dirs(&scratch, &["torn-f2.wal", "torn-f2.snap"]);
     let (follower2, fslot2) = open_follower(&d2[0], &d2[1]);
     follower2.set_chunk_bytes(2048);
     let snap_frame = {
@@ -455,7 +453,11 @@ fn torn_frames_never_corrupt_the_follower() {
 /// (resuming from its buffered offset), installs, then tails to parity.
 #[test]
 fn snapshot_bootstrap_chunks_and_resumes_across_disconnects() {
-    let d = clean_dirs(&["boot-p.wal", "boot-p.snap", "boot-f.wal", "boot-f.snap"]);
+    let scratch = Scratch::new("repl-chaos");
+    let d = clean_dirs(
+        &scratch,
+        &["boot-p.wal", "boot-p.snap", "boot-f.wal", "boot-f.snap"],
+    );
     let primary = open_primary(Arc::new(RealIo), &d[0], &d[1]).unwrap();
     // Flush after every mutation: full compaction, so seq 0 is below the
     // WAL floor and a fresh follower must bootstrap from the snapshot.
@@ -522,7 +524,11 @@ fn snapshot_bootstrap_chunks_and_resumes_across_disconnects() {
 /// restarts its buffer and converges on the new snapshot.
 #[test]
 fn snapshot_rotation_mid_assembly_restarts_cleanly() {
-    let d = clean_dirs(&["rot-p.wal", "rot-p.snap", "rot-f.wal", "rot-f.snap"]);
+    let scratch = Scratch::new("repl-chaos");
+    let d = clean_dirs(
+        &scratch,
+        &["rot-p.wal", "rot-p.snap", "rot-f.wal", "rot-f.snap"],
+    );
     let primary = open_primary(Arc::new(RealIo), &d[0], &d[1]).unwrap();
     let muts = script(&load());
     // First four mutations, fully compacted.
@@ -567,9 +573,10 @@ fn kill_primary_at_every_op_promotes_bitwise() {
     // Probe: count the primary's file operations for the full scenario
     // (appends + snapshot writes + prunes + repl_sync segment reads).
     let muts = script(&load());
+    let scratch = Scratch::new("repl-chaos");
     let probe = |io: Arc<dyn FileIo>, wal: &PathBuf, snap: &PathBuf| -> Option<usize> {
         let primary = open_primary(io, wal, snap)?;
-        let fd = clean_dirs(&["probe-f.wal", "probe-f.snap"]);
+        let fd = clean_dirs(&scratch, &["probe-f.wal", "probe-f.snap"]);
         let (follower, _fslot) = open_follower(&fd[0], &fd[1]);
         let mut link = CtxLink(&primary.ctx);
         let mut acked = 0;
@@ -588,7 +595,7 @@ fn kill_primary_at_every_op_promotes_bitwise() {
         }
         Some(acked)
     };
-    let pd = clean_dirs(&["sweep-probe-p.wal", "sweep-probe-p.snap"]);
+    let pd = clean_dirs(&scratch, &["sweep-probe-p.wal", "sweep-probe-p.snap"]);
     let counting = Arc::new(ChaosIo::counting());
     probe(counting.clone() as Arc<dyn FileIo>, &pd[0], &pd[1]).unwrap();
     let total_ops = counting.ops();
@@ -599,12 +606,15 @@ fn kill_primary_at_every_op_promotes_bitwise() {
     let attr_dim = base.attrs.cols();
 
     for at in 0..total_ops {
-        let d = clean_dirs(&[
-            &format!("sweep-{at}-p.wal"),
-            &format!("sweep-{at}-p.snap"),
-            &format!("sweep-{at}-f.wal"),
-            &format!("sweep-{at}-f.snap"),
-        ]);
+        let d = clean_dirs(
+            &scratch,
+            &[
+                &format!("sweep-{at}-p.wal"),
+                &format!("sweep-{at}-p.snap"),
+                &format!("sweep-{at}-f.wal"),
+                &format!("sweep-{at}-f.snap"),
+            ],
+        );
         let primary = match open_primary(
             Arc::new(ChaosIo::with_plan(FaultPlan::kill_at(at))),
             &d[0],
@@ -693,7 +703,11 @@ fn kill_primary_at_every_op_promotes_bitwise() {
 /// frozen-grid reconstruction, not just live tombstoning.)
 #[test]
 fn retired_pois_never_served_after_promotion() {
-    let d = clean_dirs(&["ret-p.wal", "ret-p.snap", "ret-f.wal", "ret-f.snap"]);
+    let scratch = Scratch::new("repl-chaos");
+    let d = clean_dirs(
+        &scratch,
+        &["ret-p.wal", "ret-p.snap", "ret-f.wal", "ret-f.snap"],
+    );
     let primary = open_primary(Arc::new(RealIo), &d[0], &d[1]).unwrap();
     let n = load().graph.num_pois() as u32;
 

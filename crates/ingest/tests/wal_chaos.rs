@@ -21,22 +21,19 @@ use prim_geo::Location;
 use prim_ingest::{CityIngest, IngestOpts, Mutation, MutationWal, StageError, WalError};
 use prim_obs::Recorder;
 use prim_serve::{
-    load_checkpoint, save_checkpoint, ChaosIo, EmbeddingStore, EngineOpts, EngineSlot, Fault,
-    FaultPlan, FileIo, PrimCheckpoint, RealIo, ServeEngine,
+    decode_bytes, decode_checkpoint, encode_checkpoint, ChaosIo, EmbeddingStore, EngineOpts,
+    EngineSlot, Fault, FaultPlan, FileIo, PrimCheckpoint, RealIo, ServeEngine,
 };
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-ingest-chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
-fn ckpt_path() -> &'static PathBuf {
-    static PATH: OnceLock<PathBuf> = OnceLock::new();
-    PATH.get_or_init(|| {
+fn ckpt_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
         let ds = Dataset::beijing(Scale::Quick).subsample(0.12, 11);
         let cfg = PrimConfig {
             dim: 8,
@@ -52,23 +49,21 @@ fn ckpt_path() -> &'static PathBuf {
             &cfg,
         );
         let model = PrimModel::new(cfg, &inputs);
-        let path = tmp("chaos-city.ckpt");
-        save_checkpoint(
-            &path,
+        encode_checkpoint(
             "ingest-chaos",
             &model,
             &ds.graph,
             &ds.taxonomy,
             &ds.attrs,
             &ds.relation_names,
+            None,
+            None,
         )
-        .unwrap();
-        path
     })
 }
 
 fn load() -> PrimCheckpoint {
-    load_checkpoint(ckpt_path()).unwrap()
+    decode_checkpoint(decode_bytes(ckpt_bytes()).unwrap()).unwrap()
 }
 
 /// The mutation stream under test: adds, edges (old↔new and new↔new)
@@ -109,11 +104,15 @@ fn script(ckpt: &PrimCheckpoint) -> Vec<Mutation> {
     ]
 }
 
+/// Opens a pipeline over `wal` and an empty snapshot directory beside
+/// it, so every open replays the whole log onto the base checkpoint.
 fn open_pipeline(
     io: Arc<dyn FileIo>,
-    wal: &PathBuf,
+    wal: &Path,
     batch_max: usize,
 ) -> Result<(Arc<CityIngest>, Arc<EngineSlot>), prim_ingest::IngestError> {
+    let snap = wal.with_extension("snap");
+    let _ = std::fs::remove_dir_all(&snap);
     let ckpt = load();
     let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
     let slot = EngineSlot::new(Arc::new(ServeEngine::new(
@@ -121,9 +120,10 @@ fn open_pipeline(
         &EngineOpts::default(),
         Recorder::disabled(),
     )));
-    let ingest = CityIngest::open(
-        ckpt,
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
         wal,
+        snap,
         io,
         Arc::clone(&slot),
         EngineOpts::default(),
@@ -136,8 +136,8 @@ fn open_pipeline(
 }
 
 /// Published POI-table bits of a clean pipeline that stages exactly the
-/// first `j` mutations (memoised — the sweep asks for each prefix many
-/// times).
+/// first `j` mutations, flushes once and never reopens, so it never reads
+/// a snapshot (memoised — the sweep asks for each prefix many times).
 fn expected_bits(j: usize) -> Vec<u32> {
     static CACHE: OnceLock<Mutex<HashMap<usize, Vec<u32>>>> = OnceLock::new();
     // Held while the oracle runs: tests asking for the same prefix
@@ -149,8 +149,8 @@ fn expected_bits(j: usize) -> Vec<u32> {
     if let Some(b) = cache.get(&j) {
         return b.clone();
     }
-    let wal = tmp(&format!("expected-{j}.wal"));
-    let _ = std::fs::remove_dir_all(&wal);
+    let scratch = Scratch::new("ingest-chaos-oracle");
+    let wal = scratch.path("expected.wal");
     let (ingest, slot) = open_pipeline(Arc::new(RealIo), &wal, 1000).unwrap();
     let muts = script(&load());
     for m in muts.into_iter().take(j) {
@@ -165,7 +165,6 @@ fn expected_bits(j: usize) -> Vec<u32> {
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let _ = std::fs::remove_dir_all(&wal);
     cache.insert(j, bits.clone());
     bits
 }
@@ -177,7 +176,7 @@ fn store_bits(store: &EmbeddingStore) -> Vec<u32> {
 /// Runs the scenario with `plan` injected, stopping at the first error
 /// (process death). Returns the number of acknowledged mutations, or
 /// `None` if the pipeline never opened.
-fn run_until_death(plan: FaultPlan, wal: &PathBuf) -> Option<usize> {
+fn run_until_death(plan: FaultPlan, wal: &Path) -> Option<usize> {
     let _ = std::fs::remove_dir_all(wal);
     let io = Arc::new(ChaosIo::with_plan(plan));
     let (ingest, _slot) = match open_pipeline(io, wal, 2) {
@@ -198,7 +197,7 @@ fn run_until_death(plan: FaultPlan, wal: &PathBuf) -> Option<usize> {
 
 /// Restart after the kill: reopen over the surviving file with a clean
 /// io, and demand bitwise convergence to the acknowledged prefix.
-fn assert_converges(wal: &PathBuf, acked: usize, label: &str) {
+fn assert_converges(wal: &Path, acked: usize, label: &str) {
     let (ingest, slot) = open_pipeline(Arc::new(RealIo), wal, 2)
         .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
     let status = ingest.status();
@@ -223,8 +222,8 @@ fn assert_converges(wal: &PathBuf, acked: usize, label: &str) {
 #[test]
 fn kill_at_every_op_replays_to_acknowledged_prefix() {
     // Clean run measures the op budget the sweep must cover.
-    let probe = tmp("probe.wal");
-    let _ = std::fs::remove_dir_all(&probe);
+    let scratch = Scratch::new("ingest-chaos");
+    let probe = scratch.path("probe.wal");
     let io = Arc::new(ChaosIo::counting());
     {
         let (ingest, _slot) = open_pipeline(io.clone() as Arc<dyn FileIo>, &probe, 2).unwrap();
@@ -236,7 +235,7 @@ fn kill_at_every_op_replays_to_acknowledged_prefix() {
     assert!(total_ops >= 6, "scenario too small: {total_ops} ops");
 
     for at in 0..total_ops {
-        let wal = tmp(&format!("kill-{at}.wal"));
+        let wal = scratch.path(&format!("kill-{at}.wal"));
         let acked = run_until_death(FaultPlan::kill_at(at), &wal);
         match acked {
             // Killed before the WAL even opened: nothing acknowledged,
@@ -255,9 +254,10 @@ fn kill_at_every_op_replays_to_acknowledged_prefix() {
 /// reopen and never surface as a mutation.
 #[test]
 fn torn_append_at_every_op_truncates_and_converges() {
+    let scratch = Scratch::new("ingest-chaos");
     for at in 1..8 {
         for keep in [0usize, 1, 7, 13, 21] {
-            let wal = tmp(&format!("torn-{at}-{keep}.wal"));
+            let wal = scratch.path(&format!("torn-{at}-{keep}.wal"));
             let acked = run_until_death(FaultPlan::torn_at(at, keep), &wal)
                 .expect("torn plans only fail appends");
             assert_converges(&wal, acked, &format!("torn@{at} keep {keep}"));
@@ -273,9 +273,9 @@ fn torn_append_at_every_op_truncates_and_converges() {
 #[test]
 fn bitflip_in_acknowledged_record_is_loud() {
     let muts = script(&load());
+    let scratch = Scratch::new("ingest-chaos");
     for at in 1..6 {
-        let wal = tmp(&format!("flip-{at}.wal"));
-        let _ = std::fs::remove_dir_all(&wal);
+        let wal = scratch.path(&format!("flip-{at}.wal"));
         let io = Arc::new(ChaosIo::with_plan(FaultPlan {
             at_op: at,
             fault: Fault::BitFlip { offset: 9 },
@@ -326,9 +326,9 @@ fn bitflip_in_acknowledged_record_is_loud() {
 fn replay_convergence_is_batch_size_independent() {
     let muts = script(&load());
     let mut all = Vec::new();
+    let scratch = Scratch::new("ingest-chaos");
     for batch_max in [1usize, 2, 1000] {
-        let wal = tmp(&format!("batch-{batch_max}.wal"));
-        let _ = std::fs::remove_dir_all(&wal);
+        let wal = scratch.path(&format!("batch-{batch_max}.wal"));
         let (ingest, slot) = open_pipeline(Arc::new(RealIo), &wal, batch_max).unwrap();
         for m in muts.iter().cloned() {
             ingest.stage(m).unwrap();

@@ -11,24 +11,18 @@ use prim_ingest::{decode_records, encode_record, CityIngest, IngestOpts, Mutatio
 use prim_obs::json::{self, Value};
 use prim_obs::Recorder;
 use prim_serve::{
-    handle_line, load_checkpoint, save_checkpoint, EmbeddingStore, EngineOpts, EngineSlot, RealIo,
-    ServeCtx, ServeEngine, TenantSpec,
+    decode_bytes, decode_checkpoint, encode_checkpoint, handle_line, EmbeddingStore, EngineOpts,
+    EngineSlot, RealIo, ServeCtx, ServeEngine, TenantSpec,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-ingest-fuzz-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
-/// One ingest-wired protocol context shared by every property: a tenant
-/// whose `add_poi`/`add_edge`/`retire_poi` ops land in a live pipeline.
-fn ctx() -> &'static ServeCtx {
-    static CTX: OnceLock<ServeCtx> = OnceLock::new();
-    CTX.get_or_init(|| {
+fn ckpt_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
         let ds = Dataset::beijing(Scale::Quick).subsample(0.1, 3);
         let cfg = PrimConfig {
             dim: 8,
@@ -44,40 +38,63 @@ fn ctx() -> &'static ServeCtx {
             &cfg,
         );
         let model = PrimModel::new(cfg, &inputs);
-        let path = tmp("fuzz-city.ckpt");
-        save_checkpoint(
-            &path,
+        encode_checkpoint(
             "ingest-fuzz",
             &model,
             &ds.graph,
             &ds.taxonomy,
             &ds.attrs,
             &ds.relation_names,
+            None,
+            None,
         )
-        .unwrap();
-        let ckpt = load_checkpoint(&path).unwrap();
-        let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
-        let engine = Arc::new(ServeEngine::new(
-            store,
-            &EngineOpts::default(),
-            Recorder::enabled("ingest-fuzz"),
-        ));
-        let slot = EngineSlot::new(Arc::clone(&engine));
-        let wal = tmp("fuzz.wal");
-        let _ = std::fs::remove_dir_all(&wal);
-        let ingest = CityIngest::open(
-            ckpt,
-            &wal,
-            Arc::new(RealIo),
-            Arc::clone(&slot),
-            EngineOpts::default(),
-            IngestOpts::default(),
-        )
-        .unwrap();
-        ServeCtx::multi(vec![TenantSpec::new("beijing", engine)
-            .with_slot(slot)
-            .with_ingest(ingest)])
     })
+}
+
+/// An ingest-wired protocol context: a tenant whose
+/// `add_poi`/`add_edge`/`retire_poi` ops land in a live pipeline, with
+/// the directories its WAL and snapshots live in.
+struct Fixture {
+    ctx: ServeCtx,
+    _scratch: Scratch,
+}
+
+/// The fixture shared by every property running at the same time. The
+/// last holder to finish drops it, removing its directories; the next
+/// caller opens a fresh one.
+fn ctx() -> Arc<Fixture> {
+    static SHARED: Mutex<Weak<Fixture>> = Mutex::new(Weak::new());
+    let mut shared = SHARED.lock().unwrap();
+    if let Some(fixture) = shared.upgrade() {
+        return fixture;
+    }
+    let ckpt = decode_checkpoint(decode_bytes(ckpt_bytes()).unwrap()).unwrap();
+    let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
+    let engine = Arc::new(ServeEngine::new(
+        store,
+        &EngineOpts::default(),
+        Recorder::enabled("ingest-fuzz"),
+    ));
+    let slot = EngineSlot::new(Arc::clone(&engine));
+    let scratch = Scratch::new("ingest-fuzz");
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        scratch.path("fuzz.wal"),
+        scratch.path("fuzz.snap"),
+        Arc::new(RealIo),
+        Arc::clone(&slot),
+        EngineOpts::default(),
+        IngestOpts::default(),
+    )
+    .unwrap();
+    let fixture = Arc::new(Fixture {
+        ctx: ServeCtx::multi(vec![TenantSpec::new("beijing", engine)
+            .with_slot(slot)
+            .with_ingest(ingest)]),
+        _scratch: scratch,
+    });
+    *shared = Arc::downgrade(&fixture);
+    fixture
 }
 
 fn assert_well_formed(input: &str, response: &str) {
@@ -216,7 +233,7 @@ proptest! {
         if line.trim().is_empty() {
             return Ok(());
         }
-        let h = handle_line(ctx(), &line);
+        let h = handle_line(&ctx().ctx, &line);
         assert_well_formed(&line, &h.response);
         prop_assert!(!h.shutdown || line.contains("shutdown"));
     }
@@ -233,7 +250,7 @@ proptest! {
         if line.trim().is_empty() {
             return Ok(());
         }
-        let h = handle_line(ctx(), line);
+        let h = handle_line(&ctx().ctx, line);
         assert_well_formed(line, &h.response);
         prop_assert!(!h.shutdown);
     }
@@ -243,7 +260,7 @@ proptest! {
     #[test]
     fn seed_ingest_requests_are_handled(seed in 0..SEEDS.len()) {
         let full = SEEDS[seed];
-        let h = handle_line(ctx(), full);
+        let h = handle_line(&ctx().ctx, full);
         assert_well_formed(full, &h.response);
         let v = json::parse(&h.response).unwrap();
         if seed == 7 || seed == 8 {

@@ -357,10 +357,8 @@ mod tests {
 
     #[test]
     fn sections_round_trip() {
-        let dir = std::env::temp_dir().join("prim_obs_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
-        let _ = std::fs::remove_file(&path);
+        let scratch = crate::Scratch::new("json");
+        let path = scratch.0.join("bench.json");
 
         let a = obj(&[("ms", num(1.5))]);
         update_section(&path, "alpha", &a);
@@ -376,6 +374,5 @@ mod tests {
             "{text}"
         );
         assert!(parse(&text).is_ok(), "section file must itself be JSON");
-        let _ = std::fs::remove_file(&path);
     }
 }

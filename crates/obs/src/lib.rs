@@ -76,6 +76,29 @@ impl Telemetry {
     }
 }
 
+/// A fresh scratch directory for the crate's unit tests, removed with
+/// everything in it when dropped — also when a failing assertion unwinds
+/// past it.
+#[cfg(test)]
+pub(crate) struct Scratch(pub(crate) std::path::PathBuf);
+
+#[cfg(test)]
+impl Scratch {
+    pub(crate) fn new(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("prim-obs-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+#[cfg(test)]
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

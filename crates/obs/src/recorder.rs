@@ -761,10 +761,8 @@ mod tests {
 
     #[test]
     fn finish_appends_to_sink_and_resets() {
-        let dir = std::env::temp_dir().join("prim_obs_recorder_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("finish.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let scratch = crate::Scratch::new("recorder");
+        let path = scratch.0.join("finish.jsonl");
         let rec = Recorder::with_sink("r1", JsonSink::new(&path));
         rec.record_epoch(EpochRecord::new(0, 0.7, 1.0, 0.1));
         assert!(rec.finish().is_some());
@@ -776,6 +774,5 @@ mod tests {
         let summary = validate_report(&text).unwrap();
         assert_eq!(summary.lines, 2);
         assert_eq!(summary.runs_with_epochs, 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -129,10 +129,8 @@ mod tests {
 
     #[test]
     fn append_and_validate() {
-        let dir = std::env::temp_dir().join("prim_obs_sink_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let scratch = crate::Scratch::new("sink");
+        let path = scratch.0.join("report.jsonl");
         let sink = JsonSink::new(&path);
         sink.append_line(&json::obj(&[
             ("schema", json::str(crate::SCHEMA)),
@@ -156,7 +154,6 @@ mod tests {
         assert_eq!(summary.lines, 2);
         assert_eq!(summary.runs_with_epochs, 1);
         assert_eq!(summary.epoch_records, 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -432,11 +432,32 @@ fn framed(line: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// A fresh scratch directory, removed with everything in it when
+    /// dropped — also when a failing assertion unwinds past it.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("prim-chaos-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     #[test]
     fn chaos_kill_sweep_is_deterministic() {
-        let dir = std::env::temp_dir().join(format!("prim-chaos-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = Scratch::new("unit");
+        let dir = &scratch.0;
         // A clean atomic write costs exactly two ops (write + rename).
         let counter = ChaosIo::counting();
         atomic_write_io(&counter, &dir.join("a.bin"), b"hello").unwrap();
@@ -449,25 +470,21 @@ mod tests {
             assert!(atomic_write_io(&io, &target, b"new").is_err());
             assert_eq!(std::fs::read(&target).unwrap(), b"old");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_write_persists_prefix_only() {
-        let dir = std::env::temp_dir().join(format!("prim-chaos-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.bin");
+        let scratch = Scratch::new("torn");
+        let path = scratch.0.join("t.bin");
         let io = ChaosIo::with_plan(FaultPlan::torn_at(0, 3));
         assert!(io.write(&path, b"abcdef").is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"abc");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn bit_flip_completes_with_corruption() {
-        let dir = std::env::temp_dir().join(format!("prim-chaos-flip-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("f.bin");
+        let scratch = Scratch::new("flip");
+        let path = scratch.0.join("f.bin");
         let io = ChaosIo::with_plan(FaultPlan {
             at_op: 0,
             fault: Fault::BitFlip { offset: 1 },
@@ -475,6 +492,5 @@ mod tests {
         });
         io.write(&path, b"abc").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"a\x22c");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

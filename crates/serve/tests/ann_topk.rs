@@ -16,11 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("prim_ann_topk_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
 /// A synthetic serving store: random embeddings over random
 /// Singapore-box locations. Fabricated directly (no training) so the ANN
@@ -383,7 +380,8 @@ fn ann_graph_round_trips_through_checkpoint() {
         .clone();
 
     // Indexed save → the exact graph comes back and is adopted.
-    let indexed = tmp("indexed.ckpt");
+    let scratch = Scratch::new("ann-topk");
+    let indexed = scratch.path("indexed.ckpt");
     save_checkpoint_indexed(
         &indexed,
         "ann_roundtrip",
@@ -406,7 +404,7 @@ fn ann_graph_round_trips_through_checkpoint() {
 
     // Plain save → no ann tensors, but the rebuild is deterministic and
     // lands on the same graph.
-    let plain = tmp("plain.ckpt");
+    let plain = scratch.path("plain.ckpt");
     save_checkpoint(
         &plain,
         "ann_rebuild",

@@ -10,8 +10,10 @@
 use prim_core::{ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
 use prim_serve::{encode_checkpoint, ChaosIo, CkptRotator, Fault, FaultPlan, FileIo, LATEST};
-use std::path::PathBuf;
 use std::sync::OnceLock;
+
+mod common;
+use common::Scratch;
 
 /// A small valid checkpoint payload shared by every scenario.
 fn payload() -> &'static [u8] {
@@ -47,15 +49,6 @@ fn payload() -> &'static [u8] {
     })
 }
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-chaos-tests-{}-{name}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// Kill-anywhere sweep: run a four-save rotation scenario, killing the
 /// process at every single file-operation index in turn. After each kill,
 /// `latest_valid` must return a decodable checkpoint whenever at least one
@@ -67,7 +60,8 @@ fn kill_at_every_op_index_leaves_a_valid_latest() {
 
     // Clean run first: measure how many operation indices the sweep must
     // cover, and sanity-check the happy path.
-    let base = tmpdir("sweep-clean");
+    let scratch = Scratch::new("chaos-tests");
+    let base = scratch.path("sweep-clean");
     let rot = CkptRotator::new(&base, 2).unwrap();
     let counter = ChaosIo::counting();
     for epoch in 0..4 {
@@ -88,7 +82,7 @@ fn kill_at_every_op_index_leaves_a_valid_latest() {
     std::fs::remove_dir_all(&base).unwrap();
 
     for at in 0..total_ops {
-        let dir = tmpdir(&format!("sweep-{at}"));
+        let dir = scratch.path(&format!("sweep-{at}"));
         let rot = CkptRotator::new(&dir, 2).unwrap();
         let io = ChaosIo::with_plan(FaultPlan::kill_at(at));
         let mut completed = 0usize;
@@ -123,7 +117,8 @@ fn kill_at_every_op_index_leaves_a_valid_latest() {
 #[test]
 fn torn_slot_write_keeps_the_previous_checkpoint() {
     let bytes = payload();
-    let dir = tmpdir("torn");
+    let scratch = Scratch::new("chaos-tests");
+    let dir = scratch.path("torn");
     let rot = CkptRotator::new(&dir, 3).unwrap();
     rot.save_real(0, bytes).unwrap();
 
@@ -133,7 +128,6 @@ fn torn_slot_write_keeps_the_previous_checkpoint() {
     let (path, ckpt) = rot.latest_valid().expect("previous slot survives");
     assert_eq!(path, rot.slot_path(0));
     assert_eq!(ckpt.run, "chaos");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Silent corruption (a bit flip that defeats the write discipline, e.g.
@@ -142,7 +136,8 @@ fn torn_slot_write_keeps_the_previous_checkpoint() {
 #[test]
 fn bit_flip_in_pointed_slot_falls_back_to_predecessor() {
     let bytes = payload();
-    let dir = tmpdir("flip");
+    let scratch = Scratch::new("chaos-tests");
+    let dir = scratch.path("flip");
     let rot = CkptRotator::new(&dir, 3).unwrap();
     rot.save_real(0, bytes).unwrap();
     rot.save_real(1, bytes).unwrap();
@@ -161,7 +156,6 @@ fn bit_flip_in_pointed_slot_falls_back_to_predecessor() {
     let (path, ckpt) = rot.latest_valid().expect("fallback to older slot");
     assert_eq!(path, rot.slot_path(0));
     assert_eq!(ckpt.run, "chaos");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Rotation retention: old slots are pruned, the pointer always names the
@@ -169,7 +163,8 @@ fn bit_flip_in_pointed_slot_falls_back_to_predecessor() {
 #[test]
 fn retention_prunes_old_slots_but_never_the_pointer_target() {
     let bytes = payload();
-    let dir = tmpdir("retain");
+    let scratch = Scratch::new("chaos-tests");
+    let dir = scratch.path("retain");
     let rot = CkptRotator::new(&dir, 2).unwrap();
     for epoch in 0..5 {
         rot.save_real(epoch, bytes).unwrap();
@@ -186,7 +181,6 @@ fn retention_prunes_old_slots_but_never_the_pointer_target() {
         "ckpt-000004.prim"
     );
     assert!(rot.latest_valid().is_some());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Short reads through the fault layer surface as decode errors, not
@@ -194,8 +188,8 @@ fn retention_prunes_old_slots_but_never_the_pointer_target() {
 #[test]
 fn short_read_surfaces_as_structured_decode_failure() {
     let bytes = payload();
-    let dir = tmpdir("shortread");
-    let path = dir.join("ck.prim");
+    let scratch = Scratch::new("chaos-tests");
+    let path = scratch.path("ck.prim");
     prim_serve::atomic_write(&path, bytes).unwrap();
 
     let io = ChaosIo::with_plan(FaultPlan {
@@ -208,5 +202,4 @@ fn short_read_surfaces_as_structured_decode_failure() {
     let short = io.read(&path).unwrap();
     assert_eq!(short.len(), bytes.len() / 3);
     assert!(prim_serve::decode_bytes(&short).is_err());
-    std::fs::remove_dir_all(&dir).unwrap();
 }

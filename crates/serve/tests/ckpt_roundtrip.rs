@@ -11,11 +11,8 @@ use prim_serve::{
     save_params, CkptError,
 };
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("prim_serve_ckpt_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
 fn tiny_trained() -> (Dataset, PrimConfig, ModelInputs, PrimModel) {
     let ds = Dataset::beijing(Scale::Quick).subsample(0.12, 7);
@@ -40,6 +37,7 @@ fn tiny_trained() -> (Dataset, PrimConfig, ModelInputs, PrimModel) {
 }
 
 fn save_tiny(
+    scratch: &Scratch,
     name: &str,
 ) -> (
     Dataset,
@@ -49,7 +47,7 @@ fn save_tiny(
     std::path::PathBuf,
 ) {
     let (ds, cfg, inputs, model) = tiny_trained();
-    let path = tmp(name);
+    let path = scratch.path(name);
     save_checkpoint(
         &path,
         "test-run",
@@ -65,7 +63,8 @@ fn save_tiny(
 
 #[test]
 fn round_trip_is_bitwise_per_parameter() {
-    let (ds, cfg, _inputs, model, path) = save_tiny("roundtrip.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let (ds, cfg, _inputs, model, path) = save_tiny(&scratch, "roundtrip.ckpt");
     let ckpt = load_checkpoint(&path).unwrap();
 
     assert_eq!(ckpt.run, "test-run");
@@ -118,7 +117,8 @@ fn round_trip_is_bitwise_per_parameter() {
 
 #[test]
 fn no_decay_flags_survive() {
-    let (_, _, _, model, path) = save_tiny("flags.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let (_, _, _, model, path) = save_tiny(&scratch, "flags.ckpt");
     let raw = load_raw(&path).unwrap();
     let loaded = raw.params();
     for ((name, _, decays), (l_name, _, l_no_decay)) in model.params().entries().zip(&loaded) {
@@ -132,10 +132,11 @@ fn no_decay_flags_survive() {
 
 #[test]
 fn short_file_reports_truncated() {
-    let (_, _, _, _, path) = save_tiny("trunc_short.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let (_, _, _, _, path) = save_tiny(&scratch, "trunc_short.ckpt");
     let bytes = std::fs::read(&path).unwrap();
     for cut in [0usize, 4, 10, 20] {
-        let short = tmp(&format!("trunc_short_{cut}.ckpt"));
+        let short = scratch.path(&format!("trunc_short_{cut}.ckpt"));
         std::fs::write(&short, &bytes[..cut]).unwrap();
         match load_checkpoint(&short) {
             Err(CkptError::Truncated { available, .. }) => {
@@ -154,10 +155,11 @@ fn mid_file_cut_reports_checksum_mismatch() {
     // Anything past the fixed prologue is covered by the trailing
     // checksum, so a mid-tensor cut surfaces as integrity loss (the
     // trailer bytes are now tensor data, not the real checksum).
-    let (_, _, _, _, path) = save_tiny("trunc_mid.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let (_, _, _, _, path) = save_tiny(&scratch, "trunc_mid.ckpt");
     let bytes = std::fs::read(&path).unwrap();
     let cut = bytes.len() / 2;
-    let p = tmp("trunc_mid_cut.ckpt");
+    let p = scratch.path("trunc_mid_cut.ckpt");
     std::fs::write(&p, &bytes[..cut]).unwrap();
     match load_checkpoint(&p) {
         Err(CkptError::ChecksumMismatch { stored, computed }) => {
@@ -169,11 +171,12 @@ fn mid_file_cut_reports_checksum_mismatch() {
 
 #[test]
 fn flipped_byte_reports_checksum_mismatch() {
-    let (_, _, _, _, path) = save_tiny("flip.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let (_, _, _, _, path) = save_tiny(&scratch, "flip.ckpt");
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    let p = tmp("flip_corrupt.ckpt");
+    let p = scratch.path("flip_corrupt.ckpt");
     std::fs::write(&p, &bytes).unwrap();
     match load_checkpoint(&p) {
         Err(CkptError::ChecksumMismatch { .. }) => {}
@@ -183,7 +186,8 @@ fn flipped_byte_reports_checksum_mismatch() {
 
 #[test]
 fn wrong_version_reports_skew() {
-    let (_, _, _, _, path) = save_tiny("skew.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let (_, _, _, _, path) = save_tiny(&scratch, "skew.ckpt");
     let mut bytes = std::fs::read(&path).unwrap();
     // Bump the version *and* re-seal the checksum: version skew must be
     // reported as such even on an internally consistent file.
@@ -191,7 +195,7 @@ fn wrong_version_reports_skew() {
     let body_len = bytes.len() - 8;
     let sum = checksum(&bytes[..body_len]);
     bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-    let p = tmp("skew_v99.ckpt");
+    let p = scratch.path("skew_v99.ckpt");
     std::fs::write(&p, &bytes).unwrap();
     match load_checkpoint(&p) {
         Err(CkptError::VersionSkew { found, supported }) => {
@@ -204,7 +208,8 @@ fn wrong_version_reports_skew() {
 
 #[test]
 fn wrong_magic_reports_bad_magic() {
-    let p = tmp("not_a_ckpt.bin");
+    let scratch = Scratch::new("serve-ckpt");
+    let p = scratch.path("not_a_ckpt.bin");
     std::fs::write(
         &p,
         b"GIF89a......plenty of bytes here to pass length checks",
@@ -236,7 +241,8 @@ fn pair_model_round_trip_is_bitwise() {
     let mut model = EncoderModel::<GcnEncoder>::new(cfg.clone(), &inputs);
     prim_baselines::train_pair_model(&mut model, &inputs, &ds.graph, ds.graph.edges(), None, None);
 
-    let path = tmp("gcn.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let path = scratch.path("gcn.ckpt");
     save_pair_model(&path, "baseline-run", &model).unwrap();
 
     let mut fresh = EncoderModel::<GcnEncoder>::new(cfg, &inputs);
@@ -270,7 +276,8 @@ fn pair_model_rejects_wrong_family() {
         &PrimConfig::quick(),
     );
     let model = EncoderModel::<GcnEncoder>::new(cfg.clone(), &inputs);
-    let path = tmp("family.ckpt");
+    let scratch = Scratch::new("serve-ckpt");
+    let path = scratch.path("family.ckpt");
     save_params(&path, "SomeOtherModel", "run", model.store()).unwrap();
     let mut fresh = EncoderModel::<GcnEncoder>::new(cfg, &inputs);
     match load_pair_model(&path, &mut fresh) {

@@ -24,11 +24,8 @@ const RELOAD_ROUNDS: usize = 12;
 /// Generous wall-clock budget; blowing it means a deadlock, not slowness.
 const WATCHDOG: Duration = Duration::from_secs(120);
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-serve-stress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
 struct CityFixture {
     engine: Arc<ServeEngine>,
@@ -37,8 +34,9 @@ struct CityFixture {
 }
 
 /// Builds a city's engine (with its own recorder, so counters are
-/// per-tenant) plus two distinct checkpoints for the reload loop.
-fn city(name: &str, seed: u64) -> CityFixture {
+/// per-tenant) plus two distinct checkpoints in `scratch` for the reload
+/// loop.
+fn city(scratch: &Scratch, name: &str, seed: u64) -> CityFixture {
     let ds = Dataset::beijing(Scale::Quick).subsample(0.1, seed);
     let cfg = PrimConfig {
         dim: 8,
@@ -57,8 +55,8 @@ fn city(name: &str, seed: u64) -> CityFixture {
     );
     let model = PrimModel::new(cfg, &inputs);
     let ckpts = [
-        tmp(&format!("{name}-a.prim")),
-        tmp(&format!("{name}-b.prim")),
+        scratch.path(&format!("{name}-a.prim")),
+        scratch.path(&format!("{name}-b.prim")),
     ];
     for (i, p) in ckpts.iter().enumerate() {
         save_checkpoint(
@@ -87,8 +85,9 @@ fn parse(response: &str) -> Value {
 
 #[test]
 fn tenants_survive_concurrent_hammering_and_reloads() {
-    let beijing = city("beijing", 3);
-    let shanghai = city("shanghai", 5);
+    let scratch = Scratch::new("serve-stress");
+    let beijing = city(&scratch, "beijing", 3);
+    let shanghai = city(&scratch, "shanghai", 5);
     let ctx = ServeCtx::multi(vec![
         TenantSpec::new("beijing", Arc::clone(&beijing.engine))
             .with_ckpt_path(beijing.ckpts[0].display().to_string()),

@@ -21,7 +21,7 @@ use prim_serve::{
 };
 use prim_tensor::kernel;
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const EPOCHS: usize = 6;
 /// Epoch whose end-of-epoch checkpoint save is killed.
@@ -60,14 +60,8 @@ fn opts() -> ResilienceOpts {
     }
 }
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-resume-eq-{}-{name}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::Scratch;
 
 fn param_bits(model: &PrimModel) -> Vec<(String, Vec<u32>)> {
     model
@@ -204,9 +198,10 @@ fn run_killed_then_resumed(threads: usize, dir: &Path) -> (StraightRun, Option<u
 
 #[test]
 fn killed_and_resumed_run_is_bitwise_identical_to_straight_run() {
+    let scratch = Scratch::new("resume-eq");
     for &threads in &[1usize, 4] {
         let straight = run_straight(threads);
-        let dir = tmpdir(&format!("kill-{threads}"));
+        let dir = scratch.path(&format!("kill-{threads}"));
         let (resumed, resumed_from) = run_killed_then_resumed(threads, &dir);
 
         // The save at the end of KILL_EPOCH died, so the newest durable
@@ -232,15 +227,15 @@ fn killed_and_resumed_run_is_bitwise_identical_to_straight_run() {
             epoch_bits(&resumed.epochs),
             "threads={threads}: telemetry epoch records drifted"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 #[test]
 fn resume_is_identical_across_thread_counts() {
-    let dir1 = tmpdir("xthread-1");
+    let scratch = Scratch::new("resume-eq");
+    let dir1 = scratch.path("xthread-1");
     let (r1, _) = run_killed_then_resumed(1, &dir1);
-    let dir4 = tmpdir("xthread-4");
+    let dir4 = scratch.path("xthread-4");
     let (r4, _) = run_killed_then_resumed(4, &dir4);
     assert_eq!(
         r1.params, r4.params,
@@ -250,8 +245,6 @@ fn resume_is_identical_across_thread_counts() {
         r1.losses, r4.losses,
         "resumed losses drifted across threads"
     );
-    std::fs::remove_dir_all(&dir1).unwrap();
-    std::fs::remove_dir_all(&dir4).unwrap();
 }
 
 /// Poisons one parameter with NaN at the start of `at_epoch`, once.
@@ -277,7 +270,8 @@ impl FitHook for Poison {
 #[test]
 fn nan_rollback_restores_last_good_checkpoint_and_decays_lr() {
     let (ds, cfg, inputs, _) = setup();
-    let dir = tmpdir("rollback");
+    let scratch = Scratch::new("resume-eq");
+    let dir = scratch.path("rollback");
     let mut model = PrimModel::new(cfg, &inputs);
     let telemetry = Telemetry {
         recorder: Recorder::enabled("rollback"),
@@ -323,13 +317,13 @@ fn nan_rollback_restores_last_good_checkpoint_and_decays_lr() {
             .is_some(),
         "the decayed learning rate is recorded"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn exhausted_retry_budget_surfaces_the_abort() {
     let (ds, cfg, inputs, _) = setup();
-    let dir = tmpdir("exhausted");
+    let scratch = Scratch::new("resume-eq");
+    let dir = scratch.path("exhausted");
     let mut model = PrimModel::new(cfg, &inputs);
     let telemetry = Telemetry {
         recorder: Recorder::enabled("exhausted"),
@@ -359,5 +353,4 @@ fn exhausted_retry_budget_surfaces_the_abort() {
         Err(ResumeError::Aborted { rollbacks, .. }) => assert_eq!(rollbacks, 0),
         other => panic!("expected Aborted, got {:?}", other.is_ok()),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

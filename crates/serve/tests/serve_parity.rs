@@ -15,11 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("prim_serve_parity_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
 struct Fixture {
     model: PrimModel,
@@ -44,7 +41,8 @@ fn fixture(cfg: PrimConfig, cache_capacity: usize) -> Fixture {
     let mut model = PrimModel::new(cfg, &inputs);
     fit(&mut model, &inputs, &ds.graph, ds.graph.edges(), None, None);
 
-    let path = tmp(&format!("parity_{cache_capacity}.ckpt"));
+    let scratch = Scratch::new("serve-parity");
+    let path = scratch.path(&format!("parity_{cache_capacity}.ckpt"));
     save_checkpoint(
         &path,
         "parity",

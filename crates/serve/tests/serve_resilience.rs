@@ -15,16 +15,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prim-serve-resilience-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+mod common;
+use common::Scratch;
 
 struct Fixture {
     engine: Arc<ServeEngine>,
     /// A checkpoint on disk the `reload` op can load.
     ckpt_path: PathBuf,
+    /// Holds the checkpoint's directory for the fixture's lifetime.
+    _scratch: Scratch,
 }
 
 fn fixture(name: &str, run: &str) -> Fixture {
@@ -45,7 +44,8 @@ fn fixture(name: &str, run: &str) -> Fixture {
         &cfg,
     );
     let model = PrimModel::new(cfg, &inputs);
-    let ckpt_path = tmp(&format!("{name}.prim"));
+    let scratch = Scratch::new("serve-resilience");
+    let ckpt_path = scratch.path(&format!("{name}.prim"));
     save_checkpoint(
         &ckpt_path,
         run,
@@ -62,7 +62,11 @@ fn fixture(name: &str, run: &str) -> Fixture {
         &EngineOpts::default(),
         Recorder::enabled("resilience-test"),
     ));
-    Fixture { engine, ckpt_path }
+    Fixture {
+        engine,
+        ckpt_path,
+        _scratch: scratch,
+    }
 }
 
 fn parse(response: &str) -> Value {

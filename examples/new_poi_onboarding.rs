@@ -24,6 +24,10 @@
 //!   acknowledged mutations onto the pristine checkpoint), serve, and run
 //!   the same queries. Output must diff clean against `golden` — the
 //!   kill lost nothing and replay converged bitwise.
+//!
+//! The pipeline keeps its snapshots in `<wal>.snap`. `mutate-kill` dies
+//! before any flush, so no snapshot exists and `replay-query` replays the
+//! whole WAL.
 
 use prim_core::{fit, ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
@@ -33,7 +37,7 @@ use prim_serve::{
     load_checkpoint, save_checkpoint, ChaosClient, EmbeddingStore, EngineOpts, EngineSlot, RealIo,
     ServeCtx, ServeEngine, TcpServer, TenantSpec,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn main() {
@@ -45,16 +49,16 @@ fn main() {
             let ckpt = dir.join("demo.ckpt");
             train(&ckpt);
             let wal = dir.join("demo.wal");
-            let _ = std::fs::remove_dir_all(&wal);
+            remove_state(&wal);
             serve_scenario(&ckpt, &wal, Scenario::Golden);
             std::fs::remove_dir_all(&dir).ok();
         }
         Some("train") => train(Path::new(&args[1])),
         Some("golden") => {
             let wal = std::env::temp_dir().join(format!("prim-onboard-{}.wal", std::process::id()));
-            let _ = std::fs::remove_dir_all(&wal);
+            remove_state(&wal);
             serve_scenario(Path::new(&args[1]), &wal, Scenario::Golden);
-            let _ = std::fs::remove_dir_all(&wal);
+            remove_state(&wal);
         }
         Some("mutate-kill") => serve_scenario(
             Path::new(&args[1]),
@@ -75,6 +79,19 @@ fn main() {
             std::process::exit(2);
         }
     }
+}
+
+/// The snapshot directory beside `wal`: `<wal>.snap`.
+fn snapshot_dir(wal: &Path) -> PathBuf {
+    let mut dir = wal.as_os_str().to_owned();
+    dir.push(".snap");
+    PathBuf::from(dir)
+}
+
+/// Removes the WAL and its snapshot directory.
+fn remove_state(wal: &Path) {
+    let _ = std::fs::remove_dir_all(wal);
+    let _ = std::fs::remove_dir_all(snapshot_dir(wal));
 }
 
 /// Trains a small city model and writes its checkpoint.
@@ -201,9 +218,10 @@ fn serve_scenario(ckpt_path: &Path, wal_path: &Path, scenario: Scenario) {
         Recorder::from_env("onboard:beijing"),
     ));
     let slot = EngineSlot::new(Arc::clone(&engine));
-    let ingest = CityIngest::open(
-        ckpt,
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
         wal_path,
+        snapshot_dir(wal_path),
         Arc::new(RealIo),
         Arc::clone(&slot),
         EngineOpts::default(),

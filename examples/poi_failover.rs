@@ -230,10 +230,13 @@ fn golden(ckpt_path: &Path) -> Vec<String> {
     let muts = script(&ckpt);
     let (engine, slot) = engine_for(&ckpt);
     let wal = std::env::temp_dir().join(format!("prim-failover-golden-{}.wal", std::process::id()));
+    let snap = wal.with_extension("snap");
     let _ = std::fs::remove_dir_all(&wal);
-    let ingest = CityIngest::open(
-        ckpt,
+    let _ = std::fs::remove_dir_all(&snap);
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
         &wal,
+        &snap,
         Arc::new(RealIo),
         Arc::clone(&slot),
         EngineOpts::default(),
@@ -249,6 +252,7 @@ fn golden(ckpt_path: &Path) -> Vec<String> {
         .with_ingest(ingest)]);
     let out = run_queries(&ctx, n0);
     let _ = std::fs::remove_dir_all(&wal);
+    let _ = std::fs::remove_dir_all(&snap);
     out
 }
 
