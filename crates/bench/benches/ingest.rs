@@ -105,6 +105,8 @@ fn main() {
 
     // -- Baseline: full checkpoint reload (the pre-ingest path to get a
     // -- mutated city visible): load + full re-embed + ANN build + swap.
+    // -- A mutated city has no persisted tables, so the baseline rebuilds
+    // -- and embeds even though this checkpoint carries its own.
     let engine = {
         let ckpt = load_checkpoint(&ckpt_path).unwrap();
         let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
@@ -119,7 +121,8 @@ fn main() {
     for _ in 0..2 {
         let t = Instant::now();
         let ckpt = load_checkpoint(&ckpt_path).unwrap();
-        let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
+        let (model, inputs) = ckpt.rebuild().unwrap();
+        let store = EmbeddingStore::from_model(&model, &inputs, ckpt.relation_names.clone());
         slot.swap(Arc::new(ServeEngine::new(
             store,
             &EngineOpts::default(),

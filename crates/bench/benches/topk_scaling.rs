@@ -22,8 +22,20 @@
 //! Per tier the harness also records index build time and the resolved
 //! (auto-sized) score-cache capacity. Results land in `BENCH_topk.json`;
 //! `examples/check_bench_regression.rs` re-checks the same gates in CI.
+//!
+//! The gated profiles tune `ef` per regime. Two ungated records show the
+//! options a server actually runs with, `AnnOpts::default()` (the index's
+//! `ef_search` of 64, an evaluation budget of 8×): `scan_default` and
+//! `beam_default` in every tier, and `metro_5k`, the 5k-POI metro city
+//! perfbench serves, embedded by an untrained quick-config model, at
+//! perfbench's scan (10 km) and beam (150 km) radii. They carry no gate on
+//! purpose: a floor the beam passes today would sit below a known recall
+//! defect (DESIGN.md §11.5).
 
 use prim_bench::{json, percentile};
+use prim_core::{ModelInputs, PrimConfig, PrimModel};
+use prim_data::generator::generate_taxonomy;
+use prim_data::{CityConfig, Dataset, RelationConfig, Scale, TaxonomyConfig};
 use prim_geo::{DistanceBins, GridIndex, Location};
 use prim_obs::Recorder;
 use prim_serve::{AnnOpts, AnnParams, EmbeddingStore, EngineOpts, ServeEngine};
@@ -35,6 +47,9 @@ use std::time::Instant;
 
 const DIM: usize = 32;
 const K: usize = 10;
+/// perfbench's `top_k` radius classes past the exact regime.
+const METRO_SCAN_KM: f64 = 10.0;
+const METRO_BEAM_KM: f64 = 150.0;
 
 fn bench_json_path() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_topk.json")
@@ -89,6 +104,38 @@ fn singapore_store(n: usize, seed: u64) -> (EmbeddingStore, f64) {
     });
     let build_ms = t.elapsed().as_secs_f64() * 1e3;
     (store, build_ms)
+}
+
+/// perfbench's city: the ingest bench's metro geography and walking-distance
+/// relations at 5,000 POIs, embedded by an untrained quick-config model.
+fn metro_store() -> EmbeddingStore {
+    let tax = generate_taxonomy(&TaxonomyConfig::preset(Scale::Quick));
+    let city_cfg = CityConfig {
+        name: "perfbench-metro".into(),
+        city_radius_km: 65.0,
+        core_radius_km: 22.0,
+        n_clusters: 200,
+        ..CityConfig::singapore(5_000)
+    };
+    let rel_cfg = RelationConfig {
+        candidate_radius_km: 2.5,
+        complementary_decay_km: 2.5,
+        random_candidates: 0,
+        category_candidates: 0,
+        ..RelationConfig::binary()
+    };
+    let ds = Dataset::generate(&city_cfg, &tax, &rel_cfg);
+    let cfg = PrimConfig::quick();
+    let inputs = ModelInputs::build(
+        &ds.graph,
+        &ds.taxonomy,
+        &ds.attrs,
+        ds.graph.edges(),
+        None,
+        &cfg,
+    );
+    let model = PrimModel::new(cfg, &inputs);
+    EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone())
 }
 
 struct Profile {
@@ -168,13 +215,15 @@ fn profile_json(p: &Profile, ef_search: usize) -> String {
 
 fn main() {
     prim_bench::ensure_run_report("topk_scaling");
-    let full = matches!(prim_data::Scale::from_env(), prim_data::Scale::Full);
+    let full = matches!(Scale::from_env(), Scale::Full);
     let tiers: &[usize] = if full {
         &[20_000, 200_000, 1_000_000]
     } else {
         &[20_000, 200_000]
     };
 
+    // `AnnOpts::default()` inherits the index's construction-time width.
+    let default_ef = AnnParams::default().ef_search;
     let mut sections: Vec<String> = Vec::new();
     let mut prev_beam_p99 = f64::NAN;
     for (ti, &n) in tiers.iter().enumerate() {
@@ -207,14 +256,19 @@ fn main() {
             ..EngineOpts::default()
         };
         let engine = ServeEngine::new(store.clone(), &scan_opts, Recorder::disabled());
-        let beam_engine = ServeEngine::new(store, &beam_opts, Recorder::disabled());
+        let beam_engine = ServeEngine::new(store.clone(), &beam_opts, Recorder::disabled());
+        let served_engine = ServeEngine::new(store, &EngineOpts::default(), Recorder::disabled());
 
         let scan = measure(&engine, n, 2.0, 200);
         let beam = measure(&beam_engine, n, 26.0, 50);
+        drop(beam_engine);
+        let scan_default = measure(&served_engine, n, 2.0, 200);
+        let beam_default = measure(&served_engine, n, 26.0, 50);
+        drop(served_engine);
         println!(
             "topk_scaling: n {n:8} | build {build_ms:9.1} ms | scan[cand {:6}, recall {:.4}, \
              exact p99 {:9.1} us, ann p99 {:8.1} us] | beam[recall {:.4}, exact p99 {:9.1} us, \
-             ann p99 {:8.1} us]",
+             ann p99 {:8.1} us] | defaults[scan recall {:.4}, beam recall {:.4}]",
             scan.avg_candidates,
             scan.recall,
             scan.exact_p99,
@@ -222,6 +276,8 @@ fn main() {
             beam.recall,
             beam.exact_p99,
             beam.ann_p99,
+            scan_default.recall,
+            beam_default.recall,
         );
 
         // -- Gates (the CI example re-checks these from the JSON) ---------
@@ -263,8 +319,34 @@ fn main() {
             ("cache_capacity", json::int(engine.cache_capacity() as u64)),
             ("scan", profile_json(&scan, scan_opts.ann.ef_search)),
             ("beam", profile_json(&beam, beam_opts.ann.ef_search)),
+            ("scan_default", profile_json(&scan_default, default_ef)),
+            ("beam_default", profile_json(&beam_default, default_ef)),
         ]));
     }
+
+    // -- Ungated: perfbench's city at the defaults it serves with.
+    let metro = metro_store();
+    let metro_n = metro.n_pois();
+    let metro_engine = ServeEngine::new(metro, &EngineOpts::default(), Recorder::disabled());
+    let metro_scan = measure(&metro_engine, metro_n, METRO_SCAN_KM, 200);
+    let metro_beam = measure(&metro_engine, metro_n, METRO_BEAM_KM, 200);
+    println!(
+        "topk_scaling: metro {metro_n} at defaults | scan {METRO_SCAN_KM} km [recall {:.4}, \
+         {} of {} ann] | beam {METRO_BEAM_KM} km [recall {:.4}, {} of {} ann]",
+        metro_scan.recall,
+        metro_scan.ann_served,
+        metro_scan.queries,
+        metro_beam.recall,
+        metro_beam.ann_served,
+        metro_beam.queries,
+    );
+    let metro_section = json::obj(&[
+        ("n_pois", json::int(metro_n as u64)),
+        ("scan_radius_km", json::num(METRO_SCAN_KM)),
+        ("beam_radius_km", json::num(METRO_BEAM_KM)),
+        ("scan", profile_json(&metro_scan, default_ef)),
+        ("beam", profile_json(&metro_beam, default_ef)),
+    ]);
 
     let hw_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -276,6 +358,7 @@ fn main() {
         ("beam_radius_km", json::num(26.0)),
         ("hw_threads", json::int(hw_threads as u64)),
         ("tiers", json::arr(&sections)),
+        ("metro_5k", metro_section),
     ]);
     let path = bench_json_path();
     json::update_section(&path, "topk_scaling", &section);

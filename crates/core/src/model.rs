@@ -267,10 +267,11 @@ impl PrimModel {
 
     /// Runs the full forward pass on a fresh tape.
     ///
-    /// The pass is cut into scopes — each layer, its message block, each
-    /// attention head, the spatial-context block — whose ends free the
-    /// edge-sized intermediates on an inference tape ([`PrimModel::embed`])
-    /// and do nothing on a training tape.
+    /// The pass is cut into scopes — each layer, its message block and the
+    /// γ messages inside it, each attention head and its logits, the
+    /// spatial-context block — whose ends free the edge-sized
+    /// intermediates on an inference tape ([`PrimModel::embed`]) and do
+    /// nothing on a training tape.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, inputs: &ModelInputs) -> ForwardOutput {
         let adj = &inputs.adjacency;
         let plans = &inputs.plans;
@@ -305,6 +306,7 @@ impl PrimModel {
                 // Relation-specific messages γ(h*_j, h_r) (Eq. 1) do not
                 // depend on the head, so compute them once per layer.
                 let message = g.scope("message");
+                let gamma = g.scope("gamma");
                 let h_src = g.gather_rows_planned(h_star, &plans.edge_src);
                 let hr_edge = g.gather_rows_planned(hr, &plans.edge_rel_all);
                 let msg = match self.cfg.gamma {
@@ -312,6 +314,7 @@ impl PrimModel {
                     GammaOp::Subtract => g.sub(h_src, hr_edge),
                     GammaOp::CircularCorrelation => g.rows_circ_corr(h_src, hr_edge),
                 };
+                g.end_scope(gamma, &[msg]);
 
                 // Batch the per-head projections into single wide matmuls
                 // (columns of a product are independent, so each head's slice
@@ -334,12 +337,14 @@ impl PrimModel {
                 for (k, head) in layer.heads.iter().enumerate() {
                     let head_scope = g.scope("head");
                     // Spatial-aware attention (Eq. 3-4).
+                    let logit_scope = g.scope("head logits");
                     let ha_dst = g.slice_cols(ha_dst_all, k * head_dim, head_dim);
                     let ha_src = g.slice_cols(ha_src_all, k * head_dim, head_dim);
                     let dproj = g.slice_cols(dproj_all, k * dist_dim, dist_dim);
                     let feats = g.concat_cols(&[ha_dst, ha_src, dproj]);
                     let a_edge = g.gather_rows_planned(bind.var(head.att_table), &plans.edge_rel);
                     let raw = g.rows_dot(feats, a_edge);
+                    g.end_scope(logit_scope, &[raw]);
                     let logits = g.leaky_relu(raw, 0.2);
                     let alpha = g.segment_softmax_planned(logits, &plans.intra);
 

@@ -45,7 +45,8 @@
 //!    ([`CityIngest::open_replicated`]). The first `ingest_flush` publish
 //!    after the log rolls to a new segment writes a snapshot checkpoint
 //!    (carrying the WAL high-water seq and the frozen-grid provenance as
-//!    `ingest.*` tensors) through a [`prim_serve::CkptRotator`] and
+//!    `ingest.*` tensors, and the published tables and sealed HNSW graph
+//!    as its served section) through a [`prim_serve::CkptRotator`] and
 //!    prunes the segments the previous snapshot covers. Recovery is "load
 //!    the newest valid snapshot (the base checkpoint before the first
 //!    one) + replay the WAL tail" — at most about one segment plus one
@@ -80,8 +81,8 @@ use prim_graph::{CategoryId, EdgeIncidence, HeteroGraph, Poi, PoiId, RelationId,
 use prim_obs::json::{self, Value};
 use prim_obs::{Counter, Recorder};
 use prim_serve::{
-    encode_checkpoint_ingest, AnnParams, CkptError, CkptRotator, EmbeddingStore, EngineOpts,
-    EngineSlot, FileIo, IngestBackend, IngestSnapshotState, PrimCheckpoint, ServeEngine,
+    encode_checkpoint_ingest, CkptError, CkptRotator, EmbeddingStore, EngineOpts, EngineSlot,
+    FileIo, IngestBackend, IngestSnapshotState, PrimCheckpoint, ServeEngine,
 };
 use prim_tensor::Matrix;
 use std::collections::BTreeSet;
@@ -437,15 +438,13 @@ impl CityIngest {
         // When recovering from a snapshot, publish its store *before*
         // tail replay: `apply_locked` scatters into the currently
         // published table, which must be the snapshot's — not whatever
-        // stale base the slot was loaded with.
+        // stale base the slot was loaded with. A snapshot carries the
+        // store its primary published (sealed graph and delta rows
+        // included), so it is adopted; one without it is recomputed from
+        // the model rebuilt above.
         if ing_state.is_some() {
-            let mut store =
-                EmbeddingStore::from_model_unindexed(&model, &inputs, relation_names.clone());
-            store.grid = grid.clone();
-            store.build_ann(AnnParams {
-                seed: cfg.seed,
-                ..AnnParams::default()
-            });
+            let store = EmbeddingStore::adopted(&ckpt)
+                .unwrap_or_else(|| EmbeddingStore::recomputed(&ckpt, &model, &inputs));
             slot.swap(Arc::new(ServeEngine::new(
                 store,
                 &engine_opts,
@@ -589,6 +588,10 @@ impl CityIngest {
                 base_pois: inner.base_pois as u64,
                 retired,
             };
+            // The published store is this state's: its tables and sealed
+            // graph ride along, so recovery and follower bootstrap adopt
+            // them instead of re-embedding.
+            let published = self.slot.get();
             let bytes = encode_checkpoint_ingest(
                 &self.run,
                 &inner.model,
@@ -597,7 +600,7 @@ impl CityIngest {
                 &inner.attrs,
                 &self.relation_names,
                 None,
-                None,
+                Some(published.store()),
                 Some(&state),
             );
             // Compact to the *previous* snapshot, not the one just published:

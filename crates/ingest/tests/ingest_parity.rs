@@ -14,8 +14,8 @@ use prim_graph::{CategoryId, HeteroGraph, Poi, PoiId, RelationId};
 use prim_ingest::{CityIngest, IngestOpts, Mutation, StageError};
 use prim_obs::Recorder;
 use prim_serve::{
-    decode_bytes, decode_checkpoint, encode_checkpoint, AnnOpts, EmbeddingStore, EngineOpts,
-    EngineSlot, Neighbor, PrimCheckpoint, RealIo, ServeEngine,
+    decode_bytes, decode_checkpoint, encode_checkpoint, AnnOpts, CkptRotator, EmbeddingStore,
+    EngineOpts, EngineSlot, Neighbor, PrimCheckpoint, RealIo, ServeEngine,
 };
 use prim_tensor::{kernel, Matrix};
 use std::sync::{Arc, OnceLock};
@@ -524,4 +524,121 @@ fn invalid_mutations_are_rejected_without_staging() {
     let status = ingest.status();
     assert_eq!(status.staged, 1, "only the valid retire may be staged");
     assert_eq!(status.next_seq, 2);
+}
+
+/// The tables, quantized tier, locations and grid of two stores, as bits
+/// (the HNSW graph is compared separately).
+fn assert_same_tables(a: &EmbeddingStore, b: &EmbeddingStore, label: &str) {
+    assert_eq!(bits(&a.pois), bits(&b.pois), "{label}: POI table");
+    assert_eq!(bits(&a.relations), bits(&b.relations), "{label}: relations");
+    assert_eq!(
+        bits(&a.bin_normals),
+        bits(&b.bin_normals),
+        "{label}: bin normals"
+    );
+    assert_eq!(
+        a.ann.as_ref().unwrap().quant,
+        b.ann.as_ref().unwrap().quant,
+        "{label}: quantized tier"
+    );
+    let loc = |s: &EmbeddingStore| -> Vec<(u64, u64)> {
+        s.locations
+            .iter()
+            .map(|l| (l.lon.to_bits(), l.lat.to_bits()))
+            .collect()
+    };
+    assert_eq!(loc(a), loc(b), "{label}: locations");
+    for p in 0..a.n_pois() as u32 {
+        let near = |s: &EmbeddingStore| -> Vec<(usize, u64)> {
+            s.within_radius(PoiId(p), 1.0e4)
+                .into_iter()
+                .map(|(j, d)| (j, d.to_bits()))
+                .collect()
+        };
+        assert_eq!(near(a), near(b), "{label}: grid around {p}");
+    }
+}
+
+/// A snapshot taken after adds, edges and retirements carries the store
+/// its primary published: the tables (delta rows included) equal a
+/// recompute of the snapshot file bitwise, and recovery adopts the sealed
+/// graph with them, so the recovered index is the primary's.
+#[test]
+fn snapshot_adopts_the_published_store_bitwise() {
+    let ckpt = load();
+    let groups = script(&ckpt);
+    let fresh_slot = || {
+        let store = EmbeddingStore::from_checkpoint(&load()).unwrap();
+        EngineSlot::new(Arc::new(ServeEngine::new(
+            store,
+            &EngineOpts::default(),
+            Recorder::disabled(),
+        )))
+    };
+    let scratch = Scratch::new("ingest-parity");
+    let (wal, snap) = (scratch.path("snapshot.wal"), scratch.path("snapshot.snap"));
+    let opts = IngestOpts {
+        batch_max: 1000,
+        wal_segment_bytes: 1, // every flush snapshots
+    };
+    let slot = fresh_slot();
+    let ingest = CityIngest::open_replicated(
+        Some(ckpt),
+        &wal,
+        &snap,
+        Arc::new(RealIo),
+        Arc::clone(&slot),
+        EngineOpts::default(),
+        opts.clone(),
+    )
+    .unwrap();
+    for group in groups {
+        for m in group {
+            ingest.stage(m).unwrap();
+        }
+        ingest.flush();
+    }
+    let status = ingest.status();
+    assert_eq!(
+        status.snapshot_seq,
+        status.next_seq - 1,
+        "last flush snapshots"
+    );
+    assert!(status.delta_rows > 0, "onboarded rows sit past the graph");
+    drop(ingest);
+    let published = slot.get();
+    let published = published.store();
+
+    let (_, snapshot) = CkptRotator::new(&snap, 2)
+        .unwrap()
+        .latest_valid()
+        .expect("a snapshot");
+    let adopted = EmbeddingStore::adopted(&snapshot).expect("snapshots carry the served section");
+    assert_same_tables(&adopted, published, "adopted vs published");
+    let graph = |s: &EmbeddingStore| s.ann.as_ref().unwrap().graph.clone();
+    assert_eq!(graph(&adopted), graph(published), "sealed graph");
+
+    let (model, inputs) = snapshot.rebuild().unwrap();
+    let recomputed = EmbeddingStore::recomputed(&snapshot, &model, &inputs);
+    assert_same_tables(&adopted, &recomputed, "adopted vs recomputed");
+
+    let recovered = fresh_slot();
+    let reopened = CityIngest::open_replicated(
+        None,
+        &wal,
+        &snap,
+        Arc::new(RealIo),
+        Arc::clone(&recovered),
+        EngineOpts::default(),
+        opts,
+    )
+    .unwrap();
+    assert_eq!(reopened.status().delta_rows, status.delta_rows);
+    let recovered = recovered.get();
+    assert_same_tables(recovered.store(), published, "recovered vs published");
+    assert_eq!(
+        graph(recovered.store()),
+        graph(published),
+        "recovered graph"
+    );
 }

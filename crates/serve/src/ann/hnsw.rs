@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 
 /// Hard cap on assigned levels (the geometric draw virtually never
 /// reaches it; it bounds the per-node link storage).
-const MAX_LEVEL: usize = 16;
+pub(crate) const MAX_LEVEL: usize = 16;
 
 /// A candidate ordered by `(similarity desc, id asc)` — the deterministic
 /// total order every heap and selection in this module uses.

@@ -31,9 +31,29 @@
 //! scoring. `f32` parameters widen to f64 losslessly and narrow back with
 //! `as f32`, which is exact for values that originated as f32 — the
 //! round-trip is bitwise.
+//!
+//! ## The served section
+//!
+//! A checkpoint meant for serving also carries what
+//! [`EmbeddingStore::from_checkpoint`] would otherwise compute from it:
+//! the three tables eager scoring reads (`served.pois`,
+//! `served.relations`, `served.bin_normals`, f32 widened to f64 like the
+//! parameters) and the HNSW graph over the POI table (`ann.*`). The graph
+//! may cover fewer rows than the table; the rest are an ingest snapshot's
+//! delta segment. `served.meta` holds a fingerprint of every tensor
+//! [`PrimCheckpoint::rebuild`] reads (`meta.*`, `graph.*`, `param.*` and
+//! `ingest.*`, in file order), and decoding keeps the section only when
+//! the file's inputs still match it: a file whose inputs were edited and
+//! re-sealed loads by recompute, exactly like a file without the section.
+//! A kept section whose shapes disagree with the header or config is
+//! `Malformed`. [`save_checkpoint`] and ingest snapshots write the
+//! section; training and rotation checkpoints do not. Readers that
+//! predate it ignore the extra tensors, and the format version stays 1.
 
-use crate::ann::{hnsw::Layer, AnnGraph, AnnParams, Hnsw};
+use crate::ann::hnsw::{Layer, MAX_LEVEL};
+use crate::ann::{AnnGraph, AnnParams, Hnsw};
 use crate::chaos::atomic_write;
+use crate::store::EmbeddingStore;
 use prim_core::config::{GammaOp, PrimConfig, TaxonomyMode};
 use prim_core::{ModelInputs, PrimModel, ResumeState};
 use prim_geo::{DistanceBins, GridIndex, Location};
@@ -166,8 +186,55 @@ impl NamedTensor {
 // Low-level writer / reader
 // ---------------------------------------------------------------------------
 
+/// Tensor-name prefixes [`PrimCheckpoint::rebuild`] reads: the inputs the
+/// served section's fingerprint covers.
+const INPUT_PREFIXES: [&str; 4] = ["meta.", "graph.", "param.", "ingest."];
+
+/// Running fingerprint of a checkpoint's input tensors, folded 64-bit word
+/// by word with rustc's FxHash step: per input tensor its name length and
+/// bytes, flags, rows, cols, then each value's f64 bit pattern. Tensors
+/// outside [`INPUT_PREFIXES`] leave it unchanged.
+struct Fingerprint(u64);
+
+impl Fingerprint {
+    fn new() -> Self {
+        Fingerprint(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn tensor(&mut self, name: &str, flags: u8, rows: usize, cols: usize, values: &[f64]) {
+        if !INPUT_PREFIXES.iter().any(|p| name.starts_with(p)) {
+            return;
+        }
+        self.word(name.len() as u64);
+        for b in name.bytes() {
+            self.word(b as u64);
+        }
+        self.word(flags as u64);
+        self.word(rows as u64);
+        self.word(cols as u64);
+        for v in values {
+            self.word(v.to_bits());
+        }
+    }
+
+    /// The fingerprint of a decoded file's inputs.
+    fn of(raw: &RawCheckpoint) -> u64 {
+        let mut f = Fingerprint::new();
+        for t in &raw.tensors {
+            f.tensor(&t.name, t.flags, t.rows, t.cols, &t.values);
+        }
+        f.0
+    }
+}
+
 struct Writer {
     buf: Vec<u8>,
+    /// Fingerprint of the input tensors written so far.
+    inputs: Fingerprint,
 }
 
 impl Writer {
@@ -177,7 +244,10 @@ impl Writer {
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&(header_json.len() as u32).to_le_bytes());
         buf.extend_from_slice(header_json.as_bytes());
-        Writer { buf }
+        Writer {
+            buf,
+            inputs: Fingerprint::new(),
+        }
     }
 
     fn tensor_count(&mut self, n: usize) {
@@ -195,6 +265,7 @@ impl Writer {
         for &v in values {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
+        self.inputs.tensor(name, flags, rows, cols, values);
     }
 
     fn seal(mut self) -> Vec<u8> {
@@ -365,7 +436,9 @@ fn decode(data: &[u8]) -> Result<RawCheckpoint, CkptError> {
         json::parse(header_text).map_err(|e| CkptError::Malformed(format!("header JSON: {e}")))?;
 
     let n_tensors = r.u64("tensor count")? as usize;
-    let mut tensors = Vec::with_capacity(n_tensors);
+    // An entry takes at least 21 bytes (name length, flags, rows, cols),
+    // so a count the body cannot hold never sizes the allocation.
+    let mut tensors = Vec::with_capacity(n_tensors.min(body.len() / 21));
     for _ in 0..n_tensors {
         let name_len = r.u32("tensor name length")? as usize;
         let name = std::str::from_utf8(r.take(name_len, "tensor name")?)
@@ -374,10 +447,11 @@ fn decode(data: &[u8]) -> Result<RawCheckpoint, CkptError> {
         let flags = r.take(1, "tensor flags")?[0];
         let rows = r.u64("tensor rows")? as usize;
         let cols = r.u64("tensor cols")? as usize;
-        let n = rows
+        let n_bytes = rows
             .checked_mul(cols)
+            .and_then(|n| n.checked_mul(8))
             .ok_or_else(|| CkptError::Malformed(format!("tensor {name:?} shape overflows")))?;
-        let bytes = r.take(n * 8, "tensor values")?;
+        let bytes = r.take(n_bytes, "tensor values")?;
         let values = bytes
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
@@ -686,6 +760,13 @@ fn decode_ann_graph(raw: &RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> 
     let levels_t = raw.tensor("ann.levels")?;
     let levels: Vec<u8> = levels_t.values.iter().map(|&v| v as u8).collect();
     let n = levels.len();
+    // Search reads the ground layer of any non-empty graph, and no build
+    // stacks more than `MAX_LEVEL + 1` layers.
+    if n_layers > MAX_LEVEL + 1 || (n > 0 && n_layers == 0) {
+        return Err(CkptError::Malformed(format!(
+            "ann graph of {n} nodes has {n_layers} layers"
+        )));
+    }
 
     let mut layers = Vec::with_capacity(n_layers);
     for l in 0..n_layers {
@@ -736,6 +817,100 @@ fn decode_ann_graph(raw: &RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> 
             levels,
             layers,
         },
+    }))
+}
+
+// ---------------------------------------------------------------------------
+// The served section (`served.*` tables + `ann.*` graph)
+// ---------------------------------------------------------------------------
+
+/// The decoded served section: the tables and HNSW graph a serving store
+/// adopts instead of recomputing them (see the module docs).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServedSection {
+    /// `n_pois × dim` POI embeddings.
+    pub pois: Matrix,
+    /// `(n_relations + 1) × dim` relation scoring embeddings (φ last).
+    pub relations: Matrix,
+    /// `n_bins × dim` unit-normalised hyperplane normals.
+    pub bin_normals: Matrix,
+    /// The sealed HNSW graph over the first `ann.hnsw.len()` POI rows.
+    pub ann: AnnGraph,
+}
+
+fn count_served_tensors(store: &EmbeddingStore) -> usize {
+    // meta + three tables + the graph.
+    store
+        .ann
+        .as_ref()
+        .map_or(0, |ann| 4 + count_ann_tensors(&ann.graph))
+}
+
+/// Writes `store`'s tables and sealed graph, stamped with the fingerprint
+/// of every input tensor written before them. An exact-only store (no
+/// graph) writes nothing.
+fn push_served(w: &mut Writer, store: &EmbeddingStore) {
+    let Some(ann) = &store.ann else {
+        return;
+    };
+    w.tensor("served.meta", 0, 1, 2, &split_u64(w.inputs.0));
+    for (name, m) in [
+        ("served.pois", &store.pois),
+        ("served.relations", &store.relations),
+        ("served.bin_normals", &store.bin_normals),
+    ] {
+        w.tensor(name, 0, m.rows(), m.cols(), &widen(m));
+    }
+    push_ann_graph(w, &ann.graph);
+}
+
+/// The served section, if the file carries one whose fingerprint matches
+/// its inputs. A stale section is dropped (the store is recomputed); a
+/// current one must fit the header counts and the config's width.
+fn decode_served(
+    raw: &RawCheckpoint,
+    n_pois: usize,
+    n_relations: usize,
+    config: &PrimConfig,
+) -> Result<Option<ServedSection>, CkptError> {
+    let Some(meta) = raw.tensors.iter().find(|t| t.name == "served.meta") else {
+        return Ok(None);
+    };
+    if meta.values.len() != 2 {
+        return Err(CkptError::Malformed(format!(
+            "served.meta has {} slots, expected 2",
+            meta.values.len()
+        )));
+    }
+    if join_u64(meta.values[0], meta.values[1]) != Fingerprint::of(raw) {
+        return Ok(None);
+    }
+    let table = |name: &str, rows: usize| -> Result<Matrix, CkptError> {
+        let t = raw.tensor(name)?;
+        if t.rows != rows || t.cols != config.dim {
+            return Err(CkptError::Malformed(format!(
+                "{name} is {}x{}, expected {rows}x{}",
+                t.rows, t.cols, config.dim
+            )));
+        }
+        Ok(t.matrix_f32())
+    };
+    let pois = table("served.pois", n_pois)?;
+    let relations = table("served.relations", n_relations + 1)?;
+    let bin_normals = table("served.bin_normals", config.bins.len())?;
+    let ann = decode_ann_graph(raw)?
+        .ok_or_else(|| CkptError::Malformed("served section without an ann graph".into()))?;
+    if ann.hnsw.len() > n_pois {
+        return Err(CkptError::Malformed(format!(
+            "ann graph has {} nodes for {n_pois} POI rows",
+            ann.hnsw.len()
+        )));
+    }
+    Ok(Some(ServedSection {
+        pois,
+        relations,
+        bin_normals,
+        ann,
     }))
 }
 
@@ -975,10 +1150,10 @@ pub struct PrimCheckpoint {
     /// Mid-run training state, present when the checkpoint was written by
     /// the resumable trainer (absent in scoring-only checkpoints).
     pub train_state: Option<ResumeState>,
-    /// Persisted ANN graph (`ann.*` tensors), present when the checkpoint
-    /// was written by [`save_checkpoint_indexed`] — serving loads it
-    /// instead of rebuilding the index.
-    pub ann_graph: Option<AnnGraph>,
+    /// The served section (`served.*` tables and `ann.*` graph), present
+    /// when the file carries one computed from its current inputs —
+    /// serving adopts it instead of re-embedding and rebuilding the index.
+    pub served: Option<ServedSection>,
     /// Ingest continuation state (`ingest.*` tensors), present when the
     /// checkpoint is a streaming-ingest snapshot: the WAL high-water seq
     /// it covers plus the frozen-projection grid provenance. Loaders that
@@ -1031,13 +1206,18 @@ impl PrimCheckpoint {
     }
 }
 
-/// Serialises a trained PRIM model plus the graph metadata scoring needs.
+/// Serialises a trained PRIM model plus the graph metadata scoring needs,
+/// with the served section a serving process adopts at load.
 ///
 /// `graph` must be the graph the model was trained against (its edge list
 /// is stored as the serving-time message-passing structure); `taxonomy`,
-/// `attrs` and `relation_names` come from the same dataset. The write is
-/// atomic (temp sibling + rename), so a crash mid-save can never leave a
-/// truncated checkpoint at `path`.
+/// `attrs` and `relation_names` come from the same dataset. The served
+/// tables come from one [`PrimModel::embed`] over the inputs
+/// [`PrimCheckpoint::rebuild`] builds from this file, and the HNSW graph is
+/// built over them with the config seed, as
+/// [`EmbeddingStore::from_model`] does — so loading adopts exactly what
+/// recomputing would produce. The write is atomic (temp sibling + rename),
+/// so a crash mid-save can never leave a truncated checkpoint at `path`.
 pub fn save_checkpoint(
     path: impl AsRef<Path>,
     run: &str,
@@ -1047,6 +1227,17 @@ pub fn save_checkpoint(
     attrs: &Matrix,
     relation_names: &[String],
 ) -> Result<(), CkptError> {
+    let cfg = model.config();
+    // The inputs are dropped before the index build, so they never hold
+    // memory while the graph is constructed.
+    let mut store = {
+        let inputs = ModelInputs::build(graph, taxonomy, attrs, graph.edges(), None, cfg);
+        EmbeddingStore::from_model_unindexed(model, &inputs, relation_names.to_vec())
+    };
+    store.build_ann(AnnParams {
+        seed: cfg.seed,
+        ..AnnParams::default()
+    });
     let bytes = encode_checkpoint(
         run,
         model,
@@ -1055,44 +1246,17 @@ pub fn save_checkpoint(
         attrs,
         relation_names,
         None,
-        None,
+        Some(&store),
     );
     atomic_write(path.as_ref(), &bytes)?;
     Ok(())
 }
 
-/// [`save_checkpoint`] carrying a prebuilt ANN graph as `ann.*` tensors,
-/// so serving processes load the index instead of paying the O(n·ef)
-/// construction again. Loaders that predate the ANN layer ignore the
-/// extra tensors (same pattern as `train.*`).
-#[allow(clippy::too_many_arguments)] // full model + persistence context
-pub fn save_checkpoint_indexed(
-    path: impl AsRef<Path>,
-    run: &str,
-    model: &PrimModel,
-    graph: &HeteroGraph,
-    taxonomy: &Taxonomy,
-    attrs: &Matrix,
-    relation_names: &[String],
-    ann: &AnnGraph,
-) -> Result<(), CkptError> {
-    let bytes = encode_checkpoint(
-        run,
-        model,
-        graph,
-        taxonomy,
-        attrs,
-        relation_names,
-        None,
-        Some(ann),
-    );
-    atomic_write(path.as_ref(), &bytes)?;
-    Ok(())
-}
-
-/// Encodes a PRIM checkpoint (optionally resumable, optionally carrying a
-/// prebuilt ANN graph) to bytes without touching the filesystem — the
-/// rotation layer owns how bytes land on disk.
+/// Encodes a PRIM checkpoint (optionally resumable, optionally carrying
+/// `served`'s tables and sealed HNSW graph as the served section) to bytes
+/// without touching the filesystem — the rotation layer owns how bytes
+/// land on disk. `served` must be the store these inputs produce; an
+/// exact-only store (no graph) adds no section.
 #[allow(clippy::too_many_arguments)] // full model + persistence context
 pub fn encode_checkpoint(
     run: &str,
@@ -1102,7 +1266,7 @@ pub fn encode_checkpoint(
     attrs: &Matrix,
     relation_names: &[String],
     train_state: Option<&ResumeState>,
-    ann: Option<&AnnGraph>,
+    served: Option<&EmbeddingStore>,
 ) -> Vec<u8> {
     encode_checkpoint_ingest(
         run,
@@ -1112,15 +1276,15 @@ pub fn encode_checkpoint(
         attrs,
         relation_names,
         train_state,
-        ann,
+        served,
         None,
     )
 }
 
 /// [`encode_checkpoint`] additionally carrying ingest continuation state
 /// as `ingest.*` tensors — the snapshot format streaming ingest persists
-/// on the first flush after each WAL segment roll and replication
-/// bootstraps followers from.
+/// on the first flush after each WAL segment roll (with the published
+/// store as `served`) and replication bootstraps followers from.
 #[allow(clippy::too_many_arguments)] // full model + persistence context
 pub fn encode_checkpoint_ingest(
     run: &str,
@@ -1130,7 +1294,7 @@ pub fn encode_checkpoint_ingest(
     attrs: &Matrix,
     relation_names: &[String],
     train_state: Option<&ResumeState>,
-    ann: Option<&AnnGraph>,
+    served: Option<&EmbeddingStore>,
     ingest: Option<&IngestSnapshotState>,
 ) -> Vec<u8> {
     let cfg = model.config();
@@ -1152,9 +1316,9 @@ pub fn encode_checkpoint_ingest(
 
     let mut w = Writer::new(&header);
     let train_tensors = train_state.map_or(0, count_train_tensors);
-    let ann_tensors = ann.map_or(0, count_ann_tensors);
     let ingest_tensors = ingest.map_or(0, count_ingest_tensors);
-    w.tensor_count(8 + model.params().len() + train_tensors + ann_tensors + ingest_tensors);
+    let served_tensors = served.map_or(0, count_served_tensors);
+    w.tensor_count(8 + model.params().len() + train_tensors + ingest_tensors + served_tensors);
     w.tensor("meta.config", 0, 1, CFG_SLOTS, &encode_config(cfg));
     w.tensor(
         "meta.bin_edges",
@@ -1203,11 +1367,12 @@ pub fn encode_checkpoint_ingest(
     if let Some(state) = train_state {
         push_train_state(&mut w, state);
     }
-    if let Some(graph) = ann {
-        push_ann_graph(&mut w, graph);
-    }
     if let Some(state) = ingest {
         push_ingest_state(&mut w, state);
+    }
+    // Last: the fingerprint covers every input tensor written above.
+    if let Some(store) = served {
+        push_served(&mut w, store);
     }
     w.seal()
 }
@@ -1332,8 +1497,8 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
     }
 
     let train_state = decode_train_state(&raw)?;
-    let ann_graph = decode_ann_graph(&raw)?;
     let ingest_state = decode_ingest_state(&raw, n_pois)?;
+    let served = decode_served(&raw, n_pois, n_relations, &config)?;
 
     Ok(PrimCheckpoint {
         run,
@@ -1344,7 +1509,7 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
         attrs,
         params,
         train_state,
-        ann_graph,
+        served,
         ingest_state,
     })
 }

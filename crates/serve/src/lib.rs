@@ -7,11 +7,13 @@
 //!    checksummed `prim-ckpt/v1` file: config, every parameter, and the
 //!    graph metadata (locations, categories, taxonomy, relation names,
 //!    distance-bin edges, attributes, training edges) scoring needs, so a
-//!    serving process never touches the original dataset.
-//! 2. **Materialise** — [`store::EmbeddingStore`] runs the forward pass
-//!    once at load time and freezes the POI/relation/bin-normal tables
-//!    next to a [`prim_geo::GridIndex`]; queries never touch the autograd
-//!    tape.
+//!    serving process never touches the original dataset, plus the served
+//!    tables and HNSW graph computed from them.
+//! 2. **Materialise** — [`store::EmbeddingStore`] adopts the
+//!    POI/relation/bin-normal tables and the graph a checkpoint carries
+//!    (or runs the forward pass once when it carries none) and freezes
+//!    them next to a [`prim_geo::GridIndex`]; queries never touch the
+//!    autograd tape.
 //! 3. **Query** — [`engine::ServeEngine`] answers point scores, batched
 //!    scores and spatial top-k over the frozen tables, with a sharded LRU
 //!    score cache and `prim-obs` telemetry.
@@ -42,8 +44,8 @@ pub use chaos::{atomic_write, ChaosClient, ChaosIo, Fault, FaultPlan, FileIo, Re
 pub use ckpt::{
     checksum, decode_bytes, decode_checkpoint, encode_checkpoint, encode_checkpoint_ingest,
     load_checkpoint, load_pair_model, load_params, load_params_into, load_raw, save_checkpoint,
-    save_checkpoint_indexed, save_pair_model, save_params, CkptError, IngestSnapshotState,
-    ParamsCheckpoint, PrimCheckpoint, RawCheckpoint, FLAG_NO_DECAY, MAGIC, VERSION,
+    save_pair_model, save_params, CkptError, IngestSnapshotState, ParamsCheckpoint, PrimCheckpoint,
+    RawCheckpoint, ServedSection, FLAG_NO_DECAY, MAGIC, VERSION,
 };
 pub use engine::{
     score_pairs_all, AnnOpts, EngineOpts, EngineSlot, Neighbor, PairScores, ServeEngine, CACHE_AUTO,

@@ -5,7 +5,9 @@
 //! embeddings, relation-score embeddings and the normalised distance-bin
 //! hyperplanes — together with the geometry needed to bin pairs and answer
 //! spatial candidate queries. After construction nothing references the
-//! model or the autograd tape: scoring is pure table lookups.
+//! model or the autograd tape: scoring is pure table lookups. A
+//! checkpoint that carries those tables (its served section) is adopted
+//! instead: [`EmbeddingStore::from_checkpoint`] runs no forward pass.
 
 use crate::ann::{AnnIndex, AnnParams};
 use crate::ckpt::{CkptError, PrimCheckpoint};
@@ -57,8 +59,9 @@ impl EmbeddingStore {
         store
     }
 
-    /// [`from_model`] without the ANN construction — the exact-only
-    /// store the parity oracle and the fastest-loading paths use.
+    /// [`Self::from_model`] without the ANN construction — the exact-only
+    /// store the parity oracle uses, and the embed half of
+    /// [`crate::save_checkpoint`].
     pub fn from_model_unindexed(
         model: &PrimModel,
         inputs: &ModelInputs,
@@ -86,35 +89,56 @@ impl EmbeddingStore {
         }
     }
 
-    /// Materialises a serving store straight from a decoded checkpoint:
-    /// rebuild the model, embed once, and either adopt the persisted
-    /// `ann.*` graph or construct a fresh index seeded from the config.
-    /// This is the one loading path `prim_serve` and hot `reload` share,
-    /// so the ANN index can never be stale relative to the store it is
-    /// swapped in with.
+    /// Materialises a serving store straight from a decoded checkpoint.
+    /// `prim_serve` start-up and hot `reload` load through it (and ingest
+    /// opens through its two branches), so the ANN index can never be
+    /// stale relative to the store it is swapped in with. Two branches:
+    ///
+    /// * **adopt** ([`EmbeddingStore::adopted`]) when the checkpoint
+    ///   carries a current served section: its tables and HNSW graph, no
+    ///   forward pass and no index build;
+    /// * **recompute** ([`EmbeddingStore::recomputed`]) otherwise
+    ///   (training checkpoints, files from before the section, stale
+    ///   fingerprints): rebuild the model, embed once, build the index.
+    ///   This is the oracle the adopted tables are held bitwise equal to.
     pub fn from_checkpoint(ckpt: &PrimCheckpoint) -> Result<Self, CkptError> {
-        let (model, inputs) = ckpt.rebuild()?;
-        let mut store = match &ckpt.ann_graph {
-            // The quantized tier is rebuilt from the (bitwise reproduced)
-            // embeddings, which is cheap next to graph construction.
-            Some(graph) => {
-                let mut store =
-                    Self::from_model_unindexed(&model, &inputs, ckpt.relation_names.clone());
-                store.ann = Some(AnnIndex::from_graph(graph.clone(), &store.pois));
-                store
-            }
-            None => Self::from_model(&model, &inputs, ckpt.relation_names.clone()),
-        };
-        // Ingest snapshots: the serving grid must be the *frozen*
-        // projection with retirements tombstoned, not a fresh build over
-        // the mutated coordinates — otherwise a recovered or promoted
-        // store would resurrect retired POIs as spatial candidates (and
-        // shift every within-radius distance via a recomputed ref_lat).
-        if let Some(st) = &ckpt.ingest_state {
-            store.grid =
-                st.frozen_grid(&store.locations, model.config().spatial_radius_km.max(0.1));
+        if let Some(store) = Self::adopted(ckpt) {
+            return Ok(store);
         }
-        Ok(store)
+        let (model, inputs) = ckpt.rebuild()?;
+        Ok(Self::recomputed(ckpt, &model, &inputs))
+    }
+
+    /// The adopt branch of [`EmbeddingStore::from_checkpoint`]: the
+    /// checkpoint's served tables and graph, the quantized tier encoded
+    /// from the POI table, and the serving grid. `None` when the
+    /// checkpoint carries no (current) served section.
+    pub fn adopted(ckpt: &PrimCheckpoint) -> Option<Self> {
+        let served = ckpt.served.as_ref()?;
+        let locations: Vec<Location> = ckpt.graph.pois().iter().map(|p| p.location).collect();
+        Some(EmbeddingStore {
+            pois: served.pois.clone(),
+            relations: served.relations.clone(),
+            bin_normals: served.bin_normals.clone(),
+            relation_names: ckpt.relation_names.clone(),
+            grid: serving_grid(ckpt, &locations),
+            locations,
+            bins: ckpt.config.bins.clone(),
+            use_distance_scoring: ckpt.config.use_distance_scoring,
+            ann: Some(AnnIndex::from_graph(served.ann.clone(), &served.pois)),
+        })
+    }
+
+    /// The recompute branch of [`EmbeddingStore::from_checkpoint`], for a
+    /// caller that already holds `ckpt.rebuild()`'s model and inputs:
+    /// embed once, build the index with the config seed, and serve from
+    /// the checkpoint's grid.
+    pub fn recomputed(ckpt: &PrimCheckpoint, model: &PrimModel, inputs: &ModelInputs) -> Self {
+        let mut store = Self::from_model(model, inputs, ckpt.relation_names.clone());
+        if ckpt.ingest_state.is_some() {
+            store.grid = serving_grid(ckpt, &store.locations);
+        }
+        store
     }
 
     /// (Re)builds the ANN index over the current embedding table.
@@ -205,5 +229,18 @@ impl EmbeddingStore {
     /// deterministic `(distance, index)` ordering.
     pub fn within_radius(&self, poi: PoiId, radius_km: f64) -> Vec<(usize, f64)> {
         self.grid.within_radius(poi.0 as usize, radius_km)
+    }
+}
+
+/// The grid a checkpoint's store serves from. Ingest snapshots need the
+/// *frozen* projection with retirements tombstoned, not a fresh build over
+/// the mutated coordinates — otherwise a recovered or promoted store would
+/// resurrect retired POIs as spatial candidates (and shift every
+/// within-radius distance via a recomputed ref_lat).
+fn serving_grid(ckpt: &PrimCheckpoint, locations: &[Location]) -> GridIndex {
+    let cell_km = ckpt.config.spatial_radius_km.max(0.1);
+    match &ckpt.ingest_state {
+        Some(st) => st.frozen_grid(locations, cell_km),
+        None => GridIndex::build(locations, cell_km),
     }
 }

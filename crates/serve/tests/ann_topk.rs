@@ -8,8 +8,8 @@ use prim_data::{Dataset, Scale};
 use prim_geo::{DistanceBins, GridIndex, Location};
 use prim_obs::{Counter, Recorder};
 use prim_serve::{
-    load_checkpoint, save_checkpoint, save_checkpoint_indexed, AnnOpts, AnnParams, EmbeddingStore,
-    EngineOpts, EngineSlot, Neighbor, ServeEngine,
+    decode_bytes, decode_checkpoint, encode_checkpoint, load_checkpoint, save_checkpoint, AnnOpts,
+    AnnParams, EmbeddingStore, EngineOpts, EngineSlot, Neighbor, ServeEngine,
 };
 use prim_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -347,9 +347,10 @@ fn dispatch_modes_and_counters() {
     assert!(rec.counter(Counter::AnnRescored) > 0);
 }
 
-/// Checkpoint round-trip: `save_checkpoint_indexed` persists the graph
-/// bit-exactly, `from_checkpoint` adopts it, and an un-indexed checkpoint
-/// rebuilds the identical graph from the config seed (determinism).
+/// Checkpoint round-trip: `save_checkpoint` persists the graph it builds
+/// at save time bit-exactly, `from_checkpoint` adopts it, and a checkpoint
+/// encoded without the served section rebuilds the identical graph from
+/// the config seed (determinism).
 #[test]
 fn ann_graph_round_trips_through_checkpoint() {
     let cfg = PrimConfig {
@@ -379,44 +380,43 @@ fn ann_graph_round_trips_through_checkpoint() {
         .graph
         .clone();
 
-    // Indexed save → the exact graph comes back and is adopted.
+    // Served save → the graph built at save time comes back exactly and
+    // is adopted.
     let scratch = Scratch::new("ann-topk");
-    let indexed = scratch.path("indexed.ckpt");
-    save_checkpoint_indexed(
-        &indexed,
+    let served = scratch.path("served.ckpt");
+    save_checkpoint(
+        &served,
         "ann_roundtrip",
         &model,
         &ds.graph,
         &ds.taxonomy,
         &ds.attrs,
         &ds.relation_names,
-        &graph,
     )
     .unwrap();
-    let ckpt = load_checkpoint(&indexed).unwrap();
+    let ckpt = load_checkpoint(&served).unwrap();
     assert_eq!(
-        ckpt.ann_graph.as_ref(),
+        ckpt.served.as_ref().map(|s| &s.ann),
         Some(&graph),
         "persisted graph differs"
     );
     let adopted = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
     assert_eq!(adopted.ann.as_ref().unwrap().graph, graph);
 
-    // Plain save → no ann tensors, but the rebuild is deterministic and
-    // lands on the same graph.
-    let plain = scratch.path("plain.ckpt");
-    save_checkpoint(
-        &plain,
+    // Encode without the section → no served tensors, but the rebuild is
+    // deterministic and lands on the same graph.
+    let plain = encode_checkpoint(
         "ann_rebuild",
         &model,
         &ds.graph,
         &ds.taxonomy,
         &ds.attrs,
         &ds.relation_names,
-    )
-    .unwrap();
-    let ckpt = load_checkpoint(&plain).unwrap();
-    assert!(ckpt.ann_graph.is_none());
+        None,
+        None,
+    );
+    let ckpt = decode_checkpoint(decode_bytes(&plain).unwrap()).unwrap();
+    assert!(ckpt.served.is_none());
     let rebuilt = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
     assert_eq!(
         rebuilt.ann.as_ref().unwrap().graph,

@@ -6,11 +6,18 @@
 
 use prim_core::{ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
-use prim_serve::{decode_bytes, encode_checkpoint, CkptError};
+use prim_obs::Recorder;
+use prim_serve::ckpt::NamedTensor;
+use prim_serve::{
+    checksum, decode_bytes, decode_checkpoint, encode_checkpoint, encode_checkpoint_ingest,
+    AnnOpts, CkptError, EmbeddingStore, EngineOpts, IngestSnapshotState, ServeEngine,
+};
+use prim_tensor::Matrix;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// One small, fully valid checkpoint shared by every property below.
+/// One small, fully valid checkpoint shared by every property below. It
+/// carries the served section, so the properties cover its tensors too.
 fn valid() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -31,6 +38,7 @@ fn valid() -> &'static [u8] {
             &cfg,
         );
         let model = PrimModel::new(cfg, &inputs);
+        let store = EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone());
         encode_checkpoint(
             "fuzz",
             &model,
@@ -39,7 +47,7 @@ fn valid() -> &'static [u8] {
             &ds.attrs,
             &ds.relation_names,
             None,
-            None,
+            Some(&store),
         )
     })
 }
@@ -120,5 +128,223 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(data in prop::collection::vec(0u8..=255, 0..256)) {
         let _ = decode_bytes(&data);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The served section: validated when kept, dropped when stale
+// ---------------------------------------------------------------------------
+
+/// Byte range of tensor `name`'s table entry in checkpoint `bytes`.
+fn entry_range(bytes: &[u8], name: &str) -> std::ops::Range<usize> {
+    let head: Vec<u8> = [&(name.len() as u32).to_le_bytes()[..], name.as_bytes()].concat();
+    let start = bytes
+        .windows(head.len())
+        .position(|w| w == head.as_slice())
+        .unwrap_or_else(|| panic!("no tensor {name:?}"));
+    let dims = start + head.len() + 1;
+    let rows = u64::from_le_bytes(bytes[dims..dims + 8].try_into().unwrap()) as usize;
+    let cols = u64::from_le_bytes(bytes[dims + 8..dims + 16].try_into().unwrap()) as usize;
+    start..dims + 16 + rows * cols * 8
+}
+
+/// Recomputes the trailer checksum, as a deliberate edit would.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let sum = checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// `bytes` with tensor `name` replaced by a `rows × cols` tensor of
+/// `values` (flags kept), re-sealed.
+fn with_tensor(bytes: &[u8], name: &str, rows: usize, cols: usize, values: &[f64]) -> Vec<u8> {
+    let range = entry_range(bytes, name);
+    let flags = bytes[range.start + 4 + name.len()];
+    let mut entry = Vec::new();
+    entry.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    entry.extend_from_slice(name.as_bytes());
+    entry.push(flags);
+    entry.extend_from_slice(&(rows as u64).to_le_bytes());
+    entry.extend_from_slice(&(cols as u64).to_le_bytes());
+    for v in values {
+        entry.extend_from_slice(&v.to_le_bytes());
+    }
+    reseal([&bytes[..range.start], &entry, &bytes[range.end..]].concat())
+}
+
+fn tensor_in(bytes: &[u8], name: &str) -> NamedTensor {
+    decode_bytes(bytes).unwrap().tensor(name).unwrap().clone()
+}
+
+fn tensor(name: &str) -> NamedTensor {
+    tensor_in(valid(), name)
+}
+
+fn expect_malformed(bytes: &[u8], needle: &str) {
+    match decode_bytes(bytes).and_then(decode_checkpoint) {
+        Err(CkptError::Malformed(msg)) => assert!(msg.contains(needle), "{needle}: {msg}"),
+        Err(e) => panic!("{needle}: expected Malformed, got {e:?}"),
+        Ok(_) => panic!("{needle}: inconsistent served section decoded"),
+    }
+}
+
+#[test]
+fn the_fixture_carries_a_current_served_section() {
+    let ckpt = decode_checkpoint(decode_bytes(valid()).unwrap()).unwrap();
+    assert!(ckpt.served.is_some());
+}
+
+/// A served section whose fingerprint still matches is validated against
+/// the header and config, so shape edits that re-seal the file are
+/// `Malformed`, never a panic at adopt or query time.
+#[test]
+fn shape_inconsistent_served_tensors_are_malformed() {
+    let pois = tensor("served.pois");
+    let (n, d) = (pois.rows, pois.cols);
+    // POI rows ≠ n_pois.
+    expect_malformed(
+        &with_tensor(
+            valid(),
+            "served.pois",
+            n - 1,
+            d,
+            &pois.values[..(n - 1) * d],
+        ),
+        "served.pois",
+    );
+    // Width ≠ cfg.dim.
+    let narrow: Vec<f64> = pois
+        .values
+        .chunks_exact(d)
+        .flat_map(|row| row[..d - 1].to_vec())
+        .collect();
+    expect_malformed(
+        &with_tensor(valid(), "served.pois", n, d - 1, &narrow),
+        "served.pois",
+    );
+    // Relation rows ≠ n_relations + 1.
+    let rel = tensor("served.relations");
+    expect_malformed(
+        &with_tensor(
+            valid(),
+            "served.relations",
+            rel.rows - 1,
+            rel.cols,
+            &rel.values[..(rel.rows - 1) * rel.cols],
+        ),
+        "served.relations",
+    );
+    // Graph nodes > rows: one more level entry and an empty neighbour
+    // list for it on every layer, so the graph itself stays consistent.
+    let mut levels = tensor("ann.levels").values;
+    levels.push(0.0);
+    let mut bytes = with_tensor(valid(), "ann.levels", levels.len(), 1, &levels);
+    let n_layers = tensor("ann.meta").values[7] as usize;
+    for l in 0..n_layers {
+        let name = format!("ann.layer.{l}.offsets");
+        let mut offsets = tensor_in(&bytes, &name).values;
+        offsets.push(*offsets.last().unwrap());
+        bytes = with_tensor(&bytes, &name, 1, offsets.len(), &offsets);
+    }
+    expect_malformed(&bytes, &format!("{} nodes for {n} POI rows", n + 1));
+}
+
+/// An edited input drops the section: a re-sealed parameter edit loads by
+/// recompute, and its store is bitwise `rebuild` + `from_model` of the
+/// edited file.
+#[test]
+fn resealed_param_edit_loads_by_recompute() {
+    let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
+    let w_in = tensor("param.w_in");
+    let mut values = w_in.values.clone();
+    values[0] += 0.25;
+    let edited = with_tensor(valid(), "param.w_in", w_in.rows, w_in.cols, &values);
+    let ckpt = decode_checkpoint(decode_bytes(&edited).unwrap()).unwrap();
+    assert!(ckpt.served.is_none(), "a stale section must be dropped");
+    let loaded = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
+    let (model, inputs) = ckpt.rebuild().unwrap();
+    let oracle = EmbeddingStore::from_model(&model, &inputs, ckpt.relation_names.clone());
+    assert_eq!(bits(&loaded.pois), bits(&oracle.pois));
+    assert_eq!(bits(&loaded.relations), bits(&oracle.relations));
+    assert_eq!(bits(&loaded.bin_normals), bits(&oracle.bin_normals));
+    let (a, b) = (loaded.ann.unwrap(), oracle.ann.unwrap());
+    assert_eq!(a.graph, b.graph);
+    assert_eq!(a.quant, b.quant);
+    let pristine = decode_checkpoint(decode_bytes(valid()).unwrap()).unwrap();
+    assert_ne!(
+        bits(&pristine.served.unwrap().pois),
+        bits(&loaded.pois),
+        "the edit must reach the recomputed table"
+    );
+}
+
+/// The fingerprint covers the ingest section too: a snapshot whose
+/// `ingest.*` tensors were edited and re-sealed drops its served section.
+#[test]
+fn resealed_ingest_edit_drops_the_served_section() {
+    let ckpt = decode_checkpoint(decode_bytes(valid()).unwrap()).unwrap();
+    let (model, inputs) = ckpt.rebuild().unwrap();
+    let store = EmbeddingStore::from_model(&model, &inputs, ckpt.relation_names.clone());
+    let state = IngestSnapshotState {
+        snapshot_seq: 7,
+        base_pois: ckpt.graph.num_pois() as u64,
+        retired: vec![3],
+    };
+    let snapshot = encode_checkpoint_ingest(
+        "fuzz-snapshot",
+        &model,
+        &ckpt.graph,
+        &ckpt.taxonomy,
+        &ckpt.attrs,
+        &ckpt.relation_names,
+        None,
+        Some(&store),
+        Some(&state),
+    );
+    let decoded = decode_checkpoint(decode_bytes(&snapshot).unwrap()).unwrap();
+    assert!(decoded.served.is_some());
+    let edited = with_tensor(&snapshot, "ingest.retired", 1, 1, &[4.0]);
+    let decoded = decode_checkpoint(decode_bytes(&edited).unwrap()).unwrap();
+    assert_eq!(decoded.ingest_state.unwrap().retired, vec![4]);
+    assert!(decoded.served.is_none(), "a stale section must be dropped");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any byte of the served section (the last tensors in the file),
+    /// flipped and re-sealed, decodes to a structured error or a store
+    /// that loads and answers beam top-k queries — never a panic.
+    #[test]
+    fn resealed_served_byte_flip_never_panics(
+        raw_at in 0usize..1_000_000,
+        mask in 1u8..=255,
+    ) {
+        let bytes = valid();
+        let start = entry_range(bytes, "served.meta").start;
+        let body = bytes.len() - 8;
+        let at = start + raw_at % (body - start);
+        let mut edited = bytes.to_vec();
+        edited[at] ^= mask;
+        let Ok(ckpt) = decode_bytes(&reseal(edited)).and_then(decode_checkpoint) else {
+            return Ok(());
+        };
+        let Ok(store) = EmbeddingStore::from_checkpoint(&ckpt) else {
+            return Ok(());
+        };
+        let n = store.n_pois() as u32;
+        let opts = EngineOpts {
+            ann: AnnOpts {
+                min_exact: 0,
+                beam_cutoff: 0,
+                ..AnnOpts::default()
+            },
+            ..EngineOpts::default()
+        };
+        let engine = ServeEngine::new(store, &opts, Recorder::disabled());
+        for src in [0, n / 2, n - 1] {
+            let _ = engine.top_k_related_mode(src, 1.0e4, 10, 0, false);
+        }
     }
 }

@@ -371,7 +371,12 @@ fn ann_tier_slot_accepts_both_known_codes_and_rejects_others() {
     use prim_serve::{decode_bytes, decode_checkpoint, encode_checkpoint, EmbeddingStore};
     let (ds, _cfg, inputs, model) = tiny_trained();
     let store = EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone());
-    let graph = store.ann.expect("from_model indexes").graph;
+    let graph = store
+        .ann
+        .as_ref()
+        .expect("from_model indexes")
+        .graph
+        .clone();
     let bytes = encode_checkpoint(
         "tier-run",
         &model,
@@ -380,7 +385,7 @@ fn ann_tier_slot_accepts_both_known_codes_and_rejects_others() {
         &ds.attrs,
         &ds.relation_names,
         None,
-        Some(&graph),
+        Some(&store),
     );
     // Tensor entries start with the u32 name length, then the name, a u8
     // flag byte, u64 rows and u64 cols; the f64 slots follow.
@@ -401,12 +406,73 @@ fn ann_tier_slot_accepts_both_known_codes_and_rejects_others() {
     assert_eq!(with_tier(0.0), bytes, "the writer puts 0 in slot 5");
 
     let int8 = decode_checkpoint(decode_bytes(&bytes).unwrap()).unwrap();
-    assert_eq!(int8.ann_graph.as_ref(), Some(&graph));
+    assert_eq!(int8.served.as_ref().map(|s| &s.ann), Some(&graph));
     let f16 = decode_checkpoint(decode_bytes(&with_tier(1.0)).unwrap()).unwrap();
-    assert_eq!(f16.ann_graph, int8.ann_graph);
+    assert_eq!(
+        f16.served.as_ref().map(|s| &s.ann),
+        int8.served.as_ref().map(|s| &s.ann)
+    );
 
     match decode_bytes(&with_tier(2.0)).and_then(decode_checkpoint) {
         Err(CkptError::Malformed(msg)) => assert!(msg.contains("tier code 2"), "{msg}"),
         other => panic!("expected Malformed, got {:?}", other.map(|_| "Ok")),
     }
+}
+
+/// Everything a store serves from, as bits: the three tables, the HNSW
+/// graph and quantized tier, locations, bins, and every POI's radius
+/// candidates with their distances.
+fn assert_same_store(a: &prim_serve::EmbeddingStore, b: &prim_serve::EmbeddingStore, label: &str) {
+    let bits =
+        |m: &prim_tensor::Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
+    assert_eq!(bits(&a.pois), bits(&b.pois), "{label}: POI table");
+    assert_eq!(bits(&a.relations), bits(&b.relations), "{label}: relations");
+    assert_eq!(
+        bits(&a.bin_normals),
+        bits(&b.bin_normals),
+        "{label}: bin normals"
+    );
+    let (ia, ib) = (a.ann.as_ref().unwrap(), b.ann.as_ref().unwrap());
+    assert_eq!(ia.graph, ib.graph, "{label}: HNSW graph");
+    assert_eq!(ia.quant, ib.quant, "{label}: quantized tier");
+    assert_eq!(
+        a.relation_names, b.relation_names,
+        "{label}: relation names"
+    );
+    assert_eq!(a.bins.edges(), b.bins.edges(), "{label}: bins");
+    assert_eq!(a.use_distance_scoring, b.use_distance_scoring);
+    let loc = |s: &prim_serve::EmbeddingStore| -> Vec<(u64, u64)> {
+        s.locations
+            .iter()
+            .map(|l| (l.lon.to_bits(), l.lat.to_bits()))
+            .collect()
+    };
+    assert_eq!(loc(a), loc(b), "{label}: locations");
+    for p in 0..a.n_pois() as u32 {
+        let near = |s: &prim_serve::EmbeddingStore| -> Vec<(usize, u64)> {
+            s.within_radius(PoiId(p), 3.0)
+                .into_iter()
+                .map(|(j, d)| (j, d.to_bits()))
+                .collect()
+        };
+        assert_eq!(near(a), near(b), "{label}: grid around {p}");
+    }
+}
+
+/// Adopt equals recompute: the served section `save_checkpoint` writes is
+/// bitwise the store `rebuild` + `from_model` computes from the same file,
+/// and `from_checkpoint` takes the adopt branch.
+#[test]
+fn served_save_adopts_exactly_what_recompute_builds() {
+    use prim_serve::EmbeddingStore;
+    let scratch = Scratch::new("serve-ckpt");
+    let (ds, _cfg, _inputs, _model, path) = save_tiny(&scratch, "served.ckpt");
+    let ckpt = load_checkpoint(&path).unwrap();
+    assert!(ckpt.served.is_some(), "save_checkpoint writes the section");
+    let (model, inputs) = ckpt.rebuild().unwrap();
+    let oracle = EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone());
+    let adopted = EmbeddingStore::adopted(&ckpt).unwrap();
+    assert_same_store(&adopted, &oracle, "adopted vs rebuild + from_model");
+    let loaded = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
+    assert_same_store(&loaded, &adopted, "from_checkpoint vs adopted");
 }

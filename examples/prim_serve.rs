@@ -143,16 +143,10 @@ fn train_save(path: &str) {
     );
     let mut model = PrimModel::new(cfg, &inputs);
     let report = fit(&mut model, &inputs, &ds.graph, ds.graph.edges(), None, None);
-    // Build the serving store once here so the checkpoint carries the ANN
-    // graph: every process that loads it adopts the index instead of
-    // paying the O(n·ef) construction again.
-    let store = EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone());
-    let ann = &store
-        .ann
-        .as_ref()
-        .expect("from_model builds the index")
-        .graph;
-    prim::serve::save_checkpoint_indexed(
+    // The checkpoint carries the served tables and the ANN graph: every
+    // process that loads it adopts them instead of re-embedding and
+    // paying the O(n·ef) index construction again.
+    prim::serve::save_checkpoint(
         path,
         "prim-serve-example",
         &model,
@@ -160,23 +154,22 @@ fn train_save(path: &str) {
         &ds.taxonomy,
         &ds.attrs,
         &ds.relation_names,
-        ann,
     )
     .unwrap_or_else(|e| {
         eprintln!("prim_serve: saving {path}: {e}");
         std::process::exit(1);
     });
     eprintln!(
-        "trained {} epochs (final loss {:.4}), indexed checkpoint written to {path}",
+        "trained {} epochs (final loss {:.4}), serving checkpoint written to {path}",
         report.losses.len(),
         report.final_loss()
     );
 }
 
 /// Loads a checkpoint and builds the query engine around it. Goes through
-/// [`EmbeddingStore::from_checkpoint`] so a persisted `ann.*` graph is
-/// adopted instead of rebuilt (and a checkpoint without one gets a fresh
-/// deterministic index).
+/// [`EmbeddingStore::from_checkpoint`], so the served tables and ANN graph
+/// a checkpoint carries are adopted (and a checkpoint without them is
+/// re-embedded and gets a fresh deterministic index).
 fn load_engine(path: &str, opts: &EngineOpts) -> Arc<ServeEngine> {
     load_engine_as(path, opts, "prim-serve")
 }
@@ -193,15 +186,15 @@ fn load_engine_as(path: &str, opts: &EngineOpts, run: &str) -> Arc<ServeEngine> 
         std::process::exit(1);
     });
     eprintln!(
-        "loaded run {:?}: {} POIs, {} relations, dim {}, ann {}",
+        "loaded run {:?}: {} POIs, {} relations, dim {}, tables {}",
         ckpt.run,
         store.n_pois(),
         store.n_relations(),
         store.dim(),
-        if ckpt.ann_graph.is_some() {
+        if ckpt.served.is_some() {
             "adopted"
         } else {
-            "rebuilt"
+            "recomputed"
         }
     );
     let recorder = Recorder::from_env(run);
