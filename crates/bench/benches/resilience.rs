@@ -11,7 +11,10 @@
 //!   fault layer, then time the resumed run's restore-to-first-epoch gap;
 //! * hot checkpoint reload latency through the serve `reload` op.
 //!
-//! Results land in `BENCH_resilience.json` at the repo root.
+//! Results land in `BENCH_resilience.json` at the repo root, with the
+//! saved file's size against its value count (`ckpt_bytes`,
+//! `ckpt_values`) and the epoch the crashed run resumed at; CI gates both
+//! through `check_bench_regression`.
 
 use prim_bench::json;
 use prim_core::{
@@ -19,8 +22,8 @@ use prim_core::{
 };
 use prim_data::{Dataset, Scale};
 use prim_serve::{
-    encode_checkpoint, fit_resumable, fit_resumable_hooked, ChaosIo, CkptRotator, EmbeddingStore,
-    EngineOpts, FaultPlan, ResilienceOpts, ResumeError, ServeCtx, ServeEngine,
+    decode_bytes, encode_checkpoint, fit_resumable, fit_resumable_hooked, ChaosIo, CkptRotator,
+    EmbeddingStore, EngineOpts, FaultPlan, ResilienceOpts, ResumeError, ServeCtx, ServeEngine,
 };
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -92,7 +95,7 @@ fn main() {
     let dir = tmpdir("latency");
     let rot = CkptRotator::new(&dir, 3).unwrap();
     let mut save_ms = Vec::new();
-    let mut bytes_len = 0usize;
+    let mut saved = Vec::new();
     for epoch in 0..8 {
         let t0 = Instant::now();
         let bytes = encode_checkpoint(
@@ -107,9 +110,17 @@ fn main() {
         );
         rot.save_real(epoch, &bytes).unwrap();
         save_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        bytes_len = bytes.len();
+        saved = bytes;
     }
+    let bytes_len = saved.len();
     let save_ms_mean = save_ms.iter().sum::<f64>() / save_ms.len() as f64;
+    // Values the file stores, at whatever width each tensor takes.
+    let ckpt_values: usize = decode_bytes(&saved)
+        .unwrap()
+        .tensors
+        .iter()
+        .map(|t| t.rows * t.cols)
+        .sum();
 
     let mut restore_ms = Vec::new();
     for _ in 0..8 {
@@ -123,8 +134,9 @@ fn main() {
     std::fs::remove_dir_all(&dir).unwrap();
     println!(
         "resilience: save {save_ms_mean:.2}ms restore {restore_ms_mean:.2}ms \
-         ({:.1} KiB checkpoint)",
-        bytes_len as f64 / 1024.0
+         ({:.1} KiB checkpoint, {:.2} B per value)",
+        bytes_len as f64 / 1024.0,
+        bytes_len as f64 / ckpt_values as f64
     );
 
     // -- Training overhead of per-epoch checkpointing ---------------------
@@ -242,6 +254,7 @@ fn main() {
 
     let section = json::obj(&[
         ("ckpt_bytes", json::int(bytes_len as u64)),
+        ("ckpt_values", json::int(ckpt_values as u64)),
         ("ckpt_save_ms", json::num(save_ms_mean)),
         ("ckpt_restore_ms", json::num(restore_ms_mean)),
         ("train_plain_s", json::num(plain_s)),
@@ -249,6 +262,7 @@ fn main() {
         ("checkpoint_overhead_pct", json::num(overhead_pct)),
         ("recovery_to_train_ms", json::num(recovery_ms)),
         ("resumed_at_epoch", json::int(resumed_at as u64)),
+        ("epochs", json::int(EPOCHS as u64)),
         ("hot_reload_ms", json::num(reload_ms_mean)),
     ]);
     let path = bench_json_path();

@@ -1,4 +1,4 @@
-//! The `prim-ckpt/v1` checkpoint format.
+//! The `prim-ckpt/v2` checkpoint format.
 //!
 //! A checkpoint is a single binary file that carries everything scoring
 //! needs and nothing training needs: the model configuration, the full
@@ -12,43 +12,72 @@
 //!
 //! ```text
 //! offset 0   magic            8 bytes, b"PRIMCKPT"
-//! offset 8   format version   u32 (currently 1)
+//! offset 8   format version   u32 (2; the reader also decodes 1)
 //! offset 12  header length    u32
 //! offset 16  header           UTF-8 JSON, strings and counts only
 //! ...        tensor count     u64
 //! per tensor:
 //!            name length      u32, then the UTF-8 name
 //!            flags            u8  (bit 0: excluded from weight decay)
+//!            dtype            u8  (0: f64, 1: f32, 2: u32)
 //!            rows, cols       u64 each
-//!            values           rows·cols f64, row-major
-//! trailer:   checksum         u64, FNV-1a 64 over every preceding byte
+//!            values           rows·cols values at the dtype's width, row-major
+//! trailer:   checksum         u64, XXH64 (seed 0) over every preceding byte
 //! ```
 //!
+//! A v1 file differs in two places: its entries have no dtype byte and
+//! store every value as an f64, and its trailer is FNV-1a 64. Writers
+//! write only v2; v1 files still decode, as they always did.
+//!
+//! ## Values and dtypes
+//!
 //! Every floating-point quantity whose exact value matters (parameters,
-//! coordinates, bin edges, config scalars) travels through the f64 tensor
+//! coordinates, bin edges, config scalars) travels through the tensor
 //! table; the JSON header holds only strings and integer counts, so the
 //! six-digit JSON number formatting can never round anything that feeds
-//! scoring. `f32` parameters widen to f64 losslessly and narrow back with
-//! `as f32`, which is exact for values that originated as f32 — the
-//! round-trip is bitwise.
+//! scoring. To callers every tensor is f64 ([`NamedTensor::values`]). The
+//! writer stores each one at the narrowest width that decodes back to the
+//! same f64 bits, and picks it from the values alone:
+//!
+//! * u32 when every value is a non-negative integer below 2^32 whose bits
+//!   round-trip (so `-0.0` is not u32);
+//! * else f32 when every value's bits round-trip through f32;
+//! * else f64.
+//!
+//! So parameters, Adam moments, attributes and the served tables (f32
+//! widened to f64) are stored as f32; ids, edges, CSR offsets and targets
+//! and levels as u32; the config, bin edges and coordinates stay f64.
+//! `f32` values narrow back with `as f32`, so every round-trip is bitwise.
+//! An unknown dtype, or a shape whose byte size overflows, is `Malformed`.
+//!
+//! The trailer is XXH64 (Y. Collet, <https://github.com/Cyan4973/xxHash>):
+//! four 64-bit lanes over 32-byte stripes, where FNV-1a took one byte at
+//! a time and was most of a load's cost.
 //!
 //! ## The served section
 //!
 //! A checkpoint meant for serving also carries what
 //! [`EmbeddingStore::from_checkpoint`] would otherwise compute from it:
 //! the three tables eager scoring reads (`served.pois`,
-//! `served.relations`, `served.bin_normals`, f32 widened to f64 like the
-//! parameters) and the HNSW graph over the POI table (`ann.*`). The graph
-//! may cover fewer rows than the table; the rest are an ingest snapshot's
-//! delta segment. `served.meta` holds a fingerprint of every tensor
-//! [`PrimCheckpoint::rebuild`] reads (`meta.*`, `graph.*`, `param.*` and
-//! `ingest.*`, in file order), and decoding keeps the section only when
-//! the file's inputs still match it: a file whose inputs were edited and
-//! re-sealed loads by recompute, exactly like a file without the section.
-//! A kept section whose shapes disagree with the header or config is
-//! `Malformed`. [`save_checkpoint`] and ingest snapshots write the
-//! section; training and rotation checkpoints do not. Readers that
-//! predate it ignore the extra tensors, and the format version stays 1.
+//! `served.relations`, `served.bin_normals`) and the HNSW graph over the
+//! POI table (`ann.*`). The graph may cover fewer rows than the table; the
+//! rest are an ingest snapshot's delta segment. `served.meta` holds a
+//! fingerprint of every tensor [`PrimCheckpoint::rebuild`] reads
+//! (`meta.*`, `graph.*`, `param.*` and `ingest.*`), and decoding keeps the
+//! section only when the file's inputs still match it: a file whose inputs
+//! were edited and re-sealed loads by recompute, exactly like a file
+//! without the section. A kept section whose shapes disagree with the
+//! header or config is `Malformed`. [`save_checkpoint`] and ingest
+//! snapshots write the section; training and rotation checkpoints do not.
+//!
+//! The fingerprint folds 64-bit words in file order with rustc's FxHash
+//! step. In v2 it folds one word per input entry, the XXH64 of the
+//! entry's stored bytes (name length to last value): the writer hashes
+//! each entry as it writes it and the reader as it walks the table, so no
+//! load makes a pass over the values for it. In v1 it folds per input
+//! tensor its name length and bytes, flags, rows, cols, then each value's
+//! f64 bits; v1 files keep that rule, so their served sections are still
+//! adopted.
 
 use crate::ann::hnsw::{Layer, MAX_LEVEL};
 use crate::ann::{AnnGraph, AnnParams, Hnsw};
@@ -66,8 +95,8 @@ use std::path::Path;
 /// File magic, first 8 bytes of every checkpoint.
 pub const MAGIC: &[u8; 8] = b"PRIMCKPT";
 
-/// Current (and only) format version.
-pub const VERSION: u32 = 1;
+/// The format version writers write. The reader also decodes version 1.
+pub const VERSION: u32 = 2;
 
 /// Structured checkpoint errors. Corrupt files surface as values, never
 /// panics: the serving layer must be able to reject a bad checkpoint and
@@ -96,7 +125,8 @@ pub enum CkptError {
         /// Version this reader supports.
         supported: u32,
     },
-    /// The trailing FNV-1a checksum does not match the file contents.
+    /// The trailer checksum does not match the file contents: XXH64 in a
+    /// v2 file ([`checksum`]), FNV-1a 64 in a v1 file.
     ChecksumMismatch {
         /// Checksum stored in the trailer.
         stored: u64,
@@ -146,9 +176,84 @@ impl From<std::io::Error> for CkptError {
     }
 }
 
-/// FNV-1a 64-bit hash — the integrity checksum in the trailer. Exposed so
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().unwrap())
+}
+
+/// XXH64 with seed 0 — the integrity checksum in a v2 trailer, also what
+/// the served-section fingerprint hashes each input entry with. Exposed so
 /// tests (and external tooling) can re-seal a deliberately edited file.
 pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le_u64(word));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.iter().fold(h, |h, &lane| {
+            (h ^ xxh_round(0, lane))
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4)
+        })
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+    }
+    let mut rest = words.remainder();
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().unwrap()) as u64;
+        h = (h ^ word.wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ (b as u64).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// FNV-1a 64 — the trailer checksum of a v1 file.
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -190,10 +295,13 @@ impl NamedTensor {
 /// served section's fingerprint covers.
 const INPUT_PREFIXES: [&str; 4] = ["meta.", "graph.", "param.", "ingest."];
 
+fn is_input(name: &str) -> bool {
+    INPUT_PREFIXES.iter().any(|p| name.starts_with(p))
+}
+
 /// Running fingerprint of a checkpoint's input tensors, folded 64-bit word
-/// by word with rustc's FxHash step: per input tensor its name length and
-/// bytes, flags, rows, cols, then each value's f64 bit pattern. Tensors
-/// outside [`INPUT_PREFIXES`] leave it unchanged.
+/// by word with rustc's FxHash step (the module docs give both versions'
+/// words). Tensors outside [`INPUT_PREFIXES`] leave it unchanged.
 struct Fingerprint(u64);
 
 impl Fingerprint {
@@ -205,10 +313,13 @@ impl Fingerprint {
         self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
-    fn tensor(&mut self, name: &str, flags: u8, rows: usize, cols: usize, values: &[f64]) {
-        if !INPUT_PREFIXES.iter().any(|p| name.starts_with(p)) {
-            return;
-        }
+    /// The v2 word of one input entry: the XXH64 of its stored bytes.
+    fn entry(&mut self, stored: &[u8]) {
+        self.word(checksum(stored));
+    }
+
+    /// The v1 words of one input tensor, over its decoded values.
+    fn values_v1(&mut self, name: &str, flags: u8, rows: usize, cols: usize, values: &[f64]) {
         self.word(name.len() as u64);
         for b in name.bytes() {
             self.word(b as u64);
@@ -220,14 +331,74 @@ impl Fingerprint {
             self.word(v.to_bits());
         }
     }
+}
 
-    /// The fingerprint of a decoded file's inputs.
-    fn of(raw: &RawCheckpoint) -> u64 {
-        let mut f = Fingerprint::new();
-        for t in &raw.tensors {
-            f.tensor(&t.name, t.flags, t.rows, t.cols, &t.values);
+/// How a v2 entry stores its values: each at the dtype's width, decoding
+/// to exactly the f64 the writer was given.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(u8)]
+enum Dtype {
+    F64 = 0,
+    F32 = 1,
+    U32 = 2,
+}
+
+impl Dtype {
+    fn from_code(code: u8) -> Option<Dtype> {
+        match code {
+            0 => Some(Dtype::F64),
+            1 => Some(Dtype::F32),
+            2 => Some(Dtype::U32),
+            _ => None,
         }
-        f.0
+    }
+
+    fn width(self) -> usize {
+        match self {
+            Dtype::F64 => 8,
+            Dtype::F32 | Dtype::U32 => 4,
+        }
+    }
+
+    /// The narrowest dtype through which every value's f64 bits
+    /// round-trip: u32, then f32, then f64.
+    fn narrowest(values: &[f64]) -> Dtype {
+        let exact =
+            |narrow: fn(f64) -> f64| values.iter().all(|&v| narrow(v).to_bits() == v.to_bits());
+        if exact(|v| v as u32 as f64) {
+            Dtype::U32
+        } else if exact(|v| v as f32 as f64) {
+            Dtype::F32
+        } else {
+            Dtype::F64
+        }
+    }
+
+    fn encode(self, values: &[f64], out: &mut Vec<u8>) {
+        for &v in values {
+            match self {
+                Dtype::F64 => out.extend_from_slice(&v.to_le_bytes()),
+                Dtype::F32 => out.extend_from_slice(&(v as f32).to_le_bytes()),
+                Dtype::U32 => out.extend_from_slice(&(v as u32).to_le_bytes()),
+            }
+        }
+    }
+
+    fn decode(self, bytes: &[u8]) -> Vec<f64> {
+        match self {
+            Dtype::F64 => bytes
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect(),
+            Dtype::F32 => bytes
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().unwrap()) as f64)
+                .collect(),
+            Dtype::U32 => bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as f64)
+                .collect(),
+        }
     }
 }
 
@@ -254,18 +425,24 @@ impl Writer {
         self.buf.extend_from_slice(&(n as u64).to_le_bytes());
     }
 
+    /// Writes one entry at the narrowest dtype its values allow.
     fn tensor(&mut self, name: &str, flags: u8, rows: usize, cols: usize, values: &[f64]) {
         assert_eq!(values.len(), rows * cols, "tensor {name} shape mismatch");
+        let dtype = Dtype::narrowest(values);
+        let start = self.buf.len();
+        self.buf
+            .reserve(4 + name.len() + 18 + values.len() * dtype.width());
         self.buf
             .extend_from_slice(&(name.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(name.as_bytes());
         self.buf.push(flags);
+        self.buf.push(dtype as u8);
         self.buf.extend_from_slice(&(rows as u64).to_le_bytes());
         self.buf.extend_from_slice(&(cols as u64).to_le_bytes());
-        for &v in values {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        dtype.encode(values, &mut self.buf);
+        if is_input(name) {
+            self.inputs.entry(&self.buf[start..]);
         }
-        self.inputs.tensor(name, flags, rows, cols, values);
     }
 
     fn seal(mut self) -> Vec<u8> {
@@ -314,6 +491,8 @@ pub struct RawCheckpoint {
     pub header: json::Value,
     /// All tensors, in file order.
     pub tensors: Vec<NamedTensor>,
+    /// Fingerprint of the input tensors, by the file version's rule.
+    inputs: u64,
 }
 
 impl RawCheckpoint {
@@ -403,12 +582,16 @@ fn decode(data: &[u8]) -> Result<RawCheckpoint, CkptError> {
         });
     }
     let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(CkptError::VersionSkew {
-            found: version,
-            supported: VERSION,
-        });
-    }
+    let v1 = match version {
+        1 => true,
+        VERSION => false,
+        found => {
+            return Err(CkptError::VersionSkew {
+                found,
+                supported: VERSION,
+            })
+        }
+    };
     // Integrity next: the trailer checksum covers everything before it.
     if data.len() < 16 + 8 {
         return Err(CkptError::Truncated {
@@ -419,7 +602,7 @@ fn decode(data: &[u8]) -> Result<RawCheckpoint, CkptError> {
     }
     let (body, trailer) = data.split_at(data.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    let computed = checksum(body);
+    let computed = if v1 { fnv1a(body) } else { checksum(body) };
     if stored != computed {
         return Err(CkptError::ChecksumMismatch { stored, computed });
     }
@@ -439,23 +622,36 @@ fn decode(data: &[u8]) -> Result<RawCheckpoint, CkptError> {
     // An entry takes at least 21 bytes (name length, flags, rows, cols),
     // so a count the body cannot hold never sizes the allocation.
     let mut tensors = Vec::with_capacity(n_tensors.min(body.len() / 21));
+    let mut inputs = Fingerprint::new();
     for _ in 0..n_tensors {
+        let start = r.pos;
         let name_len = r.u32("tensor name length")? as usize;
         let name = std::str::from_utf8(r.take(name_len, "tensor name")?)
             .map_err(|e| CkptError::Malformed(format!("tensor name is not UTF-8: {e}")))?
             .to_string();
         let flags = r.take(1, "tensor flags")?[0];
+        let dtype = if v1 {
+            Dtype::F64
+        } else {
+            let code = r.take(1, "tensor dtype")?[0];
+            Dtype::from_code(code).ok_or_else(|| {
+                CkptError::Malformed(format!("tensor {name:?} has unknown dtype {code}"))
+            })?
+        };
         let rows = r.u64("tensor rows")? as usize;
         let cols = r.u64("tensor cols")? as usize;
         let n_bytes = rows
             .checked_mul(cols)
-            .and_then(|n| n.checked_mul(8))
+            .and_then(|n| n.checked_mul(dtype.width()))
             .ok_or_else(|| CkptError::Malformed(format!("tensor {name:?} shape overflows")))?;
-        let bytes = r.take(n_bytes, "tensor values")?;
-        let values = bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let values = dtype.decode(r.take(n_bytes, "tensor values")?);
+        if is_input(&name) {
+            if v1 {
+                inputs.values_v1(&name, flags, rows, cols, &values);
+            } else {
+                inputs.entry(&body[start..r.pos]);
+            }
+        }
         tensors.push(NamedTensor {
             name,
             flags,
@@ -470,7 +666,11 @@ fn decode(data: &[u8]) -> Result<RawCheckpoint, CkptError> {
             body.len() - r.pos
         )));
     }
-    Ok(RawCheckpoint { header, tensors })
+    Ok(RawCheckpoint {
+        header,
+        tensors,
+        inputs: inputs.0,
+    })
 }
 
 /// Reads and decodes a checkpoint file without interpreting its contents.
@@ -573,6 +773,62 @@ fn decode_config(slots: &[f64], bin_edges: &[f64]) -> Result<PrimConfig, CkptErr
         use_node_embeddings: slots[19] != 0.0,
         seed: ((slots[20] as u64) << 32) | (slots[21] as u64),
     })
+}
+
+/// Checks the config sizes [`PrimModel::new`] allocates by (`dim`,
+/// `cat_dim`, `n_layers`, `n_heads`, `dist_feat_dim`) against the stored
+/// parameters named after them, so a re-sealed config edit is an error
+/// here, not a panic in [`PrimConfig::head_dim`] or an allocation sized by
+/// a corrupt `dim` in [`PrimCheckpoint::rebuild`]. `rebuild`'s
+/// `import_named` still checks every name and shape.
+fn check_config_sizes(
+    cfg: &PrimConfig,
+    params: &[(String, Matrix)],
+    attr_dim: usize,
+) -> Result<(), CkptError> {
+    if cfg.n_heads == 0 || !cfg.dim.is_multiple_of(cfg.n_heads) {
+        return Err(CkptError::Malformed(format!(
+            "meta.config dim {} is not a multiple of n_heads {}",
+            cfg.dim, cfg.n_heads
+        )));
+    }
+    let star = cfg.dim.checked_add(cfg.cat_dim).ok_or_else(|| {
+        CkptError::Malformed(format!(
+            "meta.config dim {} + cat_dim {} overflows",
+            cfg.dim, cfg.cat_dim
+        ))
+    })?;
+    // `None`: the parameter must not exist. The last layer's last head
+    // existing, and the next layer and head not, fix both counts.
+    let mut want = vec![
+        ("w_in".to_string(), Some((attr_dim, cfg.dim))),
+        ("w_q".to_string(), Some((cfg.dim, cfg.dim))),
+        ("w_rel_score".to_string(), Some((star, cfg.dim))),
+        (format!("l{}.w_self", cfg.n_layers), None),
+    ];
+    if let Some(last) = cfg.n_layers.checked_sub(1) {
+        let heads = cfg.n_heads;
+        want.push((
+            format!("l{last}.h{}.w_dist", heads - 1),
+            Some((2, cfg.dist_feat_dim)),
+        ));
+        want.push((format!("l{last}.h{heads}.w_dist"), None));
+    }
+    let show = |s: Option<(usize, usize)>| s.map_or("absent".into(), |(r, c)| format!("{r}x{c}"));
+    for (name, shape) in want {
+        let found = params
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, m)| m.shape());
+        if found != shape {
+            return Err(CkptError::Incompatible(format!(
+                "param.{name} is {}, meta.config implies {}",
+                show(found),
+                show(shape)
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn push_params(w: &mut Writer, store: &ParamStore) {
@@ -882,7 +1138,7 @@ fn decode_served(
             meta.values.len()
         )));
     }
-    if join_u64(meta.values[0], meta.values[1]) != Fingerprint::of(raw) {
+    if join_u64(meta.values[0], meta.values[1]) != raw.inputs {
         return Ok(None);
     }
     let table = |name: &str, rows: usize| -> Result<Matrix, CkptError> {
@@ -1495,6 +1751,7 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
             "checkpoint holds no parameters".into(),
         ));
     }
+    check_config_sizes(&config, &params, attrs.cols())?;
 
     let train_state = decode_train_state(&raw)?;
     let ingest_state = decode_ingest_state(&raw, n_pois)?;
@@ -1605,4 +1862,92 @@ pub fn load_pair_model<M: prim_baselines::PairModel>(
 ) -> Result<(), CkptError> {
     let name = model.name();
     load_params_into(path, name, model.store_mut())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn checksum_is_xxh64_with_seed_zero() {
+        assert_eq!(checksum(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            checksum(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    /// `values` written as the only tensor of a sealed file, then decoded:
+    /// the dtype the writer chose, and the values as the reader sees them.
+    fn through_file(values: &[f64]) -> (Dtype, Vec<f64>) {
+        let mut w = Writer::new("{}");
+        w.tensor_count(1);
+        w.tensor("t", 0, 1, values.len(), values);
+        let bytes = w.seal();
+        // Prologue, the 2-byte header, tensor count, name length, "t", flags.
+        let code = bytes[16 + 2 + 8 + 4 + 1 + 1];
+        let raw = decode(&bytes).expect("a sealed file decodes");
+        let t = raw.tensors.into_iter().next().unwrap();
+        (Dtype::from_code(code).unwrap(), t.values)
+    }
+
+    #[test]
+    fn the_writer_picks_the_narrowest_exact_dtype() {
+        let f32_nan = f32::from_bits(0x7fc0_1234) as f64;
+        for (values, dtype) in [
+            (vec![], Dtype::U32),
+            (vec![0.0, 7.0, u32::MAX as f64], Dtype::U32),
+            (vec![-0.0], Dtype::F32),
+            (vec![-1.0, 3.0], Dtype::F32),
+            (vec![4_294_967_296.0], Dtype::F32),
+            (
+                vec![0.5, f32::MIN_POSITIVE as f64 / 8.0, f32_nan],
+                Dtype::F32,
+            ),
+            (vec![1.0, 0.1], Dtype::F64),
+            (vec![4_294_967_297.0], Dtype::F64),
+            (vec![f64::from_bits(1)], Dtype::F64),
+            (vec![f64::from_bits(0x7ff8_0000_0000_0001)], Dtype::F64),
+        ] {
+            let (chosen, back) = through_file(&values);
+            assert_eq!(chosen, dtype, "{values:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&values), "{values:?}");
+        }
+    }
+
+    /// One f64 from a mix of the patterns each dtype rule must get right.
+    fn pattern(kind: u8, raw: u64) -> f64 {
+        match kind {
+            0 => f64::from_bits(raw),
+            1 => (raw as u32) as f64,
+            2 => f32::from_bits(raw as u32) as f64,
+            3 => -0.0,
+            // NaNs of either sign with any payload, quiet or signalling.
+            4 => f64::from_bits(raw | 0x7ff0_0000_0000_0001),
+            // Subnormals of either sign.
+            5 => f64::from_bits(raw & 0x800f_ffff_ffff_ffff),
+            // Integers around 2^32.
+            6 => 4_294_967_296.0 + (raw % 5) as f64 - 2.0,
+            _ => (raw % 1000) as f64 / 10.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever dtype the writer picks, every f64 bit pattern reads
+        /// back with the same bits.
+        #[test]
+        fn every_f64_bit_pattern_round_trips(
+            raw in prop::collection::vec((0u8..8, 0u64..=u64::MAX), 0..12),
+        ) {
+            let values: Vec<f64> = raw.iter().map(|&(k, r)| pattern(k, r)).collect();
+            let (_, back) = through_file(&values);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back), bits(&values));
+        }
+    }
 }

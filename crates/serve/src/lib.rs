@@ -4,7 +4,7 @@
 //! *service*. The pipeline is:
 //!
 //! 1. **Persist** — [`ckpt::save_checkpoint`] writes the versioned,
-//!    checksummed `prim-ckpt/v1` file: config, every parameter, and the
+//!    checksummed `prim-ckpt/v2` file: config, every parameter, and the
 //!    graph metadata (locations, categories, taxonomy, relation names,
 //!    distance-bin edges, attributes, training edges) scoring needs, so a
 //!    serving process never touches the original dataset, plus the served

@@ -10,7 +10,8 @@ use prim_obs::Recorder;
 use prim_serve::ckpt::NamedTensor;
 use prim_serve::{
     checksum, decode_bytes, decode_checkpoint, encode_checkpoint, encode_checkpoint_ingest,
-    AnnOpts, CkptError, EmbeddingStore, EngineOpts, IngestSnapshotState, ServeEngine,
+    AnnOpts, CkptError, EmbeddingStore, EngineOpts, IngestSnapshotState, RawCheckpoint,
+    ServeEngine,
 };
 use prim_tensor::Matrix;
 use proptest::prelude::*;
@@ -135,17 +136,28 @@ proptest! {
 // The served section: validated when kept, dropped when stale
 // ---------------------------------------------------------------------------
 
-/// Byte range of tensor `name`'s table entry in checkpoint `bytes`.
+/// Byte width of one value of a v2 entry's dtype (0: f64, 1: f32, 2: u32).
+fn value_width(dtype: u8) -> usize {
+    match dtype {
+        0 => 8,
+        1 | 2 => 4,
+        other => panic!("unknown dtype {other}"),
+    }
+}
+
+/// Byte range of tensor `name`'s table entry in checkpoint `bytes`: name
+/// length and name, flags, dtype, rows, cols, then the values.
 fn entry_range(bytes: &[u8], name: &str) -> std::ops::Range<usize> {
     let head: Vec<u8> = [&(name.len() as u32).to_le_bytes()[..], name.as_bytes()].concat();
     let start = bytes
         .windows(head.len())
         .position(|w| w == head.as_slice())
         .unwrap_or_else(|| panic!("no tensor {name:?}"));
-    let dims = start + head.len() + 1;
+    let width = value_width(bytes[start + head.len() + 1]);
+    let dims = start + head.len() + 2;
     let rows = u64::from_le_bytes(bytes[dims..dims + 8].try_into().unwrap()) as usize;
     let cols = u64::from_le_bytes(bytes[dims + 8..dims + 16].try_into().unwrap()) as usize;
-    start..dims + 16 + rows * cols * 8
+    start..dims + 16 + rows * cols * width
 }
 
 /// Recomputes the trailer checksum, as a deliberate edit would.
@@ -156,7 +168,7 @@ fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
-/// `bytes` with tensor `name` replaced by a `rows × cols` tensor of
+/// `bytes` with tensor `name` replaced by a `rows × cols` f64 tensor of
 /// `values` (flags kept), re-sealed.
 fn with_tensor(bytes: &[u8], name: &str, rows: usize, cols: usize, values: &[f64]) -> Vec<u8> {
     let range = entry_range(bytes, name);
@@ -165,6 +177,7 @@ fn with_tensor(bytes: &[u8], name: &str, rows: usize, cols: usize, values: &[f64
     entry.extend_from_slice(&(name.len() as u32).to_le_bytes());
     entry.extend_from_slice(name.as_bytes());
     entry.push(flags);
+    entry.push(0); // dtype f64, exact for any value
     entry.extend_from_slice(&(rows as u64).to_le_bytes());
     entry.extend_from_slice(&(cols as u64).to_le_bytes());
     for v in values {
@@ -346,5 +359,202 @@ proptest! {
         for src in [0, n / 2, n - 1] {
             let _ = engine.top_k_related_mode(src, 1.0e4, 10, 0, false);
         }
+    }
+}
+
+/// Answers beam top-k queries from three sources of a loaded store.
+fn serve_a_few(store: EmbeddingStore) {
+    let n = store.n_pois() as u32;
+    let opts = EngineOpts {
+        ann: AnnOpts {
+            min_exact: 0,
+            beam_cutoff: 0,
+            ..AnnOpts::default()
+        },
+        ..EngineOpts::default()
+    };
+    let engine = ServeEngine::new(store, &opts, Recorder::disabled());
+    for src in [0, n / 2, n - 1] {
+        let _ = engine.top_k_related_mode(src, 1.0e4, 10, 0, false);
+    }
+}
+
+/// The served section's tensors (`served.*` and `ann.*`), in file order.
+fn served_names() -> &'static [String] {
+    static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        decode_bytes(valid())
+            .unwrap()
+            .tensors
+            .into_iter()
+            .map(|t| t.name)
+            .filter(|n| n.starts_with("served.") || n.starts_with("ann."))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any value of a served tensor's dtype byte, re-sealed, decodes to a
+    /// structured error or a store that loads and answers beam top-k
+    /// queries — never a panic. Codes 0–2 reread the values at another
+    /// width; any other code is an unknown dtype.
+    #[test]
+    fn resealed_served_dtype_byte_never_panics(
+        pick in 0usize..1_000_000,
+        code in 0u8..=255,
+    ) {
+        let name = &served_names()[pick % served_names().len()];
+        let bytes = valid();
+        let at = entry_range(bytes, name).start + 4 + name.len() + 1;
+        let mut edited = bytes.to_vec();
+        edited[at] = code;
+        let Ok(ckpt) = decode_bytes(&reseal(edited)).and_then(decode_checkpoint) else {
+            return Ok(());
+        };
+        if let Ok(store) = EmbeddingStore::from_checkpoint(&ckpt) {
+            serve_a_few(store);
+        }
+    }
+}
+
+/// Re-sealed config edits that `PrimModel::new` cannot build from — a
+/// `dim` its heads do not divide, no heads, a `dim` no stored parameter
+/// has — are structured errors, never a panic or an aborted allocation
+/// in `rebuild` (which `reload` runs on a shard thread).
+#[test]
+fn resealed_config_edits_are_errors_not_crashes() {
+    let ckpt = decode_checkpoint(decode_bytes(valid()).unwrap()).unwrap();
+    let (model, _) = ckpt.rebuild().unwrap();
+    let plain = encode_checkpoint(
+        "fuzz-plain",
+        &model,
+        &ckpt.graph,
+        &ckpt.taxonomy,
+        &ckpt.attrs,
+        &ckpt.relation_names,
+        None,
+        None,
+    );
+    let rebuilt = |bytes: &[u8]| {
+        decode_bytes(bytes)
+            .and_then(decode_checkpoint)
+            .and_then(|c| c.rebuild().map(|_| ()))
+    };
+    rebuilt(&plain).expect("the unedited file rebuilds");
+    let config = tensor_in(&plain, "meta.config");
+    // Slot 0 is `dim`, slot 3 `n_heads`; the fixture has 8 and 2.
+    for (slot, value) in [(0, 9.0), (3, 0.0), (0, 1e13)] {
+        let mut values = config.values.clone();
+        values[slot] = value;
+        let edited = with_tensor(&plain, "meta.config", 1, values.len(), &values);
+        match rebuilt(&edited) {
+            Err(CkptError::Malformed(_) | CkptError::Incompatible(_)) => {}
+            Err(e) => {
+                panic!("slot {slot} = {value}: expected Malformed or Incompatible, got {e:?}")
+            }
+            Ok(()) => panic!("slot {slot} = {value}: the edited config rebuilt"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// v1 files still load
+// ---------------------------------------------------------------------------
+
+/// A `prim-ckpt/v1` file, written by `encode_checkpoint` before the v2
+/// format existed, from [`valid`]'s recipe (the same subsample, config and
+/// untrained model, with the served section): 98 POIs and 81,678 bytes,
+/// every value an f64, an FNV-1a trailer.
+fn v1() -> &'static [u8] {
+    include_bytes!("data/fuzz_fixture_v1.ckpt")
+}
+
+#[test]
+fn a_v1_file_decodes_and_keeps_its_served_section() {
+    assert_eq!(v1()[8..12], 1u32.to_le_bytes());
+    let ckpt = decode_checkpoint(decode_bytes(v1()).unwrap()).unwrap();
+    assert_eq!(ckpt.graph.num_pois(), 98);
+    assert!(
+        ckpt.served.is_some(),
+        "the v1 fingerprint rule must still match"
+    );
+}
+
+/// Re-encoding a v1 file's decoded checkpoint (its rebuilt model and its
+/// adopted store) writes v2 with the same header and tensor table: names,
+/// flags, shapes and f64 value bits. Only `served.meta` differs, since v2
+/// fingerprints stored bytes; the v2 file adopts the same section.
+#[test]
+fn a_v1_file_re_encodes_to_the_same_tensor_table() {
+    let ckpt = decode_checkpoint(decode_bytes(v1()).unwrap()).unwrap();
+    let (model, _) = ckpt.rebuild().unwrap();
+    let store = EmbeddingStore::adopted(&ckpt).unwrap();
+    let v2 = encode_checkpoint(
+        &ckpt.run,
+        &model,
+        &ckpt.graph,
+        &ckpt.taxonomy,
+        &ckpt.attrs,
+        &ckpt.relation_names,
+        None,
+        Some(&store),
+    );
+    assert_eq!(v2[8..12], 2u32.to_le_bytes());
+    let header = |b: &[u8]| {
+        let n = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
+        b[16..16 + n].to_vec()
+    };
+    assert_eq!(header(v1()), header(&v2));
+    type Row = (String, u8, usize, usize, Vec<u64>);
+    let table = |raw: &RawCheckpoint| -> Vec<Row> {
+        raw.tensors
+            .iter()
+            .filter(|t| t.name != "served.meta")
+            .map(|t| {
+                let bits = t.values.iter().map(|v| v.to_bits()).collect();
+                (t.name.clone(), t.flags, t.rows, t.cols, bits)
+            })
+            .collect()
+    };
+    let (old, new) = (decode_bytes(v1()).unwrap(), decode_bytes(&v2).unwrap());
+    assert_eq!(table(&old), table(&new));
+    assert_ne!(
+        old.tensor("served.meta").unwrap().values,
+        new.tensor("served.meta").unwrap().values
+    );
+    let adopted = decode_checkpoint(new).unwrap().served;
+    assert!(adopted.is_some(), "the v2 fingerprint must match");
+    assert_eq!(adopted, ckpt.served);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// [`any_truncation_is_a_structured_error`] over the v1 file.
+    #[test]
+    fn any_truncation_of_a_v1_file_is_a_structured_error(raw_cut in 0usize..1_000_000) {
+        let cut = raw_cut % v1().len();
+        prop_assert!(
+            decode_bytes(&v1()[..cut]).is_err(),
+            "v1 truncation at {cut}/{} decoded successfully",
+            v1().len()
+        );
+    }
+
+    /// [`any_byte_flip_is_a_structured_error`] over the v1 file.
+    #[test]
+    fn any_byte_flip_of_a_v1_file_is_a_structured_error(
+        raw_at in 0usize..1_000_000,
+        mask in 1u8..=255,
+    ) {
+        let mut bytes = v1().to_vec();
+        let at = raw_at % bytes.len();
+        bytes[at] ^= mask;
+        prop_assert!(
+            decode_bytes(&bytes).is_err(),
+            "v1 flip of byte {at} (mask {mask:#04x}) decoded successfully"
+        );
     }
 }

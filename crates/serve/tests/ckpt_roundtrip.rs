@@ -388,16 +388,24 @@ fn ann_tier_slot_accepts_both_known_codes_and_rejects_others() {
         Some(&store),
     );
     // Tensor entries start with the u32 name length, then the name, a u8
-    // flag byte, u64 rows and u64 cols; the f64 slots follow.
+    // flag byte, a u8 dtype byte, u64 rows and u64 cols; the slots follow
+    // at the dtype's width (0: f64, 1: f32, 2: u32).
     let entry: Vec<u8> = [&8u32.to_le_bytes()[..], b"ann.meta"].concat();
     let at = bytes
         .windows(entry.len())
         .position(|w| w == entry.as_slice())
         .expect("indexed checkpoint carries ann.meta");
-    let slot5 = at + entry.len() + 1 + 8 + 8 + 5 * 8;
+    let dtype = bytes[at + entry.len() + 1];
+    let width = if dtype == 0 { 8 } else { 4 };
+    let slot5 = at + entry.len() + 2 + 8 + 8 + 5 * width;
     let with_tier = |code: f64| {
         let mut b = bytes.clone();
-        b[slot5..slot5 + 8].copy_from_slice(&code.to_le_bytes());
+        let stored = match dtype {
+            0 => code.to_le_bytes().to_vec(),
+            1 => (code as f32).to_le_bytes().to_vec(),
+            _ => (code as u32).to_le_bytes().to_vec(),
+        };
+        b[slot5..slot5 + width].copy_from_slice(&stored);
         let body_len = b.len() - 8;
         let sum = checksum(&b[..body_len]);
         b[body_len..].copy_from_slice(&sum.to_le_bytes());

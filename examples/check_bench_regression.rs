@@ -63,6 +63,16 @@
 //! * promotion must complete in under a second — flipping the standby
 //!   to writable is a pointer swap, not a rebuild.
 //!
+//! `resilience` (from the resilience bench, `BENCH_resilience.json`):
+//!
+//! * the run killed mid-checkpoint must resume from a durable checkpoint
+//!   past its first epoch and before its last (`1 ≤ resumed_at_epoch <
+//!   epochs`) — recovery found the newest checkpoint that survived;
+//! * the saved checkpoint must store at most 4.5 bytes per value
+//!   (`ckpt_bytes ≤ 4.5 × ckpt_values`): the format keeps f32 and u32
+//!   tensors at 4 bytes (4.19 measured), and a writer that widened them
+//!   back to f64 reads about 8.1.
+//!
 //! Exits 0 on pass, 1 on regression, 2 on usage/parse errors.
 
 use prim::obs::json;
@@ -288,6 +298,30 @@ fn check_failover(root: &json::Value, failures: &mut Vec<String>) -> String {
     )
 }
 
+fn check_resilience(root: &json::Value, failures: &mut Vec<String>) -> String {
+    let resumed = num(root, &["resilience", "resumed_at_epoch"]);
+    let epochs = num(root, &["resilience", "epochs"]);
+    let bytes = num(root, &["resilience", "ckpt_bytes"]);
+    let values = num(root, &["resilience", "ckpt_values"]);
+    if resumed < 1.0 || resumed >= epochs {
+        failures.push(format!(
+            "resilience resumed_at_epoch {resumed} outside [1, {epochs}): the killed \
+             run did not resume from a checkpoint it wrote"
+        ));
+    }
+    let per_value = bytes / values;
+    if per_value > 4.5 {
+        failures.push(format!(
+            "resilience checkpoint stores {per_value:.2} bytes per value ({bytes} B for \
+             {values} values) > 4.5: tensors are no longer kept at their native width"
+        ));
+    }
+    format!(
+        "resilience: resumed at epoch {resumed} of {epochs}, checkpoint {bytes} B \
+         ({per_value:.2} B per value)"
+    )
+}
+
 fn check_loadtest_smoke(root: &json::Value, failures: &mut Vec<String>) -> String {
     let ok = num(root, &["loadtest_smoke", "point", "ok"]);
     let errors = num(root, &["loadtest_smoke", "point", "errors"]);
@@ -333,6 +367,8 @@ fn main() {
             check_ingest(&root, &mut failures)
         } else if fetch(&root, &["failover"]).is_some() {
             check_failover(&root, &mut failures)
+        } else if fetch(&root, &["resilience"]).is_some() {
+            check_resilience(&root, &mut failures)
         } else {
             check_kernels(&root, &mut failures)
         };
