@@ -414,37 +414,8 @@ impl PrimModel {
     }
 
     /// Scores a batch of triples on the tape (Eq. 11-12), returning `n×1`
-    /// logits.
-    #[allow(clippy::too_many_arguments)] // mirrors the (src, rel, dst, bin) triple layout
-    pub fn score_triples(
-        &self,
-        g: &mut Graph,
-        bind: &Binding,
-        fwd: &ForwardOutput,
-        src: &[usize],
-        rel: &[usize],
-        dst: &[usize],
-        bins: &[usize],
-    ) -> Var {
-        let mut h_src = g.gather_rows(fwd.h_final, src);
-        let mut h_dst = g.gather_rows(fwd.h_final, dst);
-        if self.cfg.use_distance_scoring {
-            let wn = g.normalize_rows(bind.var(self.w_bins));
-            let w_e = g.gather_rows(wn, bins);
-            let d_src = g.rows_dot(h_src, w_e);
-            let proj_src = g.scale_rows(w_e, d_src);
-            h_src = g.sub(h_src, proj_src);
-            let d_dst = g.rows_dot(h_dst, w_e);
-            let proj_dst = g.scale_rows(w_e, d_dst);
-            h_dst = g.sub(h_dst, proj_dst);
-        }
-        let hr = g.gather_rows(fwd.rel_score, rel);
-        let lhs = g.mul(h_src, hr);
-        g.rows_dot(lhs, h_dst)
-    }
-
-    /// [`PrimModel::score_triples`] over a prepared [`TripleBatch`] — no
-    /// per-call index copies; all gathers use the batch's shared plans.
+    /// logits. All gathers use the [`TripleBatch`]'s shared plans, so a
+    /// call makes no per-call index copies.
     pub fn score_triples_batch(
         &self,
         g: &mut Graph,
@@ -815,12 +786,17 @@ mod tests {
         let mut g = Graph::new();
         let bind = model.store.bind(&mut g);
         let fwd = model.forward(&mut g, &bind, &inputs);
-        let src = vec![0usize, 1, 2];
-        let rel = vec![0usize, 1, model.phi()];
-        let dst = vec![3usize, 4, 5];
-        let bins = vec![0usize, 1, 2];
-        let logits = model.score_triples(&mut g, &bind, &fwd, &src, &rel, &dst, &bins);
-        let loss = g.bce_with_logits(logits, &[1.0, 0.0, 1.0]);
+        let batch = TripleBatch::new(
+            &model,
+            &inputs,
+            &[0, 1, 2],
+            &[0, 1, model.phi()],
+            &[3, 4, 5],
+            &[0, 1, 2],
+            &[1.0, 0.0, 1.0],
+        );
+        let logits = model.score_triples_batch(&mut g, &bind, &fwd, &batch);
+        let loss = g.bce_with_logits_shared(logits, &batch.targets);
         let grads = g.backward(loss);
         model.store.accumulate(&bind, &grads);
         // Every major component must receive gradient.

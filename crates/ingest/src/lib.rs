@@ -230,7 +230,8 @@ struct Inner {
     /// both the model's spatial attention and the serving store's
     /// candidate search read; cloned into every published store. Radius
     /// queries answer the same at any cell size, so it uses the serving
-    /// store's cell floor.
+    /// store's cell floor. Its tombstones are the record of which POIs
+    /// are retired.
     grid: GridIndex,
     locations: Vec<Location>,
     /// Per-POI spatial in-degree plus its total, maintained across
@@ -238,7 +239,6 @@ struct Inner {
     /// spatial edge?) never needs a full spatial rebuild.
     spatial_deg: Vec<u32>,
     spatial_total: u64,
-    retired: Vec<bool>,
     wal: MutationWal,
     staged: Vec<Mutation>,
     /// `add_poi` mutations currently staged (fixes id assignment).
@@ -257,7 +257,7 @@ struct Inner {
 
 impl Inner {
     fn is_retired(&self, poi: u32) -> bool {
-        (poi as usize) < self.retired.len() && self.retired[poi as usize]
+        (poi as usize) < self.grid.len() && !self.grid.is_live(poi as usize)
             || self.staged_retired.contains(&poi)
     }
 
@@ -407,20 +407,11 @@ impl CityIngest {
             .as_ref()
             .map_or(locations.len(), |s| s.base_pois as usize);
         let snapshot_seq = ing_state.as_ref().map_or(0, |s| s.snapshot_seq);
-        // Same frozen reference latitude as the full-build oracle's
-        // internal grid: built over the base population, grown
-        // insert-by-insert for snapshots.
-        let cell_km = cfg.spatial_radius_km.max(0.1);
-        let grid = match &ing_state {
-            Some(st) => st.frozen_grid(&locations, cell_km),
-            None => GridIndex::build(&locations, cell_km),
-        };
-        let mut retired = vec![false; locations.len()];
-        if let Some(st) = &ing_state {
-            for &p in &st.retired {
-                retired[p as usize] = true;
-            }
-        }
+        // The serving store's grid: same frozen reference latitude as the
+        // full-build oracle's internal grid, built over the base
+        // population and grown insert-by-insert for snapshots, with a
+        // snapshot's retirements tombstoned.
+        let grid = ckpt.serving_grid(&locations);
         let mut spatial_deg = vec![0u32; locations.len()];
         for &d in inputs.spatial.dst() {
             spatial_deg[d as usize] += 1;
@@ -466,7 +457,6 @@ impl CityIngest {
             locations,
             spatial_deg,
             spatial_total,
-            retired,
             wal,
             staged: Vec::new(),
             staged_new: 0,
@@ -576,12 +566,9 @@ impl CityIngest {
         let rolled = inner.wal.active_first_seq() > inner.snapshot_seq;
         if high > inner.snapshot_seq && rolled && inner.staged.is_empty() {
             let t0 = Instant::now();
-            let retired: Vec<u32> = inner
-                .retired
-                .iter()
-                .enumerate()
-                .filter(|&(_, &r)| r)
-                .map(|(i, _)| i as u32)
+            let retired: Vec<u32> = (0..inner.grid.len())
+                .filter(|&p| !inner.grid.is_live(p))
+                .map(|p| p as u32)
                 .collect();
             let state = IngestSnapshotState {
                 snapshot_seq: high,
@@ -712,7 +699,6 @@ impl CityIngest {
                     let gi = inner.grid.insert(*location);
                     debug_assert_eq!(gi, id.0 as usize);
                     inner.spatial_deg.push(0);
-                    inner.retired.push(false);
                     changed.insert(id.0);
                     for (nb, _) in inner.grid.within_radius(id.0 as usize, radius) {
                         changed.insert(nb as u32);
@@ -737,7 +723,6 @@ impl CityIngest {
                     }
                     inner.incidence.remove_edges_of(PoiId(*poi));
                     inner.grid.retire(p);
-                    inner.retired[p] = true;
                     changed.insert(*poi);
                 }
             }

@@ -631,6 +631,7 @@ fn kill_primary_at_every_op_promotes_bitwise() {
         // Reader thread: hammer the follower's serving slot for the whole
         // scenario. Any panic (= failed read) fails the test at join.
         let stop = Arc::new(AtomicBool::new(false));
+        let (started, first_read) = std::sync::mpsc::channel();
         let reader = {
             let slot = Arc::clone(&fslot);
             let stop = Arc::clone(&stop);
@@ -641,6 +642,9 @@ fn kill_primary_at_every_op_promotes_bitwise() {
                     let top = engine.top_k_related(0, 2.0, 5, 0);
                     assert!(top.len() <= 5);
                     reads += 1;
+                    if reads == 1 {
+                        let _ = started.send(());
+                    }
                     // Pace the hammering: the point is reads landing across
                     // every sync/promote transition, not CPU saturation
                     // (which starves the pipeline on small runners).
@@ -649,6 +653,12 @@ fn kill_primary_at_every_op_promotes_bitwise() {
                 reads
             })
         };
+        // Start the scenario only once the reader is reading: a kill at
+        // one of the first operations can end the scenario before the
+        // spawned thread is first scheduled.
+        first_read
+            .recv()
+            .unwrap_or_else(|_| panic!("kill@{at}: the reader's first read failed"));
 
         let mut link = CtxLink(&primary.ctx);
         for (i, m) in muts.iter().cloned().enumerate() {

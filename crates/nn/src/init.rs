@@ -32,13 +32,6 @@ pub fn embedding<R: Rng>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
     uniform(rng, rows, cols, bound)
 }
 
-/// Relation-embedding initialisation for DistMult-style scorers: near-one
-/// diagonals (`1 ± 0.2`) so the three-way product `h_i ⊙ h_r · h_j` starts
-/// with useful gradient flow instead of a vanishing triple product.
-pub fn relation_embedding<R: Rng>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| 1.0 + rng.gen_range(-0.2..0.2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,7 @@
 //!
 //! The writer half (originally grown in `prim-bench` for
 //! `BENCH_kernels.json`, now shared from here) renders values verbatim —
-//! numbers via [`num`], strings via [`str`] — and maintains section-per-line
+//! numbers via [`num`], strings via [`str()`] — and maintains section-per-line
 //! record files via [`update_section`]. The reader half is a small
 //! recursive-descent parser used to validate run reports emitted by the
 //! [`crate::Recorder`] sink: CI parses every appended line and checks the
@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Renders an object from `(key, raw-JSON-value)` pairs. Values are
-/// inserted verbatim — pass numbers via [`num`] and strings via [`str`].
+/// inserted verbatim — pass numbers via [`num`] and strings via [`str()`].
 pub fn obj(pairs: &[(&str, String)]) -> String {
     let body: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
     format!("{{{}}}", body.join(", "))

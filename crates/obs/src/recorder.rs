@@ -446,11 +446,6 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// The run name (empty when disabled).
-    pub fn run_name(&self) -> &str {
-        self.inner.as_deref().map(|i| i.run.as_str()).unwrap_or("")
-    }
-
     /// Starts a scoped phase timer; the elapsed time is added to `phase`
     /// when the returned guard drops. Disabled recorders return an inert
     /// guard without reading the clock.

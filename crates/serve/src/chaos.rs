@@ -347,18 +347,6 @@ impl ChaosClient {
         self.stream.flush()
     }
 
-    /// Sends a full request line one byte at a time with `delay` between
-    /// bytes — injected latency on the read path.
-    pub fn send_slowly(&mut self, line: &str, delay: Duration) -> std::io::Result<()> {
-        for b in line.as_bytes() {
-            self.stream.write_all(std::slice::from_ref(b))?;
-            self.stream.flush()?;
-            std::thread::sleep(delay);
-        }
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
-    }
-
     /// Sends a request, line and newline in one write, and reads one
     /// response line.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {

@@ -404,6 +404,10 @@ impl Dtype {
 
 struct Writer {
     buf: Vec<u8>,
+    /// Offset of the u64 tensor count, which `seal` patches in.
+    count_at: usize,
+    /// Entries written so far.
+    count: u64,
     /// Fingerprint of the input tensors written so far.
     inputs: Fingerprint,
 }
@@ -415,14 +419,14 @@ impl Writer {
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&(header_json.len() as u32).to_le_bytes());
         buf.extend_from_slice(header_json.as_bytes());
+        let count_at = buf.len();
+        buf.extend_from_slice(&0u64.to_le_bytes());
         Writer {
             buf,
+            count_at,
+            count: 0,
             inputs: Fingerprint::new(),
         }
-    }
-
-    fn tensor_count(&mut self, n: usize) {
-        self.buf.extend_from_slice(&(n as u64).to_le_bytes());
     }
 
     /// Writes one entry at the narrowest dtype its values allow.
@@ -440,12 +444,15 @@ impl Writer {
         self.buf.extend_from_slice(&(rows as u64).to_le_bytes());
         self.buf.extend_from_slice(&(cols as u64).to_le_bytes());
         dtype.encode(values, &mut self.buf);
+        self.count += 1;
         if is_input(name) {
             self.inputs.entry(&self.buf[start..]);
         }
     }
 
+    /// Patches in the tensor count and appends the checksum trailer.
     fn seal(mut self) -> Vec<u8> {
+        self.buf[self.count_at..self.count_at + 8].copy_from_slice(&self.count.to_le_bytes());
         let sum = checksum(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
@@ -863,14 +870,6 @@ fn widen(m: &Matrix) -> Vec<f64> {
     m.data().iter().map(|&v| v as f64).collect()
 }
 
-fn count_train_tensors(state: &ResumeState) -> usize {
-    let mut n = 4 + 2 * state.adam.moments.len(); // progress, rng, adam.meta, losses
-    if let Some(snap) = &state.best_snapshot {
-        n += 1 + snap.len(); // best_val + snapshot matrices
-    }
-    n
-}
-
 fn push_train_state(w: &mut Writer, state: &ResumeState) {
     let has_best = state.best_snapshot.is_some();
     let [gs_hi, gs_lo] = split_u64(state.global_step);
@@ -938,11 +937,6 @@ fn push_train_state(w: &mut Writer, state: &ResumeState) {
 
 // `ann.meta` layout, one f64 per slot.
 const ANN_META_SLOTS: usize = 8;
-
-fn count_ann_tensors(graph: &AnnGraph) -> usize {
-    // meta + levels + (offsets, targets) per layer.
-    2 + 2 * graph.hnsw.layers.len()
-}
 
 fn push_ann_graph(w: &mut Writer, graph: &AnnGraph) {
     let p = &graph.params;
@@ -1092,14 +1086,6 @@ pub struct ServedSection {
     pub bin_normals: Matrix,
     /// The sealed HNSW graph over the first `ann.hnsw.len()` POI rows.
     pub ann: AnnGraph,
-}
-
-fn count_served_tensors(store: &EmbeddingStore) -> usize {
-    // meta + three tables + the graph.
-    store
-        .ann
-        .as_ref()
-        .map_or(0, |ann| 4 + count_ann_tensors(&ann.graph))
 }
 
 /// Writes `store`'s tables and sealed graph, stamped with the fingerprint
@@ -1293,7 +1279,7 @@ impl IngestSnapshotState {
     /// latitude exactly as the live pipeline did), insert the rest in id
     /// order, then tombstone the retired ids. Insert and retire commute,
     /// so this is bitwise the grid the saving process was serving from.
-    pub fn frozen_grid(&self, locations: &[Location], cell_km: f64) -> GridIndex {
+    fn frozen_grid(&self, locations: &[Location], cell_km: f64) -> GridIndex {
         let base = (self.base_pois as usize).min(locations.len());
         let mut grid = GridIndex::build(&locations[..base], cell_km);
         for loc in &locations[base..] {
@@ -1304,10 +1290,6 @@ impl IngestSnapshotState {
         }
         grid
     }
-}
-
-fn count_ingest_tensors(state: &IngestSnapshotState) -> usize {
-    1 + usize::from(!state.retired.is_empty())
 }
 
 fn push_ingest_state(w: &mut Writer, state: &IngestSnapshotState) {
@@ -1460,6 +1442,21 @@ impl PrimCheckpoint {
             .map_err(CkptError::Incompatible)?;
         Ok((model, inputs))
     }
+
+    /// The grid a store serving this checkpoint answers radius queries
+    /// from, over the checkpoint's POI `locations`, at the serving cell
+    /// floor of 0.1 km. An ingest snapshot needs its *frozen* projection
+    /// with retirements tombstoned, not a fresh build over the mutated
+    /// coordinates — otherwise a recovered or promoted store would
+    /// resurrect retired POIs as spatial candidates (and shift every
+    /// within-radius distance via a recomputed ref_lat).
+    pub fn serving_grid(&self, locations: &[Location]) -> GridIndex {
+        let cell_km = self.config.spatial_radius_km.max(0.1);
+        match &self.ingest_state {
+            Some(st) => st.frozen_grid(locations, cell_km),
+            None => GridIndex::build(locations, cell_km),
+        }
+    }
 }
 
 /// Serialises a trained PRIM model plus the graph metadata scoring needs,
@@ -1571,10 +1568,6 @@ pub fn encode_checkpoint_ingest(
     ]);
 
     let mut w = Writer::new(&header);
-    let train_tensors = train_state.map_or(0, count_train_tensors);
-    let ingest_tensors = ingest.map_or(0, count_ingest_tensors);
-    let served_tensors = served.map_or(0, count_served_tensors);
-    w.tensor_count(8 + model.params().len() + train_tensors + ingest_tensors + served_tensors);
     w.tensor("meta.config", 0, 1, CFG_SLOTS, &encode_config(cfg));
     w.tensor(
         "meta.bin_edges",
@@ -1800,7 +1793,6 @@ pub fn save_params(
         ("run", json::str(run)),
     ]);
     let mut w = Writer::new(&header);
-    w.tensor_count(store.len());
     push_params(&mut w, store);
     atomic_write(path.as_ref(), &w.seal())?;
     Ok(())
@@ -1883,7 +1875,6 @@ mod tests {
     /// the dtype the writer chose, and the values as the reader sees them.
     fn through_file(values: &[f64]) -> (Dtype, Vec<f64>) {
         let mut w = Writer::new("{}");
-        w.tensor_count(1);
         w.tensor("t", 0, 1, values.len(), values);
         let bytes = w.seal();
         // Prologue, the 2-byte header, tensor count, name length, "t", flags.

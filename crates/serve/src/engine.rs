@@ -10,13 +10,14 @@
 //! final reduction multiplies `(ps · hr) · pd` left to right — while
 //! restructuring *around* each score for speed: the projections `ps`/`pd`
 //! are hoisted out of the per-relation loop (eager recomputes them for
-//! every relation), pairs are processed four at a time so eight
-//! coefficient reductions overlap in flight, and the relation reduction
-//! interleaves four pairs × two relations into eight independent
-//! accumulator chains over hoisted relation rows. None of those change
-//! any individual f32 chain — each score is still one `k`-ascending
-//! serial accumulation — so results are identical across batch sizes,
-//! cache states and thread counts.
+//! every relation). On x86_64 each full block of four pairs goes through
+//! an SSE kernel, one pair per lane, whose relation reduction runs four
+//! relations per pass over `k`. Every other pair — the last `n % 4` of a
+//! chunk, and every pair on other targets — takes the per-pair path,
+//! which runs two relations per pass over hoisted relation rows. None of
+//! that changes any individual f32 chain — each score is still one
+//! `k`-ascending serial accumulation — so results are identical across
+//! batch sizes, cache states, thread counts and the two paths.
 
 use crate::cache::{pack_key, ScoreCache};
 use crate::store::EmbeddingStore;
@@ -26,13 +27,16 @@ use prim_tensor::kernel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Pairs scored per inner block of the batched kernel. Four pairs give
-/// eight interleaved coefficient chains and (with [`REL_BLOCK`]) eight
-/// interleaved score chains — enough independent f32 dependency chains to
-/// hide the ~4-cycle add latency that serialises the eager path.
+/// Pairs per block of the SSE kernel: one pair per f32 lane, so each `k`
+/// step loads four pairs' components at once. The block's relation
+/// reduction also takes this many relations per pass over `k`, which
+/// keeps four independent vector chains in flight to hide the add latency
+/// that serialises the eager path.
+#[cfg(target_arch = "x86_64")]
 const PAIR_BLOCK: usize = 4;
 
-/// Relations per accumulator block in the batched kernel.
+/// Relations per pass over `k` on the per-pair path: two independent
+/// accumulator chains over hoisted relation rows.
 const REL_BLOCK: usize = 2;
 
 /// Sentinel for [`EngineOpts::cache_capacity`]: size the score cache
@@ -42,7 +46,7 @@ const REL_BLOCK: usize = 2;
 /// sizing keeps the hit rate flat as stores grow.
 pub const CACHE_AUTO: usize = usize::MAX;
 
-/// ANN dispatch knobs for [`ServeEngine::top_k_related_ann`]. The engine
+/// ANN dispatch knobs for [`ServeEngine::top_k_related_mode`]. The engine
 /// picks one of three regimes per query from the grid's cell-population
 /// estimate: tiny candidate sets go straight to the exact path (the scan
 /// setup would cost more than it saves), mid-size sets take a quantized
@@ -248,27 +252,18 @@ impl ServeEngine {
         self.recorder.add(Counter::ServePairs, pairs.len() as u64);
         self.recorder.add(Counter::ServeBatches, 1);
 
-        let bins: Vec<usize> = pairs
-            .iter()
-            .map(|&(a, b)| self.store.pair_bin(PoiId(a), PoiId(b)))
-            .collect();
-
         // Cache disabled: straight through the kernel, no per-pair probes
         // or allocations — the whole batch shares one score block.
         if !self.cache.is_enabled() {
             self.recorder
                 .add(Counter::ServeCacheMisses, pairs.len() as u64);
-            let all: Arc<[f32]> = score_pairs_all(&self.store, pairs, &bins).into();
-            let n_rel = self.store.phi() + 1;
-            return pairs
-                .iter()
-                .zip(&bins)
-                .enumerate()
-                .map(|(i, (&(a, b), &bin))| {
-                    PairScores::new(a, b, bin, Arc::clone(&all), i * n_rel, n_rel, false)
-                })
-                .collect();
+            return self.batch_uncounted(pairs);
         }
+
+        let bins: Vec<usize> = pairs
+            .iter()
+            .map(|&(a, b)| self.store.pair_bin(PoiId(a), PoiId(b)))
+            .collect();
 
         // Cache pass: collect the misses, remember where each came from.
         let mut out: Vec<Option<PairScores>> = Vec::with_capacity(pairs.len());
@@ -610,10 +605,11 @@ impl ServeEngine {
         candidates.into_iter().map(|(j, d)| (j as u32, d)).collect()
     }
 
-    /// [`Self::batch`] without request counters or cache traffic: used by
-    /// `top_k_related`, which counts its own pairs. Radius scans rarely
-    /// repeat a specific pair, so probing or populating the point cache
-    /// would mostly churn it.
+    /// [`Self::batch`] without request counters or cache traffic: the
+    /// whole of a cache-off `batch`, and the top-k paths' scoring pass,
+    /// which count their own pairs. Radius scans rarely repeat a specific
+    /// pair, so probing or populating the point cache would mostly churn
+    /// it.
     fn batch_uncounted(&self, pairs: &[(u32, u32)]) -> Vec<PairScores> {
         let bins: Vec<usize> = pairs
             .iter()
@@ -652,8 +648,7 @@ pub fn score_pairs_all(store: &EmbeddingStore, pairs: &[(u32, u32)], bins: &[usi
         let n = chunk.len() / n_rel;
         let mut scratch = Scratch::new(d);
         let mut i = 0usize;
-        // Four pairs per iteration: their (independent) coefficient and
-        // relation chains interleave, covering each other's add latency.
+        #[cfg(target_arch = "x86_64")]
         while i + PAIR_BLOCK <= n {
             let p = [
                 pairs[row0 + i],
@@ -668,9 +663,13 @@ pub fn score_pairs_all(store: &EmbeddingStore, pairs: &[(u32, u32)], bins: &[usi
                 bins[row0 + i + 3],
             ];
             let outs = &mut chunk[i * n_rel..(i + PAIR_BLOCK) * n_rel];
-            score_four(store, p, b, outs, &mut scratch);
+            // SAFETY: SSE is part of the x86_64 baseline, and `scratch`
+            // was built for this store's dim just above.
+            unsafe { score_four_sse(store, p, b, outs, &mut scratch) };
             i += PAIR_BLOCK;
         }
+        // Every other pair: the per-pair path, bitwise equal to a lane of
+        // the block.
         while i < n {
             let p = pairs[row0 + i];
             score_one(
@@ -686,12 +685,12 @@ pub fn score_pairs_all(store: &EmbeddingStore, pairs: &[(u32, u32)], bins: &[usi
     out
 }
 
-/// Reusable per-chunk projection buffers: contiguous `ps`/`pd` per pair
-/// for the scalar paths, plus pair-interleaved ("transposed", `[4k + j]`
-/// layout) buffers for the SIMD block kernel.
+/// Reusable per-chunk projection buffers: one contiguous `ps`/`pd` pair
+/// for the per-pair path, plus pair-interleaved ("transposed", `[4k + j]`
+/// layout) buffers for the SSE block kernel.
 struct Scratch {
-    ps: [Vec<f32>; PAIR_BLOCK],
-    pd: [Vec<f32>; PAIR_BLOCK],
+    ps: Vec<f32>,
+    pd: Vec<f32>,
     #[cfg(target_arch = "x86_64")]
     simd: SimdBufs,
 }
@@ -708,8 +707,8 @@ struct SimdBufs {
 impl Scratch {
     fn new(d: usize) -> Self {
         Scratch {
-            ps: std::array::from_fn(|_| vec![0.0; d]),
-            pd: std::array::from_fn(|_| vec![0.0; d]),
+            ps: vec![0.0; d],
+            pd: vec![0.0; d],
             #[cfg(target_arch = "x86_64")]
             simd: SimdBufs {
                 hst: vec![0.0; PAIR_BLOCK * d],
@@ -731,38 +730,6 @@ fn coeff(a: &[f32], w: &[f32]) -> f32 {
         acc += x * y;
     }
     acc
-}
-
-/// Interleaved eight-way coefficient reduction for four pairs. Eight
-/// independent accumulator chains; each chain is element-for-element the
-/// serial [`coeff`] order, so the results are bitwise identical — the
-/// interleaving only overlaps their latencies. Explicit scalar
-/// accumulators and `..d` re-slicing keep everything in registers with
-/// no bounds checks in the loop.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn coeff8(
-    hs: [&[f32]; PAIR_BLOCK],
-    hd: [&[f32]; PAIR_BLOCK],
-    w: [&[f32]; PAIR_BLOCK],
-) -> ([f32; PAIR_BLOCK], [f32; PAIR_BLOCK]) {
-    let d = hs[0].len();
-    let (hs0, hs1, hs2, hs3) = (&hs[0][..d], &hs[1][..d], &hs[2][..d], &hs[3][..d]);
-    let (hd0, hd1, hd2, hd3) = (&hd[0][..d], &hd[1][..d], &hd[2][..d], &hd[3][..d]);
-    let (w0, w1, w2, w3) = (&w[0][..d], &w[1][..d], &w[2][..d], &w[3][..d]);
-    let (mut ds0, mut ds1, mut ds2, mut ds3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let (mut dd0, mut dd1, mut dd2, mut dd3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for k in 0..d {
-        ds0 += hs0[k] * w0[k];
-        dd0 += hd0[k] * w0[k];
-        ds1 += hs1[k] * w1[k];
-        dd1 += hd1[k] * w1[k];
-        ds2 += hs2[k] * w2[k];
-        dd2 += hd2[k] * w2[k];
-        ds3 += hs3[k] * w3[k];
-        dd3 += hd3[k] * w3[k];
-    }
-    ([ds0, ds1, ds2, ds3], [dd0, dd1, dd2, dd3])
 }
 
 /// Fills `ps[k] = hs[k] − ds·w[k]` (the projected embedding). Identical
@@ -810,67 +777,8 @@ fn reduce_relations(store: &EmbeddingStore, ps: &[f32], pd: &[f32], out: &mut [f
     }
 }
 
-/// Scores four (projected or raw) pairs against all relations, two
-/// relations × four pairs = eight independent accumulator chains per pass
-/// over hoisted relation rows. `outs` holds the four pairs' score rows
-/// contiguously (`PAIR_BLOCK × n_rel`). Per-score arithmetic is the same
-/// chain as [`reduce_relations`].
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn reduce_relations4(
-    store: &EmbeddingStore,
-    ps: [&[f32]; PAIR_BLOCK],
-    pd: [&[f32]; PAIR_BLOCK],
-    outs: &mut [f32],
-) {
-    let d = ps[0].len();
-    let (p0, p1, p2, p3) = (&ps[0][..d], &ps[1][..d], &ps[2][..d], &ps[3][..d]);
-    let (q0, q1, q2, q3) = (&pd[0][..d], &pd[1][..d], &pd[2][..d], &pd[3][..d]);
-    let n_rel = outs.len() / PAIR_BLOCK;
-    let mut r0 = 0usize;
-    while r0 + REL_BLOCK <= n_rel {
-        let h0 = &store.relations.row(r0)[..d];
-        let h1 = &store.relations.row(r0 + 1)[..d];
-        let (mut a00, mut a01, mut a10, mut a11) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        let (mut a20, mut a21, mut a30, mut a31) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for k in 0..d {
-            let (t0, t1) = (h0[k], h1[k]);
-            a00 += p0[k] * t0 * q0[k];
-            a01 += p0[k] * t1 * q0[k];
-            a10 += p1[k] * t0 * q1[k];
-            a11 += p1[k] * t1 * q1[k];
-            a20 += p2[k] * t0 * q2[k];
-            a21 += p2[k] * t1 * q2[k];
-            a30 += p3[k] * t0 * q3[k];
-            a31 += p3[k] * t1 * q3[k];
-        }
-        outs[r0] = a00;
-        outs[r0 + 1] = a01;
-        outs[n_rel + r0] = a10;
-        outs[n_rel + r0 + 1] = a11;
-        outs[2 * n_rel + r0] = a20;
-        outs[2 * n_rel + r0 + 1] = a21;
-        outs[3 * n_rel + r0] = a30;
-        outs[3 * n_rel + r0 + 1] = a31;
-        r0 += REL_BLOCK;
-    }
-    if r0 < n_rel {
-        let h0 = &store.relations.row(r0)[..d];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for k in 0..d {
-            let t0 = h0[k];
-            a0 += p0[k] * t0 * q0[k];
-            a1 += p1[k] * t0 * q1[k];
-            a2 += p2[k] * t0 * q2[k];
-            a3 += p3[k] * t0 * q3[k];
-        }
-        outs[r0] = a0;
-        outs[n_rel + r0] = a1;
-        outs[2 * n_rel + r0] = a2;
-        outs[3 * n_rel + r0] = a3;
-    }
-}
-
+/// The per-pair path: projects one pair onto its bin's hyperplane (when
+/// distance scoring is on) and scores it against all relations.
 fn score_one(
     store: &EmbeddingStore,
     (src, dst): (u32, u32),
@@ -884,60 +792,18 @@ fn score_one(
         let w = store.bin_normals.row(bin);
         let ds = coeff(hs, w);
         let dd = coeff(hd, w);
-        project(&mut scratch.ps[0], hs, ds, w);
-        project(&mut scratch.pd[0], hd, dd, w);
-        reduce_relations(store, &scratch.ps[0], &scratch.pd[0], out);
+        project(&mut scratch.ps, hs, ds, w);
+        project(&mut scratch.pd, hd, dd, w);
+        reduce_relations(store, &scratch.ps, &scratch.pd, out);
     } else {
         reduce_relations(store, hs, hd, out);
     }
 }
 
-fn score_four(
-    store: &EmbeddingStore,
-    pairs: [(u32, u32); PAIR_BLOCK],
-    bins: [usize; PAIR_BLOCK],
-    outs: &mut [f32],
-    scratch: &mut Scratch,
-) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE is part of the x86_64 baseline.
-    unsafe {
-        score_four_sse(store, pairs, bins, outs, scratch)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    score_four_scalar(store, pairs, bins, outs, scratch)
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn score_four_scalar(
-    store: &EmbeddingStore,
-    pairs: [(u32, u32); PAIR_BLOCK],
-    bins: [usize; PAIR_BLOCK],
-    outs: &mut [f32],
-    scratch: &mut Scratch,
-) {
-    let hs: [&[f32]; PAIR_BLOCK] = std::array::from_fn(|j| store.pois.row(pairs[j].0 as usize));
-    let hd: [&[f32]; PAIR_BLOCK] = std::array::from_fn(|j| store.pois.row(pairs[j].1 as usize));
-    if store.use_distance_scoring {
-        let w: [&[f32]; PAIR_BLOCK] = std::array::from_fn(|j| store.bin_normals.row(bins[j]));
-        let (ds, dd) = coeff8(hs, hd, w);
-        for j in 0..PAIR_BLOCK {
-            project(&mut scratch.ps[j], hs[j], ds[j], w[j]);
-            project(&mut scratch.pd[j], hd[j], dd[j], w[j]);
-        }
-        let ps: [&[f32]; PAIR_BLOCK] = std::array::from_fn(|j| scratch.ps[j].as_slice());
-        let pd: [&[f32]; PAIR_BLOCK] = std::array::from_fn(|j| scratch.pd[j].as_slice());
-        reduce_relations4(store, ps, pd, outs);
-    } else {
-        let _ = &mut scratch.ps; // scratch unused on the raw branch
-        reduce_relations4(store, hs, hd, outs);
-    }
-}
-
-/// SIMD (SSE) variant of the four-pair block: one lane per pair. Every
-/// vector op is lane-wise IEEE single arithmetic, and each lane performs
-/// the same `k`-ascending serial chain as the scalar code — only *across*
-/// lanes does anything run in parallel — so every score is still bitwise
+/// The SSE block kernel: four pairs, one lane per pair. Every vector op
+/// is lane-wise IEEE single arithmetic, and each lane performs the same
+/// `k`-ascending serial chain as [`score_one`] — only *across* lanes does
+/// anything run in parallel — so every score is still bitwise
 /// [`prim_core::PrimModel::score_pair_eager`]. Rust never contracts
 /// explicit mul/add intrinsics into FMA, so the chains stay exact.
 ///
@@ -945,6 +811,13 @@ fn score_four_scalar(
 /// (`buf[4k + j]` = pair `j`, component `k`) so each `k` step is one
 /// contiguous 4-lane load. A `d % 4` tail is handled in scalar, continuing
 /// each lane's chain in the same order.
+///
+/// # Safety
+///
+/// The CPU must support SSE, and `scratch` must come from
+/// `Scratch::new(store.dim())`: the vector loads and stores reach its
+/// buffers and the embedding rows through raw pointers, up to `4 × dim`
+/// and `dim` floats.
 #[cfg(target_arch = "x86_64")]
 unsafe fn score_four_sse(
     store: &EmbeddingStore,

@@ -121,7 +121,7 @@ impl EmbeddingStore {
             relations: served.relations.clone(),
             bin_normals: served.bin_normals.clone(),
             relation_names: ckpt.relation_names.clone(),
-            grid: serving_grid(ckpt, &locations),
+            grid: ckpt.serving_grid(&locations),
             locations,
             bins: ckpt.config.bins.clone(),
             use_distance_scoring: ckpt.config.use_distance_scoring,
@@ -136,7 +136,7 @@ impl EmbeddingStore {
     pub fn recomputed(ckpt: &PrimCheckpoint, model: &PrimModel, inputs: &ModelInputs) -> Self {
         let mut store = Self::from_model(model, inputs, ckpt.relation_names.clone());
         if ckpt.ingest_state.is_some() {
-            store.grid = serving_grid(ckpt, &store.locations);
+            store.grid = ckpt.serving_grid(&store.locations);
         }
         store
     }
@@ -229,18 +229,5 @@ impl EmbeddingStore {
     /// deterministic `(distance, index)` ordering.
     pub fn within_radius(&self, poi: PoiId, radius_km: f64) -> Vec<(usize, f64)> {
         self.grid.within_radius(poi.0 as usize, radius_km)
-    }
-}
-
-/// The grid a checkpoint's store serves from. Ingest snapshots need the
-/// *frozen* projection with retirements tombstoned, not a fresh build over
-/// the mutated coordinates — otherwise a recovered or promoted store would
-/// resurrect retired POIs as spatial candidates (and shift every
-/// within-radius distance via a recomputed ref_lat).
-fn serving_grid(ckpt: &PrimCheckpoint, locations: &[Location]) -> GridIndex {
-    let cell_km = ckpt.config.spatial_radius_km.max(0.1);
-    match &ckpt.ingest_state {
-        Some(st) => st.frozen_grid(locations, cell_km),
-        None => GridIndex::build(locations, cell_km),
     }
 }

@@ -1,5 +1,5 @@
 //! The checkpoint decode taxonomy is *total*: any truncation or byte flip
-//! of a valid `prim-ckpt/v1` file must produce a structured [`CkptError`]
+//! of a valid `prim-ckpt/v2` file must produce a structured [`CkptError`]
 //! — never a panic and never a silent success. The on-disk format is the
 //! crash-recovery trust boundary, so these properties are what lets
 //! `latest_valid` treat "decodes" as "safe to resume from".

@@ -134,43 +134,62 @@ fn engine_matches_eager_bitwise_cold_warm_and_across_threads() {
     kernel::set_threads(0);
 }
 
+/// Batches of 512 pairs run the four-pair block kernel; at dim 10 its
+/// `d % 4` tails run too, and without distance scoring its raw branch.
 #[test]
 fn batch_and_threads_do_not_change_bits() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 16,
-            cat_dim: 8,
-            epochs: 4,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        0, // cache off: every call exercises the kernel
-    );
-    let pairs = random_pairs(fx.engine.store().n_pois(), 512, 7);
+    for (dim, use_distance_scoring) in [(16, true), (10, true), (10, false)] {
+        let fx = fixture(
+            PrimConfig {
+                dim,
+                cat_dim: dim / 2,
+                n_heads: 2,
+                epochs: 4,
+                val_check_every: 0,
+                use_distance_scoring,
+                ..PrimConfig::quick()
+            },
+            0, // cache off: every call exercises the kernel
+        );
+        let label = format!("dim {dim}, distance scoring {use_distance_scoring}");
+        let pairs = random_pairs(fx.engine.store().n_pois(), 512, 7);
 
-    kernel::set_threads(1);
-    let one = fx.engine.batch(&pairs);
-    kernel::set_threads(4);
-    let four = fx.engine.batch(&pairs);
-    kernel::set_threads(0);
+        kernel::set_threads(1);
+        let one = fx.engine.batch(&pairs);
+        kernel::set_threads(4);
+        let four = fx.engine.batch(&pairs);
+        kernel::set_threads(0);
 
-    for (x, y) in one.iter().zip(&four) {
-        assert_eq!(x.src, y.src);
-        for (a, b) in x.scores().iter().zip(y.scores()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "thread count changed bits");
+        for (x, y) in one.iter().zip(&four) {
+            assert_eq!(x.src, y.src);
+            for (a, b) in x.scores().iter().zip(y.scores()) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{label}: thread count changed bits"
+                );
+            }
         }
-    }
-    // Batched equals single-pair equals eager.
-    for (i, s) in one.iter().enumerate() {
-        let single = fx.engine.score(s.src, s.dst);
-        for (a, b) in s.scores().iter().zip(single.scores()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "batch vs single, pair {i}");
-        }
-        for r in 0..s.scores().len() {
-            let want = fx
-                .model
-                .score_pair_eager(&fx.table, PoiId(s.src), r, PoiId(s.dst), s.bin);
-            assert_eq!(s.scores()[r].to_bits(), want.to_bits(), "batch vs eager");
+        // Batched equals single-pair equals eager.
+        for (i, s) in one.iter().enumerate() {
+            let single = fx.engine.score(s.src, s.dst);
+            for (a, b) in s.scores().iter().zip(single.scores()) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{label}: batch vs single, pair {i}"
+                );
+            }
+            for r in 0..s.scores().len() {
+                let want =
+                    fx.model
+                        .score_pair_eager(&fx.table, PoiId(s.src), r, PoiId(s.dst), s.bin);
+                assert_eq!(
+                    s.scores()[r].to_bits(),
+                    want.to_bits(),
+                    "{label}: batch vs eager, pair {i}"
+                );
+            }
         }
     }
 }

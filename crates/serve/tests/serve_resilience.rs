@@ -310,7 +310,19 @@ fn stalled_mid_line_connection_is_closed_after_read_timeout() {
     let got = wait_for_counter(fx.engine.recorder(), Counter::ServeDeadlines, 1);
     assert!(got >= 1, "stalled connection must be counted, got {got}");
 
-    // A prompt client is unaffected by the stalled one.
+    // A trickling slow loris: a byte every 5 ms never lets the line go
+    // quiet, but the timeout runs from the line's first byte, so the
+    // worker reaps it long before its 400 bytes are out.
+    let mut trickler = ChaosClient::connect(addr).unwrap();
+    let trickle = std::thread::spawn(move || trickler.slow_loris(Duration::from_millis(5), 400));
+    let got = wait_for_counter(fx.engine.recorder(), Counter::ServeDeadlines, 2);
+    assert!(got >= 2, "trickling connection must be counted, got {got}");
+    assert!(
+        trickle.join().unwrap().is_err(),
+        "the server must hang up on the trickling connection"
+    );
+
+    // A prompt client is unaffected by the stalled ones.
     let mut ok_client = ChaosClient::connect(addr).unwrap();
     let resp = ok_client
         .request(r#"{"op": "score", "src": 0, "dst": 1}"#)

@@ -148,11 +148,6 @@ impl Matrix {
         Matrix::from_vec(values.len(), 1, values.to_vec())
     }
 
-    /// Builds a `1 × n` row vector from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Matrix::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Builds the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
@@ -403,7 +398,7 @@ impl Matrix {
     ///
     /// Retained as the ground truth the blocked/parallel [`Matrix::matmul`]
     /// is property-tested (bitwise) against, and as the baseline the kernel
-    /// microbenchmark measures speedups from. Uses the shared [`fmadd`]
+    /// microbenchmark measures speedups from. Uses the shared `fmadd`
     /// step so reference and blocked kernels round identically per element.
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(
@@ -524,7 +519,7 @@ impl Matrix {
     }
 
     /// Reference `selfᵀ × other`: the k-outer loop the crate started with
-    /// (inner step shared with the blocked kernel via [`fmadd`]).
+    /// (inner step shared with the blocked kernel via `fmadd`).
     /// Ground truth for [`Matrix::matmul_tn`] parity tests and benchmarks.
     pub fn matmul_tn_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(
@@ -662,7 +657,7 @@ impl Matrix {
     }
 
     /// Reference `self × otherᵀ`: row-against-row zip dot products (inner
-    /// step shared with the tiled kernel via [`fmadd`]).
+    /// step shared with the tiled kernel via `fmadd`).
     /// Ground truth for [`Matrix::matmul_nt`] parity tests and benchmarks.
     pub fn matmul_nt_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(
