@@ -125,11 +125,6 @@ pub struct ModelInputs {
     /// id order (the ordinary case); `Some` marks a subset build, where
     /// local row `i` reads global row `node_rows[i]` of `node_emb`.
     pub node_rows: Option<Arc<SegmentPlan>>,
-    /// Set on subset builds when the full graph's forward would run the
-    /// spatial stage but the subset has no spatial edges: the forward adds
-    /// this zero matrix as the context so the op sequence (and therefore
-    /// the bitwise result) matches the full pass row for row.
-    pub spatial_forced_zero: Option<Matrix>,
     /// Pairwise distance lookup for scoring: distances are recomputed from
     /// locations on demand, so we keep the locations here.
     locations: Vec<prim_geo::Location>,
@@ -140,7 +135,7 @@ pub struct ModelInputs {
 /// [`ModelInputs::build_subset`]. Running the ordinary forward pass over
 /// `inputs` yields final rows that are bitwise identical to the full-graph
 /// forward for every POI in `targets` (see the module docs of `prim-ingest`
-/// for the ring-set argument).
+/// for the ring-set argument), with or without spatial edges.
 pub struct SubsetInputs {
     /// Relabeled inputs over the support set.
     pub inputs: ModelInputs,
@@ -150,11 +145,6 @@ pub struct SubsetInputs {
     pub targets: Vec<u32>,
     /// Local row index of each target (parallel to `targets`).
     pub target_rows: Vec<usize>,
-    /// Number of spatial sources each target attends over in the mutated
-    /// city (parallel to `targets`). Ingest layers fold these into their
-    /// running spatial-edge total so the next batch can tell whether the
-    /// *full* graph still has any spatial edge without rebuilding it.
-    pub spatial_target_deg: Vec<u32>,
 }
 
 impl ModelInputs {
@@ -183,7 +173,7 @@ impl ModelInputs {
                 .collect();
             spatial = spatial.retain_pois(&keep);
         }
-        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None, None)
+        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None)
     }
 
     /// Like [`ModelInputs::build`] (inference form, no visibility mask) but
@@ -210,7 +200,7 @@ impl ModelInputs {
             cfg.rbf_theta,
             cfg.max_spatial_neighbors,
         );
-        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None, None)
+        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None)
     }
 
     /// Shared assembly over a ready spatial-neighbour structure.
@@ -221,7 +211,6 @@ impl ModelInputs {
         train_edges: &[Edge],
         spatial: SpatialNeighbors,
         node_rows: Option<Arc<SegmentPlan>>,
-        spatial_forced_zero: Option<Matrix>,
     ) -> Self {
         assert_eq!(
             attrs.rows(),
@@ -281,7 +270,6 @@ impl ModelInputs {
             spatial_rbf,
             plans,
             node_rows,
-            spatial_forced_zero,
             locations: graph.pois().iter().map(|p| p.location).collect(),
         }
     }
@@ -303,11 +291,7 @@ impl ModelInputs {
     /// `incidence` lists each POI's edges in `graph` (kept in step with it
     /// by the caller), so the rings and the local edge set cost the
     /// support's degrees rather than a scan of every edge. `grid` is the
-    /// city's frozen-projection spatial grid over all POIs;
-    /// `spatial_active` states whether the *full* graph currently has any
-    /// spatial edge (it gates the zero-context stand-in described on
-    /// [`ModelInputs::spatial_forced_zero`]).
-    #[allow(clippy::too_many_arguments)] // the city's parts, borrowed as the caller holds them
+    /// city's frozen-projection spatial grid over all POIs.
     pub fn build_subset(
         graph: &HeteroGraph,
         incidence: &EdgeIncidence,
@@ -315,7 +299,6 @@ impl ModelInputs {
         attrs: &Matrix,
         grid: &GridIndex,
         targets: &[u32],
-        spatial_active: bool,
         cfg: &PrimConfig,
     ) -> SubsetInputs {
         assert!(
@@ -335,14 +318,6 @@ impl ModelInputs {
             cfg.rbf_theta,
             cfg.max_spatial_neighbors,
         );
-
-        let mut spatial_target_deg = vec![0u32; targets.len()];
-        for &d in sp_targets.dst() {
-            let pos = targets
-                .binary_search(&d)
-                .expect("spatial dst must be a target");
-            spatial_target_deg[pos] += 1;
-        }
 
         let mut in_support = vec![false; n_global];
         let mut frontier: Vec<u32> = Vec::new();
@@ -406,11 +381,6 @@ impl ModelInputs {
         let support_usize: Vec<usize> = support.iter().map(|&g| g as usize).collect();
         let attrs_local = attrs.gather_rows(&support_usize);
         let spatial_local = sp_targets.relabeled(&map);
-        let forced_zero = if spatial_active && spatial_local.is_empty() {
-            Some(Matrix::zeros(support.len(), cfg.dim))
-        } else {
-            None
-        };
         let node_rows = Arc::new(SegmentPlan::new(support_usize, n_global));
 
         let inputs = Self::assemble(
@@ -420,7 +390,6 @@ impl ModelInputs {
             &local_edges,
             spatial_local,
             Some(node_rows),
-            forced_zero,
         );
         let target_rows: Vec<usize> = targets.iter().map(|&t| map[t as usize] as usize).collect();
         SubsetInputs {
@@ -428,7 +397,6 @@ impl ModelInputs {
             support,
             targets: targets.to_vec(),
             target_rows,
-            spatial_target_deg,
         }
     }
 

@@ -370,8 +370,9 @@ impl PrimModel {
             g.end_scope(layer_scope, &[h, hr]);
         }
 
-        // Self-attentive spatial context (Eq. 6-10).
-        if self.cfg.use_spatial_context && !inputs.spatial.is_empty() {
+        // Self-attentive spatial context (Eq. 6-10). A POI with no spatial
+        // neighbour gets an exact-zero context, which leaves `h` bit for bit.
+        if self.cfg.use_spatial_context {
             let spatial = g.scope("spatial context");
             // One fused projection for queries/keys/values instead of three
             // passes over `h`; each slice equals its standalone matmul.
@@ -395,15 +396,6 @@ impl PrimModel {
             let ctx = g.segment_sum_planned(ctx_seg, &plans.sp_seg_dst);
             h = g.add(h, ctx);
             g.end_scope(spatial, &[h]);
-        } else if self.cfg.use_spatial_context {
-            if let Some(zero_ctx) = &inputs.spatial_forced_zero {
-                // Subset with no spatial edges while the full graph has
-                // some: the full pass adds an exact-zero context row to
-                // every POI outside the spatial segments, so mirror the op
-                // to keep the bit pattern identical.
-                let ctx = g.constant_ref(zero_ctx);
-                h = g.add(h, ctx);
-            }
         }
 
         let rel_score = g.matmul(hr, bind.var(self.w_rel_score));
@@ -926,6 +918,18 @@ mod tests {
         assert_eq!(edgeless.adjacency.num_directed_edges(), 0);
         assert_embed_matches_training_tape(&model, &edgeless, "edgeless");
 
+        // A radius below every POI spacing: the block adds zeros, as if off.
+        let mut tight = cfg.clone();
+        tight.spatial_radius_km = 1e-3;
+        let edges = ds.graph.edges();
+        let unspatial = ModelInputs::build(&ds.graph, &ds.taxonomy, &ds.attrs, edges, None, &tight);
+        assert!(unspatial.spatial.is_empty());
+        let on = PrimModel::new(tight.clone(), &unspatial);
+        assert_embed_matches_training_tape(&on, &unspatial, "no spatial edge");
+        tight.use_spatial_context = false;
+        let off = PrimModel::new(tight, &unspatial).embed(&unspatial);
+        assert_eq!(bits(&on.embed(&unspatial).pois), bits(&off.pois));
+
         let locations: Vec<Location> = ds.graph.pois().iter().map(|p| p.location).collect();
         let mut grid = GridIndex::build(&locations, cfg.spatial_radius_km.max(1e-6));
         let subset = |grid: &GridIndex, targets: &[u32]| {
@@ -936,21 +940,20 @@ mod tests {
                 &ds.attrs,
                 grid,
                 targets,
-                true,
                 &cfg,
             )
             .inputs
         };
         let sub = subset(&grid, &[0, 2, 9]);
-        assert!(sub.node_rows.is_some() && sub.spatial_forced_zero.is_none());
+        assert!(sub.node_rows.is_some() && !sub.spatial.is_empty());
         assert_embed_matches_training_tape(&model, &sub, "subset");
 
         // A retired target has no spatial sources while the city has some,
-        // so the subset adds the zero-context stand-in.
+        // so the subset has no spatial edge.
         grid.retire(4);
         let lone = subset(&grid, &[4]);
-        assert!(lone.spatial_forced_zero.is_some());
-        assert_embed_matches_training_tape(&model, &lone, "subset with forced-zero context");
+        assert!(lone.spatial.is_empty());
+        assert_embed_matches_training_tape(&model, &lone, "subset with no spatial edge");
     }
 
     #[test]

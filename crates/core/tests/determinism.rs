@@ -130,6 +130,47 @@ fn pooled_multi_epoch_training_is_bitwise_identical_across_thread_counts() {
     );
 }
 
+/// On a city with no spatial edge the spatial-context extractor runs over
+/// empty neighbour lists, forward and backward. Its zero context and zero
+/// gradients change no bit, so a fit with it on matches a fit with it
+/// off, loss for loss and parameter for parameter.
+#[test]
+fn fit_through_empty_spatial_plans_matches_the_extractor_off() {
+    let (ds, cfg, _) = setup();
+    let cfg = PrimConfig {
+        epochs: 2,
+        spatial_radius_km: 1e-3,
+        ..cfg
+    };
+    let inputs = ModelInputs::build(
+        &ds.graph,
+        &ds.taxonomy,
+        &ds.attrs,
+        ds.graph.edges(),
+        None,
+        &cfg,
+    );
+    assert!(inputs.spatial.is_empty());
+    let run = |use_spatial_context: bool| {
+        let cfg = PrimConfig {
+            use_spatial_context,
+            ..cfg.clone()
+        };
+        let mut model = PrimModel::new(cfg, &inputs);
+        let report = fit(&mut model, &inputs, &ds.graph, ds.graph.edges(), None, None);
+        let params: Vec<(String, Vec<u32>)> = model
+            .params()
+            .entries()
+            .map(|(name, m, _)| (name.to_string(), bits(m.data())))
+            .collect();
+        (bits(&report.losses), params)
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(on.0.len(), 2);
+    assert_eq!(on.0, off.0, "losses");
+    assert_eq!(on.1, off.1, "parameters");
+}
+
 /// Captures the final checkpointable view of a `fit` run.
 #[derive(Default)]
 struct CaptureState(Option<ResumeState>);

@@ -28,11 +28,17 @@ struct Mutated {
 /// one new POI (with edges), one extra edge between existing POIs, and one
 /// retirement. The grid keeps its checkpoint-time projection.
 fn mutated_city(use_node_embeddings: bool) -> Mutated {
+    mutated_city_within(use_node_embeddings, PrimConfig::quick().spatial_radius_km)
+}
+
+/// [`mutated_city`] with spatial neighbours within `spatial_radius_km`.
+fn mutated_city_within(use_node_embeddings: bool, spatial_radius_km: f64) -> Mutated {
     let ds = Dataset::beijing(Scale::Quick).subsample(0.15, 7);
     let cfg = PrimConfig {
         dim: 8,
         cat_dim: 4,
         use_node_embeddings,
+        spatial_radius_km,
         ..PrimConfig::quick()
     };
     let base_inputs = ModelInputs::build(
@@ -84,27 +90,22 @@ fn mutated_city(use_node_embeddings: bool) -> Mutated {
     }
 }
 
-fn oracle(m: &Mutated) -> prim_core::EmbeddingTable {
-    let full = ModelInputs::build_with_grid(
+fn full_inputs(m: &Mutated) -> ModelInputs {
+    ModelInputs::build_with_grid(
         &m.graph,
         &m.taxonomy,
         &m.attrs,
         m.graph.edges(),
         &m.grid,
         &m.cfg,
-    );
-    m.model.embed(&full)
+    )
+}
+
+fn oracle(m: &Mutated) -> prim_core::EmbeddingTable {
+    m.model.embed(&full_inputs(m))
 }
 
 fn subset_for(m: &Mutated, targets: &[u32]) -> SubsetInputs {
-    let full = ModelInputs::build_with_grid(
-        &m.graph,
-        &m.taxonomy,
-        &m.attrs,
-        m.graph.edges(),
-        &m.grid,
-        &m.cfg,
-    );
     ModelInputs::build_subset(
         &m.graph,
         &prim_graph::EdgeIncidence::build(&m.graph),
@@ -112,7 +113,6 @@ fn subset_for(m: &Mutated, targets: &[u32]) -> SubsetInputs {
         &m.attrs,
         &m.grid,
         targets,
-        !full.spatial.is_empty(),
         &m.cfg,
     )
 }
@@ -145,6 +145,13 @@ fn assert_rows_bitwise(m: &Mutated, targets: &[u32]) {
 fn subset_rows_match_full_oracle_bitwise() {
     let m = mutated_city(true);
     let targets = vec![0, 2, m.retired, 9, m.new_id];
+    assert_rows_bitwise(&m, &targets);
+
+    // A radius below every POI spacing: the mutated city has no spatial
+    // edge, and the subset and the full pass both run the spatial block
+    // over empty neighbour lists.
+    let m = mutated_city_within(true, 1e-3);
+    assert!(full_inputs(&m).spatial.is_empty());
     assert_rows_bitwise(&m, &targets);
 }
 

@@ -3,7 +3,9 @@
 //! Radius queries back two parts of the reproduction: the paper's *spatial
 //! neighbours* `S_p = {p' : dist(p, p') < d}` (Definition 3.1, `d` = 1.15 km)
 //! and the dataset generator's proximity-dependent relation sampling. Cells
-//! are sized to the query radius so a query touches at most 9 cells.
+//! are sized to the query radius so a query touches at most 9 cells, unless
+//! that would make the grid too large; then cells widen, which changes what
+//! a query costs but not what it answers.
 //!
 //! The index is mutable after construction: [`GridIndex::insert`] appends a
 //! point (inside or outside the original bounding box) into an overflow list
@@ -14,6 +16,7 @@
 //! sequence (see `build_with_ref_lat`).
 
 use crate::location::Location;
+use std::ops::Range;
 
 /// Spatial index with fixed-radius cell decomposition.
 ///
@@ -53,6 +56,22 @@ pub fn mean_lat(locations: &[Location]) -> f64 {
 
 const KM_PER_DEG: f64 = std::f64::consts::PI / 180.0 * crate::location::EARTH_RADIUS_KM;
 
+/// Most cells a grid allocates (8 MiB of CSR offsets). A request for finer
+/// cells over a wider extent gets wider cells instead: radius answers do
+/// not depend on the cell size, only their cost does. The largest grid
+/// the tests, benches and benchmark workloads build, 114 × 114 cells of
+/// 1.15 km over a 65 km-radius metro city, is far below it.
+const MAX_CELLS: usize = 1 << 20;
+
+/// Column and row counts of a grid of `cell_km` cells over a
+/// `span_x × span_y` km box, or `None` past [`MAX_CELLS`].
+fn grid_dims(span_x: f64, span_y: f64, cell_km: f64) -> Option<(usize, usize)> {
+    // A saturated cast fails the checked add, so no span overflows.
+    let cells = |span: f64| ((span / cell_km).floor() as usize).checked_add(1);
+    let (n_cols, n_rows) = (cells(span_x)?, cells(span_y)?);
+    (n_cols.checked_mul(n_rows)? <= MAX_CELLS).then_some((n_cols, n_rows))
+}
+
 /// Projects locations to local km coordinates around `ref_lat`.
 fn project_with(locations: &[Location], ref_lat: f64) -> Vec<(f64, f64)> {
     let cos_lat = ref_lat.to_radians().cos();
@@ -87,7 +106,8 @@ impl GridIndex {
     /// Core constructor: CSR over the finite points of `points_km`.
     /// Tombstoned (NaN) points are kept in `points_km` so indices stay
     /// stable, but excluded from the cells — they can never match a query.
-    fn build_from_points(points_km: Vec<(f64, f64)>, cell_km: f64, ref_lat: f64) -> Self {
+    /// Cells double in size until the grid fits in [`MAX_CELLS`].
+    fn build_from_points(points_km: Vec<(f64, f64)>, mut cell_km: f64, ref_lat: f64) -> Self {
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
         let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         let mut n_live = 0usize;
@@ -115,8 +135,12 @@ impl GridIndex {
                 extras: Vec::new(),
             };
         }
-        let n_cols = (((max_x - min_x) / cell_km).floor() as usize + 1).max(1);
-        let n_rows = (((max_y - min_y) / cell_km).floor() as usize + 1).max(1);
+        let (n_cols, n_rows) = loop {
+            match grid_dims(max_x - min_x, max_y - min_y, cell_km) {
+                Some(dims) => break dims,
+                None => cell_km *= 2.0,
+            }
+        };
         let n_cells = n_cols * n_rows;
 
         // Counting sort into CSR.
@@ -294,21 +318,8 @@ impl GridIndex {
     /// scan, quantized scan and the ANN beam before generating candidates.
     pub fn count_in_cells_around(&self, query: usize, radius_km: f64) -> usize {
         let (qx, qy) = self.points_km[query];
-        let span = (radius_km / self.cell_km).ceil() as isize;
-        let cx = (((qx - self.min_x) / self.cell_km) as isize).clamp(0, self.n_cols as isize - 1);
-        let cy = (((qy - self.min_y) / self.cell_km) as isize).clamp(0, self.n_rows as isize - 1);
-        let mut total = self.extras.len();
-        for dy in -span..=span {
-            let yy = cy + dy;
-            if yy < 0 || yy >= self.n_rows as isize {
-                continue;
-            }
-            let x_lo = (cx - span).max(0) as usize;
-            let x_hi = (cx + span).min(self.n_cols as isize - 1) as usize;
-            let row = yy as usize * self.n_cols;
-            total += self.cell_start[row + x_hi + 1] - self.cell_start[row + x_lo];
-        }
-        total
+        let in_cells: usize = self.cell_runs(qx, qy, radius_km).map(|run| run.len()).sum();
+        self.extras.len() + in_cells
     }
 
     /// Brute-force reference implementation (used by tests and small inputs).
@@ -325,24 +336,34 @@ impl GridIndex {
         out
     }
 
+    /// The `cell_items` ranges a radius query around `(qx, qy)` reads, one
+    /// per row of its cell window. The window is clamped to the grid, its
+    /// span as an f64 before the cast, so a huge radius costs at most the
+    /// grid. A row's cells are contiguous in the CSR, so each range lists
+    /// the window's cells of one row in cell order.
+    fn cell_runs(
+        &self,
+        qx: f64,
+        qy: f64,
+        radius_km: f64,
+    ) -> impl Iterator<Item = Range<usize>> + '_ {
+        let limit = self.n_cols.max(self.n_rows) as f64;
+        let span = (radius_km / self.cell_km).ceil().clamp(0.0, limit) as usize;
+        let window = |q: f64, min: f64, n: usize| {
+            let c = (((q - min) / self.cell_km) as usize).min(n - 1);
+            c.saturating_sub(span)..=(c + span).min(n - 1)
+        };
+        let xs = window(qx, self.min_x, self.n_cols);
+        window(qy, self.min_y, self.n_rows).map(move |y| {
+            let row = y * self.n_cols;
+            self.cell_start[row + xs.start()]..self.cell_start[row + xs.end() + 1]
+        })
+    }
+
     fn for_cells_around(&self, qx: f64, qy: f64, radius_km: f64, mut visit: impl FnMut(usize)) {
-        let span = (radius_km / self.cell_km).ceil() as isize;
-        let cx = (((qx - self.min_x) / self.cell_km) as isize).clamp(0, self.n_cols as isize - 1);
-        let cy = (((qy - self.min_y) / self.cell_km) as isize).clamp(0, self.n_rows as isize - 1);
-        for dy in -span..=span {
-            let yy = cy + dy;
-            if yy < 0 || yy >= self.n_rows as isize {
-                continue;
-            }
-            for dx in -span..=span {
-                let xx = cx + dx;
-                if xx < 0 || xx >= self.n_cols as isize {
-                    continue;
-                }
-                let c = yy as usize * self.n_cols + xx as usize;
-                for &i in &self.cell_items[self.cell_start[c]..self.cell_start[c + 1]] {
-                    visit(i as usize);
-                }
+        for run in self.cell_runs(qx, qy, radius_km) {
+            for &i in &self.cell_items[run] {
+                visit(i as usize);
             }
         }
         // Overflow inserts are not in any cell yet; scan them exactly. The
@@ -496,13 +517,34 @@ mod tests {
     fn cell_count_bounds_candidates() {
         let pts = cluster(180);
         let idx = GridIndex::build(&pts, 1.15);
+        // 1e300 km: the window is clamped to the grid before any loop.
         for q in [0, 90, 179] {
-            for r in [0.5, 1.15, 4.0] {
+            for r in [0.5, 1.15, 4.0, 1e300] {
                 let est = idx.count_in_cells_around(q, r);
                 let actual = idx.within_radius(q, r).len();
                 assert!(est >= actual, "query {q} r {r}: est {est} < {actual}");
                 // The estimate includes the query point itself.
                 assert!(est >= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_cells_widen_to_the_cap() {
+        // 1e-9 km cells over a ~10 km city would number ~1e26; the build
+        // doubles them until the grid fits, and answers stay exact.
+        let pts = cluster(200);
+        let idx = GridIndex::build(&pts, 1e-9);
+        let rebuilt = idx.rebuilt();
+        assert!(idx.n_cols * idx.n_rows <= MAX_CELLS);
+        assert!(rebuilt.n_cols * rebuilt.n_rows <= MAX_CELLS);
+        for q in [0, 100, 199] {
+            for r in [1e-9, 0.05, 0.4, 3.0] {
+                let mut fast = idx.within_radius(q, r);
+                let mut brute = idx.within_radius_brute(q, r);
+                fast.sort_by_key(|a| a.0);
+                brute.sort_by_key(|a| a.0);
+                assert_eq!(fast, brute, "query {q} r {r}");
             }
         }
     }
@@ -538,12 +580,15 @@ mod tests {
         new_ids.push(idx.insert(Location::new(116.35, 39.95)));
         assert_eq!(idx.extras_len(), 4);
         for q in new_ids.iter().copied().chain([0usize, 60]) {
-            for r in [1.15, 5.0, 60.0] {
+            for r in [1.15, 5.0, 60.0, 1e300] {
                 let mut fast = idx.within_radius(q, r);
+                let mut unsorted = idx.within_radius_unsorted(q, r);
                 let mut brute = idx.within_radius_brute(q, r);
                 fast.sort_by_key(|a| a.0);
+                unsorted.sort_by_key(|a| a.0);
                 brute.sort_by_key(|a| a.0);
                 assert_eq!(fast, brute, "query {q} r {r}");
+                assert_eq!(unsorted, brute, "query {q} r {r}");
             }
         }
     }

@@ -234,11 +234,6 @@ struct Inner {
     /// are retired.
     grid: GridIndex,
     locations: Vec<Location>,
-    /// Per-POI spatial in-degree plus its total, maintained across
-    /// batches so `spatial_active` (does the *full* graph have any
-    /// spatial edge?) never needs a full spatial rebuild.
-    spatial_deg: Vec<u32>,
-    spatial_total: u64,
     wal: MutationWal,
     staged: Vec<Mutation>,
     /// `add_poi` mutations currently staged (fixes id assignment).
@@ -412,11 +407,6 @@ impl CityIngest {
         // population and grown insert-by-insert for snapshots, with a
         // snapshot's retirements tombstoned.
         let grid = ckpt.serving_grid(&locations);
-        let mut spatial_deg = vec![0u32; locations.len()];
-        for &d in inputs.spatial.dst() {
-            spatial_deg[d as usize] += 1;
-        }
-        let spatial_total = inputs.spatial.num_edges() as u64;
         let mut wal = MutationWal::open(io.clone(), wal_dir).map_err(IngestError::Wal)?;
         wal.set_segment_bytes(opts.wal_segment_bytes);
         // Finish any compaction a crash interrupted (and drop segments a
@@ -455,8 +445,6 @@ impl CityIngest {
             model,
             grid,
             locations,
-            spatial_deg,
-            spatial_total,
             wal,
             staged: Vec::new(),
             staged_new: 0,
@@ -698,7 +686,6 @@ impl CityIngest {
                     inner.locations.push(*location);
                     let gi = inner.grid.insert(*location);
                     debug_assert_eq!(gi, id.0 as usize);
-                    inner.spatial_deg.push(0);
                     changed.insert(id.0);
                     for (nb, _) in inner.grid.within_radius(id.0 as usize, radius) {
                         changed.insert(nb as u32);
@@ -772,15 +759,7 @@ impl CityIngest {
         }
         let tvec: Vec<u32> = targets.into_iter().collect();
 
-        // Phase 3 — embed the affected set. `spatial_active` is exact:
-        // every spatial list that changed has its dst inside `tvec`, so
-        // edges with dst outside are carried over unchanged from the
-        // running total.
-        let outside: u64 = inner.spatial_total
-            - tvec
-                .iter()
-                .map(|&f| inner.spatial_deg[f as usize] as u64)
-                .sum::<u64>();
+        // Phase 3 — embed the affected set.
         let extra = n - inner.model.n_poi_rows();
         if extra > 0 {
             inner.model.extend_pois(extra);
@@ -792,19 +771,9 @@ impl CityIngest {
             &inner.attrs,
             &inner.grid,
             &tvec,
-            outside > 0,
             &inner.cfg,
         );
         let table = inner.model.embed(&sub.inputs);
-        inner.spatial_total = outside
-            + sub
-                .spatial_target_deg
-                .iter()
-                .map(|&d| d as u64)
-                .sum::<u64>();
-        for (i, &f) in sub.targets.iter().enumerate() {
-            inner.spatial_deg[f as usize] = sub.spatial_target_deg[i];
-        }
 
         // Phase 4 — scatter into a copy of the published table and swap
         // in a fresh engine. Readers keep the old Arc until they finish.

@@ -737,13 +737,21 @@ fn decode_config(slots: &[f64], bin_edges: &[f64]) -> Result<PrimConfig, CkptErr
         )));
     }
     let us = |i: usize| slots[i] as usize;
+    // Spatial neighbours lie strictly within the radius, and grids are
+    // sized by it, so a NaN or non-positive one is no config at all.
+    let spatial_radius_km = slots[5];
+    if !(spatial_radius_km.is_finite() && spatial_radius_km > 0.0) {
+        return Err(CkptError::Malformed(format!(
+            "meta.config spatial_radius_km {spatial_radius_km} is not a positive distance"
+        )));
+    }
     Ok(PrimConfig {
         dim: us(0),
         cat_dim: us(1),
         n_layers: us(2),
         n_heads: us(3),
         dist_feat_dim: us(4),
-        spatial_radius_km: slots[5],
+        spatial_radius_km,
         rbf_theta: slots[6],
         max_spatial_neighbors: us(7),
         bins: DistanceBins::new(bin_edges.to_vec()),

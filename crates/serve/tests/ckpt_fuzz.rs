@@ -419,10 +419,11 @@ proptest! {
     }
 }
 
-/// Re-sealed config edits that `PrimModel::new` cannot build from — a
-/// `dim` its heads do not divide, no heads, a `dim` no stored parameter
-/// has — are structured errors, never a panic or an aborted allocation
-/// in `rebuild` (which `reload` runs on a shard thread).
+/// Re-sealed config edits that `rebuild` cannot build from — a `dim` its
+/// heads do not divide, no heads, a `dim` no stored parameter has, a NaN
+/// or negative spatial radius — are structured errors, never a panic or
+/// an aborted allocation in `rebuild` (which `reload` runs on a shard
+/// thread).
 #[test]
 fn resealed_config_edits_are_errors_not_crashes() {
     let ckpt = decode_checkpoint(decode_bytes(valid()).unwrap()).unwrap();
@@ -444,12 +445,14 @@ fn resealed_config_edits_are_errors_not_crashes() {
     };
     rebuilt(&plain).expect("the unedited file rebuilds");
     let config = tensor_in(&plain, "meta.config");
-    // Slot 0 is `dim`, slot 3 `n_heads`; the fixture has 8 and 2.
-    for (slot, value) in [(0, 9.0), (3, 0.0), (0, 1e13)] {
+    let edit = |slot: usize, value: f64| {
         let mut values = config.values.clone();
         values[slot] = value;
-        let edited = with_tensor(&plain, "meta.config", 1, values.len(), &values);
-        match rebuilt(&edited) {
+        with_tensor(&plain, "meta.config", 1, values.len(), &values)
+    };
+    // Slot 0 is `dim`, slot 3 `n_heads`; the fixture has 8 and 2.
+    for (slot, value) in [(0, 9.0), (3, 0.0), (0, 1e13)] {
+        match rebuilt(&edit(slot, value)) {
             Err(CkptError::Malformed(_) | CkptError::Incompatible(_)) => {}
             Err(e) => {
                 panic!("slot {slot} = {value}: expected Malformed or Incompatible, got {e:?}")
@@ -457,6 +460,17 @@ fn resealed_config_edits_are_errors_not_crashes() {
             Ok(()) => panic!("slot {slot} = {value}: the edited config rebuilt"),
         }
     }
+    // Slot 5 is `spatial_radius_km` (1.15). NaN and negative radii are
+    // `Malformed`; one below every POI spacing rebuilds, on grid cells
+    // widened to the cap rather than one per 1e-9 km.
+    for value in [f64::NAN, -1.0] {
+        let result = rebuilt(&edit(5, value));
+        assert!(
+            matches!(result, Err(CkptError::Malformed(_))),
+            "radius {value}: {result:?}"
+        );
+    }
+    rebuilt(&edit(5, 1e-9)).expect("a 1e-9 km radius rebuilds");
 }
 
 // ---------------------------------------------------------------------------
