@@ -34,16 +34,9 @@ use prim_serve::{
     handle_line, load_checkpoint, save_checkpoint, EmbeddingStore, EngineOpts, EngineSlot,
     IngestBackend, PrimCheckpoint, RealIo, ServeCtx, ServeEngine, TenantSpec,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn bench_json_path() -> PathBuf {
-    if let Ok(p) = std::env::var("PRIM_BENCH_JSON") {
-        return PathBuf::from(p);
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_failover.json")
-}
 
 fn ms(from: Instant) -> f64 {
     from.elapsed().as_secs_f64() * 1e3
@@ -345,7 +338,7 @@ fn main() {
         ("lag_ms_p99", json::num(lag_p99)),
         ("promote_ms", json::num(promote_ms)),
     ]);
-    let path = bench_json_path();
+    let path = json::bench_json_path("BENCH_failover.json");
     json::update_section(&path, "failover", &section);
     println!("failover: recorded to {}", path.display());
 

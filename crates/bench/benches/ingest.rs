@@ -24,16 +24,8 @@ use prim_obs::Recorder;
 use prim_serve::{
     load_checkpoint, save_checkpoint, EmbeddingStore, EngineOpts, EngineSlot, RealIo, ServeEngine,
 };
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-
-fn bench_json_path() -> PathBuf {
-    if let Ok(p) = std::env::var("PRIM_BENCH_JSON") {
-        return PathBuf::from(p);
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ingest.json")
-}
 
 fn ms(from: Instant) -> f64 {
     from.elapsed().as_secs_f64() * 1e3
@@ -250,7 +242,7 @@ fn main() {
         ("speedup_visibility", json::num(speedup)),
         ("delta_rows", json::int(status.delta_rows as u64)),
     ]);
-    let path = bench_json_path();
+    let path = json::bench_json_path("BENCH_ingest.json");
     json::update_section(&path, "ingest", &section);
     println!("ingest: recorded to {}", path.display());
     engine.recorder().finish();

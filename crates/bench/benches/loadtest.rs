@@ -37,13 +37,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn bench_json_path() -> PathBuf {
-    if let Ok(p) = std::env::var("PRIM_BENCH_JSON") {
-        return PathBuf::from(p);
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_loadtest.json")
-}
-
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
         .ok()
@@ -201,11 +194,9 @@ fn main() {
             ("tenants", json::int(fixture.cities.len() as u64)),
             ("point", report.to_json(conns)),
         ]);
-        json::update_section(&bench_json_path(), "loadtest_smoke", &section);
-        println!(
-            "loadtest: smoke section recorded to {}",
-            bench_json_path().display()
-        );
+        let path = json::bench_json_path("BENCH_loadtest.json");
+        json::update_section(&path, "loadtest_smoke", &section);
+        println!("loadtest: smoke section recorded to {}", path.display());
         return;
     }
 
@@ -269,7 +260,7 @@ fn main() {
         ("scale", json::str(if quick { "quick" } else { "full" })),
         ("tiers", json::arr(&tier_rows)),
     ]);
-    let path = bench_json_path();
+    let path = json::bench_json_path("BENCH_loadtest.json");
     json::update_section(&path, "loadtest", &section);
     println!("loadtest: recorded to {}", path.display());
 }

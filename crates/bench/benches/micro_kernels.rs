@@ -676,7 +676,7 @@ fn main() {
             json::arr(&others.iter().map(TimedRecord::json).collect::<Vec<_>>()),
         ),
     ]);
-    let path = json::bench_json_path();
+    let path = json::bench_json_path("BENCH_kernels.json");
     json::update_section(&path, "micro_kernels", &section);
 
     let train_section = bench_train_epoch(par_threads);

@@ -101,7 +101,7 @@ fn main() {
         ("paper_with_projection_ms", json::num(1.57)),
         ("paper_without_projection_ms", json::num(0.61)),
     ]);
-    let path = json::bench_json_path();
+    let path = json::bench_json_path("BENCH_kernels.json");
     json::update_section(&path, "pred_latency", &section);
     println!(
         "pred_latency: shape checks passed; recorded to {}",

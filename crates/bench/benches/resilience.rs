@@ -25,14 +25,10 @@ use prim_serve::{
     decode_bytes, encode_checkpoint, fit_resumable, fit_resumable_hooked, ChaosIo, CkptRotator,
     EmbeddingStore, EngineOpts, FaultPlan, ResilienceOpts, ResumeError, ServeCtx, ServeEngine,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 const EPOCHS: usize = 6;
-
-fn bench_json_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_resilience.json")
-}
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("prim-bench-resilience-{name}"));
@@ -265,7 +261,7 @@ fn main() {
         ("epochs", json::int(EPOCHS as u64)),
         ("hot_reload_ms", json::num(reload_ms_mean)),
     ]);
-    let path = bench_json_path();
+    let path = json::bench_json_path("BENCH_resilience.json");
     json::update_section(&path, "resilience", &section);
     println!(
         "resilience: checkpoint overhead {overhead_pct:+.1}%, recovery {recovery_ms:.2}ms, \

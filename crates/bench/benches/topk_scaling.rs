@@ -42,7 +42,6 @@ use prim_serve::{AnnOpts, AnnParams, EmbeddingStore, EngineOpts, ServeEngine};
 use prim_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::Path;
 use std::time::Instant;
 
 const DIM: usize = 32;
@@ -50,10 +49,6 @@ const K: usize = 10;
 /// perfbench's `top_k` radius classes past the exact regime.
 const METRO_SCAN_KM: f64 = 10.0;
 const METRO_BEAM_KM: f64 = 150.0;
-
-fn bench_json_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_topk.json")
-}
 
 /// A synthetic Singapore store: `n` POIs uniform over a ~18 km box
 /// (density grows with `n`, as it would if the same city were mapped at
@@ -360,7 +355,7 @@ fn main() {
         ("tiers", json::arr(&sections)),
         ("metro_5k", metro_section),
     ]);
-    let path = bench_json_path();
+    let path = json::bench_json_path("BENCH_topk.json");
     json::update_section(&path, "topk_scaling", &section);
     println!("topk_scaling: recorded to {}", path.display());
 }

@@ -35,7 +35,7 @@ pub mod train;
 
 pub use config::{GammaOp, PrimConfig, TaxonomyMode, Variant};
 pub use inputs::{GraphPlans, ModelInputs, SubsetInputs};
-pub use model::{EmbeddingTable, ForwardOutput, PrimModel, TripleBatch};
+pub use model::{EmbeddingTable, ForwardOutput, ModelDims, PrimModel, TripleBatch};
 pub use train::{
     fit, fit_hooked, fit_observed, fit_resumed, sample_epoch_triples, train_step,
     train_step_observed, EpochTriples, FitCkptView, FitHook, NoopHook, ResumeState, StepNorms,

@@ -52,6 +52,69 @@ struct Layer {
     w_rel: ParamId,
 }
 
+/// The sizes a PRIM model's parameter shapes take from its data, beside
+/// the config: all [`PrimModel::restore`] needs in place of
+/// [`ModelInputs`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ModelDims {
+    /// Number of POIs (rows of the per-POI embedding table).
+    pub n_pois: usize,
+    /// Number of relation types (excluding φ).
+    pub n_relations: usize,
+    /// Attribute feature width.
+    pub attr_dim: usize,
+    /// Number of taxonomy tree nodes.
+    pub n_taxonomy_nodes: usize,
+    /// Number of leaf categories.
+    pub n_categories: usize,
+}
+
+impl ModelDims {
+    /// The sizes of `inputs`.
+    pub fn of(inputs: &ModelInputs) -> Self {
+        ModelDims {
+            n_pois: inputs.n_pois,
+            n_relations: inputs.n_relations,
+            attr_dim: inputs.attr_dim(),
+            n_taxonomy_nodes: inputs.n_taxonomy_nodes,
+            n_categories: inputs.n_categories,
+        }
+    }
+}
+
+/// How [`PrimModel::new`] draws a parameter's initial value.
+#[derive(Clone, Copy)]
+enum Init {
+    /// [`init::xavier_uniform`].
+    Xavier,
+    /// [`init::embedding`].
+    Embedding,
+}
+
+/// The store [`PrimModel::register`] fills, and where its values come from.
+struct Registrar<F> {
+    store: ParamStore,
+    value: F,
+}
+
+impl<F: FnMut(&str, (usize, usize), Init) -> Matrix> Registrar<F> {
+    fn add(
+        &mut self,
+        name: impl Into<String>,
+        shape: (usize, usize),
+        how: Init,
+        decay: bool,
+    ) -> ParamId {
+        let name = name.into();
+        let value = (self.value)(&name, shape, how);
+        if decay {
+            self.store.add(name, value)
+        } else {
+            self.store.add_no_decay(name, value)
+        }
+    }
+}
+
 /// The trainable PRIM model.
 pub struct PrimModel {
     cfg: PrimConfig,
@@ -170,75 +233,124 @@ impl PrimModel {
         &mut self.store
     }
 
-    /// Creates a model for datasets with the given dimensions.
+    /// Creates a model for datasets with the given dimensions, every
+    /// parameter drawn from the config seed's stream.
     pub fn new(cfg: PrimConfig, inputs: &ModelInputs) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
+        Self::register(
+            cfg,
+            &ModelDims::of(inputs),
+            |_, (rows, cols), how| match how {
+                Init::Xavier => init::xavier_uniform(&mut rng, rows, cols),
+                Init::Embedding => init::embedding(&mut rng, rows, cols),
+            },
+        )
+    }
+
+    /// Restores a model from its parameters' `(name, value)` entries in
+    /// registration order, as a checkpoint stores them, without
+    /// [`ModelInputs`] and without a random draw. The entries must match
+    /// the parameter list [`PrimModel::new`] registers for `cfg` and `dims`
+    /// exactly; a mismatch is the error [`ParamStore::import_named`]
+    /// reports. The model equals `new` followed by `import_named` of the
+    /// same entries, bit for bit.
+    ///
+    /// # Panics
+    /// As [`PrimModel::new`], when `cfg.n_heads` does not divide `cfg.dim`.
+    pub fn restore(
+        cfg: PrimConfig,
+        dims: &ModelDims,
+        entries: Vec<(String, Matrix)>,
+    ) -> Result<Self, String> {
+        // The parameter list alone: empty placeholder values, shapes kept.
+        let mut list = Vec::new();
+        Self::register(cfg.clone(), dims, |name, shape, _| {
+            list.push((name.to_string(), shape));
+            Matrix::zeros(0, 0)
+        });
+        ParamStore::check_named(list.iter().map(|(n, s)| (n.as_str(), *s)), &entries)?;
+        let mut values = entries.into_iter().map(|(_, value)| value);
+        Ok(Self::register(cfg, dims, |_, _, _| {
+            values.next().expect("entries were counted")
+        }))
+    }
+
+    /// Registers every parameter, in the order and with the names, shapes
+    /// and decay flags that checkpoints store, taking each value from
+    /// `value(name, shape, init)`: the one parameter list [`PrimModel::new`]
+    /// and [`PrimModel::restore`] share.
+    fn register(
+        cfg: PrimConfig,
+        dims: &ModelDims,
+        value: impl FnMut(&str, (usize, usize), Init) -> Matrix,
+    ) -> Self {
+        let mut r = Registrar {
+            store: ParamStore::new(),
+            value,
+        };
         let dim = cfg.dim;
         let cat = cfg.cat_dim;
         let star = dim + cat;
-        let r_all = inputs.n_relations + 1;
+        let r_all = dims.n_relations + 1;
         let head_dim = cfg.head_dim();
         let att_in = 2 * head_dim + cfg.dist_feat_dim;
 
-        let w_in = store.add(
-            "w_in",
-            init::xavier_uniform(&mut rng, inputs.attr_dim(), dim),
-        );
-        let node_emb =
-            store.add_no_decay("node_emb", init::embedding(&mut rng, inputs.n_pois, dim));
+        let w_in = r.add("w_in", (dims.attr_dim, dim), Init::Xavier, true);
+        let node_emb = r.add("node_emb", (dims.n_pois, dim), Init::Embedding, false);
         let cat_rows = match cfg.taxonomy {
-            TaxonomyMode::PathSum => inputs.n_taxonomy_nodes,
-            TaxonomyMode::Independent => inputs.n_categories,
+            TaxonomyMode::PathSum => dims.n_taxonomy_nodes,
+            TaxonomyMode::Independent => dims.n_categories,
         };
-        let cat_table = store.add_no_decay("cat_table", init::embedding(&mut rng, cat_rows, cat));
-        let rel_emb = store.add_no_decay("rel_emb", init::embedding(&mut rng, r_all, star));
+        let cat_table = r.add("cat_table", (cat_rows, cat), Init::Embedding, false);
+        let rel_emb = r.add("rel_emb", (r_all, star), Init::Embedding, false);
 
         let mut layers = Vec::with_capacity(cfg.n_layers);
         for l in 0..cfg.n_layers {
             let mut heads = Vec::with_capacity(cfg.n_heads);
             for k in 0..cfg.n_heads {
                 heads.push(Head {
-                    w_att: store.add(
+                    w_att: r.add(
                         format!("l{l}.h{k}.w_att"),
-                        init::xavier_uniform(&mut rng, star, head_dim),
+                        (star, head_dim),
+                        Init::Xavier,
+                        true,
                     ),
-                    w_dist: store.add(
+                    w_dist: r.add(
                         format!("l{l}.h{k}.w_dist"),
-                        init::xavier_uniform(&mut rng, 2, cfg.dist_feat_dim),
+                        (2, cfg.dist_feat_dim),
+                        Init::Xavier,
+                        true,
                     ),
-                    att_table: store.add(
+                    att_table: r.add(
                         format!("l{l}.h{k}.att"),
-                        init::embedding(&mut rng, inputs.n_relations, att_in),
+                        (dims.n_relations, att_in),
+                        Init::Embedding,
+                        true,
                     ),
-                    w_msg: store.add(
+                    w_msg: r.add(
                         format!("l{l}.h{k}.w_msg"),
-                        init::xavier_uniform(&mut rng, star, head_dim),
+                        (star, head_dim),
+                        Init::Xavier,
+                        true,
                     ),
                 });
             }
             layers.push(Layer {
                 heads,
-                w_self: store.add(
-                    format!("l{l}.w_self"),
-                    init::xavier_uniform(&mut rng, star, dim),
-                ),
-                w_rel: store.add(
-                    format!("l{l}.w_rel"),
-                    init::xavier_uniform(&mut rng, star, star),
-                ),
+                w_self: r.add(format!("l{l}.w_self"), (star, dim), Init::Xavier, true),
+                w_rel: r.add(format!("l{l}.w_rel"), (star, star), Init::Xavier, true),
             });
         }
 
-        let w_rel_score = store.add("w_rel_score", init::xavier_uniform(&mut rng, star, dim));
-        let w_q = store.add("w_q", init::xavier_uniform(&mut rng, dim, dim));
-        let w_k = store.add("w_k", init::xavier_uniform(&mut rng, dim, dim));
-        let w_v = store.add("w_v", init::xavier_uniform(&mut rng, dim, dim));
-        let w_bins = store.add_no_decay("w_bins", init::embedding(&mut rng, cfg.bins.len(), dim));
+        let w_rel_score = r.add("w_rel_score", (star, dim), Init::Xavier, true);
+        let w_q = r.add("w_q", (dim, dim), Init::Xavier, true);
+        let w_k = r.add("w_k", (dim, dim), Init::Xavier, true);
+        let w_v = r.add("w_v", (dim, dim), Init::Xavier, true);
+        let w_bins = r.add("w_bins", (cfg.bins.len(), dim), Init::Embedding, false);
 
         PrimModel {
             cfg,
-            store,
+            store: r.store,
             w_in,
             node_emb,
             cat_table,
@@ -249,7 +361,7 @@ impl PrimModel {
             w_k,
             w_v,
             w_bins,
-            n_relations: inputs.n_relations,
+            n_relations: dims.n_relations,
         }
     }
 
@@ -954,6 +1066,101 @@ mod tests {
         let lone = subset(&grid, &[4]);
         assert!(lone.spatial.is_empty());
         assert_embed_matches_training_tape(&model, &lone, "subset with no spatial edge");
+    }
+
+    /// `restore` against `new` followed by `import_named` of the same
+    /// entries: the same parameter list and value bits (and so the same
+    /// embeddings), and on a bad entry list the same error.
+    #[test]
+    fn restore_equals_new_then_import() {
+        use crate::config::Variant;
+        let (_, tiny_cfg, inputs) = tiny();
+        let dims = ModelDims::of(&inputs);
+        let on = PrimConfig {
+            use_node_embeddings: true,
+            ..tiny_cfg
+        };
+        let off = PrimConfig {
+            use_node_embeddings: false,
+            ..on.clone()
+        };
+        let one_head = PrimConfig {
+            n_heads: 1,
+            ..on.clone()
+        };
+        let cases = [
+            ("path sum, node embeddings on", on.clone()),
+            ("path sum, node embeddings off", off.clone()),
+            ("-T", on.clone().with_variant(Variant::from_name("-T"))),
+            (
+                "-T, node embeddings off",
+                off.with_variant(Variant::from_name("-T")),
+            ),
+            ("-S", on.clone().with_variant(Variant::from_name("-S"))),
+            ("-D", on.clone().with_variant(Variant::from_name("-D"))),
+            ("one head", one_head.clone()),
+            (
+                "-T, one head",
+                one_head.with_variant(Variant::from_name("-T")),
+            ),
+        ];
+        // Name, decay flag, shape and value bits of each parameter.
+        type Entry = (String, bool, (usize, usize), Vec<u32>);
+        let list = |m: &PrimModel| -> Vec<Entry> {
+            m.params()
+                .entries()
+                .map(|(n, v, decays)| (n.to_string(), decays, v.shape(), bits(v)))
+                .collect()
+        };
+        for (case, cfg) in cases {
+            // Values other than `new`'s own draws: another seed's.
+            let donor = PrimModel::new(
+                PrimConfig {
+                    seed: cfg.seed + 1,
+                    ..cfg.clone()
+                },
+                &inputs,
+            );
+            let entries: Vec<(String, Matrix)> = donor
+                .params()
+                .entries()
+                .map(|(n, v, _)| (n.to_string(), v.clone()))
+                .collect();
+            let import = |entries: &[(String, Matrix)]| {
+                let mut m = PrimModel::new(cfg.clone(), &inputs);
+                m.params_mut().import_named(entries).map(|()| m)
+            };
+            let restore = |entries: &[(String, Matrix)]| {
+                PrimModel::restore(cfg.clone(), &dims, entries.to_vec())
+            };
+
+            let (imported, restored) = (import(&entries).unwrap(), restore(&entries).unwrap());
+            assert_eq!(list(&restored), list(&imported), "{case}: parameter list");
+            assert_eq!(list(&restored), list(&donor), "{case}: values");
+            let (a, b) = (imported.embed(&inputs), restored.embed(&inputs));
+            assert_eq!(bits(&a.pois), bits(&b.pois), "{case}: POI table");
+            assert_eq!(bits(&a.relations), bits(&b.relations), "{case}: relations");
+
+            let mut missing = entries.clone();
+            missing.remove(3);
+            let mut extra = entries.clone();
+            extra.push(entries[0].clone());
+            let mut renamed = entries.clone();
+            renamed[5].0.push('x');
+            let mut misshaped = entries.clone();
+            misshaped[2].1 = Matrix::zeros(misshaped[2].1.rows() + 1, misshaped[2].1.cols());
+            for (bad, kind) in [
+                (missing, "count"),
+                (extra, "count"),
+                (renamed, "name"),
+                (misshaped, "shape"),
+            ] {
+                let (want, got) = (import(&bad).err(), restore(&bad).err());
+                let want = want.unwrap_or_else(|| panic!("{case}: import took a {kind} mismatch"));
+                assert!(want.contains(&format!("{kind} mismatch")), "{case}: {want}");
+                assert_eq!(got, Some(want), "{case}: {kind} mismatch");
+            }
+        }
     }
 
     #[test]

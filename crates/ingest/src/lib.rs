@@ -130,7 +130,8 @@ const SNAPSHOT_RETAIN: usize = 2;
 /// Failure opening the ingest pipeline.
 #[derive(Debug)]
 pub enum IngestError {
-    /// The checkpoint would not rebuild.
+    /// The checkpoint would not restore: its parameters do not fit its
+    /// config.
     Ckpt(CkptError),
     /// The WAL would not open or decode.
     Wal(WalError),
@@ -364,11 +365,19 @@ impl CityIngest {
     /// bootstrap). It then replays the WAL past that point in `batch_max`
     /// batches, one segment in memory at a time, so that `slot` serves
     /// bitwise the store of a process that staged and applied exactly the
-    /// logged mutations. After open, the first `ingest_flush` publish
-    /// after the WAL rolls to a new segment writes a snapshot checkpoint
-    /// (ingest state included) into `snapshot_dir` through a
-    /// [`CkptRotator`] and prunes the WAL segments the previous snapshot
-    /// covers.
+    /// logged mutations.
+    ///
+    /// Open restores the model from the checkpoint's parameters
+    /// ([`PrimCheckpoint::restore_model`]) and takes the POI locations
+    /// from its graph; it builds no city-wide [`ModelInputs`] unless a
+    /// snapshot lacks its served section, when they are built once to
+    /// recompute the store ([`EmbeddingStore::recomputed`]). Applies build
+    /// only the inputs of their k-hop support.
+    ///
+    /// After open, the first `ingest_flush` publish after the WAL rolls to
+    /// a new segment writes a snapshot checkpoint (ingest state included)
+    /// into `snapshot_dir` through a [`CkptRotator`] and prunes the WAL
+    /// segments the previous snapshot covers.
     pub fn open_replicated(
         base: Option<PrimCheckpoint>,
         wal_dir: impl Into<PathBuf>,
@@ -394,8 +403,8 @@ impl CityIngest {
                 None,
             ),
         };
-        let (model, inputs) = ckpt.rebuild().map_err(IngestError::Ckpt)?;
-        let locations = inputs.locations().to_vec();
+        let model = ckpt.restore_model().map_err(IngestError::Ckpt)?;
+        let locations: Vec<Location> = ckpt.graph.pois().iter().map(|p| p.location).collect();
         let cfg = ckpt.config.clone();
         let ing_state = ckpt.ingest_state.clone();
         let base_pois = ing_state
@@ -422,10 +431,10 @@ impl CityIngest {
         // stale base the slot was loaded with. A snapshot carries the
         // store its primary published (sealed graph and delta rows
         // included), so it is adopted; one without it is recomputed from
-        // the model rebuilt above.
+        // the model restored above, over inputs built for that alone.
         if ing_state.is_some() {
             let store = EmbeddingStore::adopted(&ckpt)
-                .unwrap_or_else(|| EmbeddingStore::recomputed(&ckpt, &model, &inputs));
+                .unwrap_or_else(|| EmbeddingStore::recomputed(&ckpt, &model, &ckpt.build_inputs()));
             slot.swap(Arc::new(ServeEngine::new(
                 store,
                 &engine_opts,

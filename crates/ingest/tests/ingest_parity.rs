@@ -14,8 +14,9 @@ use prim_graph::{CategoryId, HeteroGraph, Poi, PoiId, RelationId};
 use prim_ingest::{CityIngest, IngestOpts, Mutation, StageError};
 use prim_obs::Recorder;
 use prim_serve::{
-    decode_bytes, decode_checkpoint, encode_checkpoint, AnnOpts, CkptRotator, EmbeddingStore,
-    EngineOpts, EngineSlot, Neighbor, PrimCheckpoint, RealIo, ServeEngine,
+    decode_bytes, decode_checkpoint, encode_checkpoint, encode_checkpoint_ingest, AnnOpts,
+    CkptRotator, EmbeddingStore, EngineOpts, EngineSlot, Neighbor, PrimCheckpoint, RealIo,
+    ServeEngine,
 };
 use prim_tensor::{kernel, Matrix};
 use std::sync::{Arc, OnceLock};
@@ -640,5 +641,116 @@ fn snapshot_adopts_the_published_store_bitwise() {
         graph(recovered.store()),
         graph(published),
         "recovered graph"
+    );
+}
+
+/// A snapshot without its served section (re-encoded from a real one
+/// taken after adds, edges and retirements, its `ingest.*` state kept)
+/// reopens by recompute, the one open that builds the city's inputs: it
+/// serves bitwise the store the adopted reopen serves, and so does it
+/// after one more flush on both.
+#[test]
+fn snapshot_without_served_section_reopens_to_the_adopted_store() {
+    let ckpt = load();
+    let extra = vec![
+        Mutation::AddPoi {
+            location: ckpt.graph.poi(PoiId(6)).location,
+            category: ckpt.graph.poi(PoiId(6)).category.0,
+            attrs: vec![0.02; ckpt.attrs.cols()],
+        },
+        Mutation::AddEdge {
+            src: 3,
+            dst: 8,
+            relation: 0,
+        },
+        Mutation::RetirePoi { poi: 11 },
+    ];
+    let groups = script(&ckpt);
+    let store = EmbeddingStore::from_checkpoint(&ckpt).unwrap();
+    let slot = || {
+        EngineSlot::new(Arc::new(ServeEngine::new(
+            store.clone(),
+            &EngineOpts::default(),
+            Recorder::disabled(),
+        )))
+    };
+    let scratch = Scratch::new("ingest-parity");
+    let opts = IngestOpts {
+        batch_max: 1000,
+        wal_segment_bytes: 1, // every flush snapshots
+    };
+    let open = |base: Option<PrimCheckpoint>, name: &str, slot: &Arc<EngineSlot>| {
+        CityIngest::open_replicated(
+            base,
+            scratch.path(&format!("{name}.wal")),
+            scratch.path(&format!("{name}.snap")),
+            Arc::new(RealIo),
+            Arc::clone(slot),
+            EngineOpts::default(),
+            opts.clone(),
+        )
+        .unwrap()
+    };
+    let primary = open(Some(ckpt), "primary", &slot());
+    for group in groups {
+        for m in group {
+            primary.stage(m).unwrap();
+        }
+        primary.flush();
+    }
+    let status = primary.status();
+    assert_eq!(status.snapshot_seq, status.next_seq - 1);
+    drop(primary);
+
+    let (_, snapshot) = CkptRotator::new(scratch.path("primary.snap"), 2)
+        .unwrap()
+        .latest_valid()
+        .expect("a snapshot");
+    assert!(snapshot.served.is_some());
+    let state = snapshot.ingest_state.clone().expect("ingest state");
+    assert!(!state.retired.is_empty(), "the script retires POIs");
+    let bare = encode_checkpoint_ingest(
+        &snapshot.run,
+        &snapshot.restore_model().unwrap(),
+        &snapshot.graph,
+        &snapshot.taxonomy,
+        &snapshot.attrs,
+        &snapshot.relation_names,
+        None,
+        None,
+        Some(&state),
+    );
+    let decoded = decode_checkpoint(decode_bytes(&bare).unwrap()).unwrap();
+    assert!(decoded.served.is_none() && decoded.ingest_state == Some(state));
+    CkptRotator::new(scratch.path("bare.snap"), 2)
+        .unwrap()
+        .save_real(0, &bare)
+        .unwrap();
+
+    // The adopted reopen recovers the primary's own directories; the
+    // recomputing one starts from the bare snapshot and an empty log,
+    // which the snapshot's seq anchors.
+    let (adopted_slot, recomputed_slot) = (slot(), slot());
+    let adopted = open(None, "primary", &adopted_slot);
+    let recomputed = open(None, "bare", &recomputed_slot);
+    assert_eq!(adopted.status().snapshot_seq, status.snapshot_seq);
+    assert_eq!(recomputed.status().snapshot_seq, status.snapshot_seq);
+    assert!(recomputed_slot.get().store().n_pois() > store.n_pois());
+    assert_same_tables(
+        recomputed_slot.get().store(),
+        adopted_slot.get().store(),
+        "reopened",
+    );
+
+    for ingest in [&adopted, &recomputed] {
+        for m in &extra {
+            ingest.stage(m.clone()).unwrap();
+        }
+        assert!(ingest.flush() > 0);
+    }
+    assert_same_tables(
+        recomputed_slot.get().store(),
+        adopted_slot.get().store(),
+        "after one more flush",
     );
 }

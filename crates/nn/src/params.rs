@@ -203,30 +203,46 @@ impl ParamStore {
     /// as a structured message naming the offending entry, and the store is
     /// left untouched on error.
     pub fn import_named(&mut self, entries: &[(String, Matrix)]) -> Result<(), String> {
-        if entries.len() != self.params.len() {
+        Self::check_named(
+            self.params
+                .iter()
+                .map(|p| (p.name.as_str(), p.value.shape())),
+            entries,
+        )?;
+        for (p, (_, value)) in self.params.iter_mut().zip(entries.iter()) {
+            p.value = value.clone();
+        }
+        Ok(())
+    }
+
+    /// The checks [`ParamStore::import_named`] makes, against a parameter
+    /// list given as `(name, shape)` pairs in registration order: the same
+    /// count, then entry by entry the same name and the same shape. The
+    /// message names the first mismatch. A model restored from named
+    /// values, with no store to import into yet, checks through this too.
+    pub fn check_named<'a>(
+        expected: impl ExactSizeIterator<Item = (&'a str, (usize, usize))>,
+        entries: &[(String, Matrix)],
+    ) -> Result<(), String> {
+        if entries.len() != expected.len() {
             return Err(format!(
                 "parameter count mismatch: checkpoint has {}, model expects {}",
                 entries.len(),
-                self.params.len()
+                expected.len()
             ));
         }
-        for (p, (name, value)) in self.params.iter().zip(entries.iter()) {
-            if &p.name != name {
+        for ((want, shape), (name, value)) in expected.zip(entries.iter()) {
+            if want != name {
                 return Err(format!(
-                    "parameter name mismatch: checkpoint has {name:?}, model expects {:?}",
-                    p.name
+                    "parameter name mismatch: checkpoint has {name:?}, model expects {want:?}"
                 ));
             }
-            if p.value.shape() != value.shape() {
+            if shape != value.shape() {
                 return Err(format!(
-                    "parameter {name:?} shape mismatch: checkpoint has {:?}, model expects {:?}",
-                    value.shape(),
-                    p.value.shape()
+                    "parameter {name:?} shape mismatch: checkpoint has {:?}, model expects {shape:?}",
+                    value.shape()
                 ));
             }
-        }
-        for (p, (_, value)) in self.params.iter_mut().zip(entries.iter()) {
-            p.value = value.clone();
         }
         Ok(())
     }

@@ -35,9 +35,9 @@
 //! coordinates, bin edges, config scalars) travels through the tensor
 //! table; the JSON header holds only strings and integer counts, so the
 //! six-digit JSON number formatting can never round anything that feeds
-//! scoring. To callers every tensor is f64 ([`NamedTensor::values`]). The
-//! writer stores each one at the narrowest width that decodes back to the
-//! same f64 bits, and picks it from the values alone:
+//! scoring. The writer takes every tensor as f64 and stores each one at
+//! the narrowest width that decodes back to the same f64 bits, picked
+//! from the values alone:
 //!
 //! * u32 when every value is a non-negative integer below 2^32 whose bits
 //!   round-trip (so `-0.0` is not u32);
@@ -47,8 +47,15 @@
 //! So parameters, Adam moments, attributes and the served tables (f32
 //! widened to f64) are stored as f32; ids, edges, CSR offsets and targets
 //! and levels as u32; the config, bin edges and coordinates stay f64.
-//! `f32` values narrow back with `as f32`, so every round-trip is bitwise.
 //! An unknown dtype, or a shape whose byte size overflows, is `Malformed`.
+//!
+//! The reader keeps each entry at its stored width ([`Values`]; a v1
+//! entry is f64): the f32 tables move into their matrices and the u32 ids
+//! and CSR arrays into theirs, each value copied once out of the file
+//! buffer, while the small meta tensors are read through the exact f64
+//! view ([`Values::f64s`]). A value converts as its f64 would (`as f32`,
+//! or a saturating `as u32`), so v1 entries narrow as they always did and
+//! every round-trip is bitwise.
 //!
 //! The trailer is XXH64 (Y. Collet, <https://github.com/Cyan4973/xxHash>):
 //! four 64-bit lanes over 32-byte stripes, where FNV-1a took one byte at
@@ -61,14 +68,17 @@
 //! the three tables eager scoring reads (`served.pois`,
 //! `served.relations`, `served.bin_normals`) and the HNSW graph over the
 //! POI table (`ann.*`). The graph may cover fewer rows than the table; the
-//! rest are an ingest snapshot's delta segment. `served.meta` holds a
-//! fingerprint of every tensor [`PrimCheckpoint::rebuild`] reads
-//! (`meta.*`, `graph.*`, `param.*` and `ingest.*`), and decoding keeps the
-//! section only when the file's inputs still match it: a file whose inputs
-//! were edited and re-sealed loads by recompute, exactly like a file
-//! without the section. A kept section whose shapes disagree with the
-//! header or config is `Malformed`. [`save_checkpoint`] and ingest
-//! snapshots write the section; training and rotation checkpoints do not.
+//! rest are an ingest snapshot's delta segment. A load that adopts it
+//! needs the model only for ingest, and restores that from the parameters
+//! ([`PrimCheckpoint::restore_model`]) without building the city's
+//! [`ModelInputs`]. `served.meta` holds a fingerprint of every tensor
+//! [`PrimCheckpoint::rebuild`] reads (`meta.*`, `graph.*`, `param.*` and
+//! `ingest.*`), and decoding keeps the section only when the file's inputs
+//! still match it: a file whose inputs were edited and re-sealed loads by
+//! recompute, exactly like a file without the section. A kept section
+//! whose shapes disagree with the header or config is `Malformed`.
+//! [`save_checkpoint`] and ingest snapshots write the section; training
+//! and rotation checkpoints do not.
 //!
 //! The fingerprint folds 64-bit words in file order with rustc's FxHash
 //! step. In v2 it folds one word per input entry, the XXH64 of the
@@ -84,12 +94,13 @@ use crate::ann::{AnnGraph, AnnParams, Hnsw};
 use crate::chaos::atomic_write;
 use crate::store::EmbeddingStore;
 use prim_core::config::{GammaOp, PrimConfig, TaxonomyMode};
-use prim_core::{ModelInputs, PrimModel, ResumeState};
+use prim_core::{ModelDims, ModelInputs, PrimModel, ResumeState};
 use prim_geo::{DistanceBins, GridIndex, Location};
 use prim_graph::{Edge, HeteroGraph, Poi, PoiId, RelationId, Taxonomy, TaxonomyNodeId};
 use prim_nn::{AdamState, ParamStore};
 use prim_obs::json;
 use prim_tensor::Matrix;
+use std::borrow::Cow;
 use std::path::Path;
 
 /// File magic, first 8 bytes of every checkpoint.
@@ -273,17 +284,105 @@ pub struct NamedTensor {
     pub rows: usize,
     /// Column count.
     pub cols: usize,
-    /// Row-major values.
-    pub values: Vec<f64>,
+    /// Row-major values, at the width the entry stores them.
+    pub values: Values,
 }
 
 impl NamedTensor {
-    fn matrix_f32(&self) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.values.iter().map(|&v| v as f32).collect(),
-        )
+    /// The values as an f32 matrix, moved when the entry stores f32.
+    fn into_matrix(self) -> Matrix {
+        Matrix::from_vec(self.rows, self.cols, self.values.into_f32s())
+    }
+}
+
+/// A tensor's values at the width its entry stores them: a v2 entry's
+/// dtype, or f64 for every v1 entry. Each value is exactly the f64 the
+/// writer was given, which [`Values::f64s`] shows; readers of wide tables
+/// take them at the width they use instead, with no f64 pass between.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Values {
+    /// Stored as f64.
+    F64(Vec<f64>),
+    /// Stored as f32.
+    F32(Vec<f32>),
+    /// Stored as u32.
+    U32(Vec<u32>),
+}
+
+impl Values {
+    fn decode(dtype: Dtype, bytes: &[u8]) -> Values {
+        match dtype {
+            Dtype::F64 => Values::F64(
+                bytes
+                    .chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            ),
+            Dtype::F32 => Values::F32(
+                bytes
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            ),
+            Dtype::U32 => Values::U32(
+                bytes
+                    .chunks_exact(4)
+                    .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        match self {
+            Values::F64(v) => v.len(),
+            Values::F32(v) => v.len(),
+            Values::U32(v) => v.len(),
+        }
+    }
+
+    /// True if there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every value as the f64 the writer was given: borrowed when stored
+    /// as f64, widened (exactly) otherwise.
+    pub fn f64s(&self) -> Cow<'_, [f64]> {
+        match self {
+            Values::F64(v) => Cow::Borrowed(v),
+            Values::F32(v) => Cow::Owned(v.iter().map(|&x| x as f64).collect()),
+            Values::U32(v) => Cow::Owned(v.iter().map(|&x| x as f64).collect()),
+        }
+    }
+
+    /// Every value `as f32`, moved when stored as f32. Widening an f32 or
+    /// a u32 to f64 is exact, so this narrows as the f64 view would.
+    fn into_f32s(self) -> Vec<f32> {
+        match self {
+            Values::F64(v) => v.into_iter().map(|x| x as f32).collect(),
+            Values::F32(v) => v,
+            Values::U32(v) => v.into_iter().map(|x| x as f32).collect(),
+        }
+    }
+
+    /// Every value `as u32` (saturating, NaN to 0, as the f64 view would
+    /// convert), borrowed when stored as u32.
+    fn u32s(&self) -> Cow<'_, [u32]> {
+        match self {
+            Values::F64(v) => Cow::Owned(v.iter().map(|&x| x as u32).collect()),
+            Values::F32(v) => Cow::Owned(v.iter().map(|&x| x as u32).collect()),
+            Values::U32(v) => Cow::Borrowed(v),
+        }
+    }
+
+    /// [`Values::u32s`], moved when stored as u32.
+    fn into_u32s(self) -> Vec<u32> {
+        match self {
+            Values::U32(v) => v,
+            other => other.u32s().into_owned(),
+        }
     }
 }
 
@@ -381,23 +480,6 @@ impl Dtype {
                 Dtype::F32 => out.extend_from_slice(&(v as f32).to_le_bytes()),
                 Dtype::U32 => out.extend_from_slice(&(v as u32).to_le_bytes()),
             }
-        }
-    }
-
-    fn decode(self, bytes: &[u8]) -> Vec<f64> {
-        match self {
-            Dtype::F64 => bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-            Dtype::F32 => bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()) as f64)
-                .collect(),
-            Dtype::U32 => bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as f64)
-                .collect(),
         }
     }
 }
@@ -543,15 +625,34 @@ impl RawCheckpoint {
             .ok_or_else(|| CkptError::Malformed(format!("tensor {name:?} missing")))
     }
 
-    /// All tensors whose name starts with `param.`, prefix stripped, as
-    /// `(name, value, no_decay)` in file order.
-    pub fn params(&self) -> Vec<(String, Matrix, bool)> {
-        self.tensors
-            .iter()
-            .filter_map(|t| {
-                t.name
-                    .strip_prefix("param.")
-                    .map(|n| (n.to_string(), t.matrix_f32(), t.flags & FLAG_NO_DECAY != 0))
+    /// Removes the first tensor named `name` from the table, if any, so
+    /// its values move to their destination without a copy.
+    fn take_opt(&mut self, name: &str) -> Option<NamedTensor> {
+        let at = self.tensors.iter().position(|t| t.name == name)?;
+        Some(self.tensors.remove(at))
+    }
+
+    /// [`RawCheckpoint::take_opt`], a missing tensor being `Malformed` as
+    /// in [`RawCheckpoint::tensor`].
+    fn take(&mut self, name: &str) -> Result<NamedTensor, CkptError> {
+        self.take_opt(name)
+            .ok_or_else(|| CkptError::Malformed(format!("tensor {name:?} missing")))
+    }
+
+    /// Moves every tensor whose name starts with `param.` out of the
+    /// table, as `(name, value, no_decay)` in file order with the prefix
+    /// stripped.
+    pub fn take_params(&mut self) -> Vec<(String, Matrix, bool)> {
+        let (params, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.tensors)
+            .into_iter()
+            .partition(|t| t.name.starts_with("param."));
+        self.tensors = rest;
+        params
+            .into_iter()
+            .map(|t| {
+                let name = t.name["param.".len()..].to_string();
+                let no_decay = t.flags & FLAG_NO_DECAY != 0;
+                (name, t.into_matrix(), no_decay)
             })
             .collect()
     }
@@ -651,12 +752,11 @@ fn decode(data: &[u8]) -> Result<RawCheckpoint, CkptError> {
             .checked_mul(cols)
             .and_then(|n| n.checked_mul(dtype.width()))
             .ok_or_else(|| CkptError::Malformed(format!("tensor {name:?} shape overflows")))?;
-        let values = dtype.decode(r.take(n_bytes, "tensor values")?);
+        let values = Values::decode(dtype, r.take(n_bytes, "tensor values")?);
         if is_input(&name) {
-            if v1 {
-                inputs.values_v1(&name, flags, rows, cols, &values);
-            } else {
-                inputs.entry(&body[start..r.pos]);
+            match &values {
+                Values::F64(v) if v1 => inputs.values_v1(&name, flags, rows, cols, v),
+                _ => inputs.entry(&body[start..r.pos]),
             }
         }
         tensors.push(NamedTensor {
@@ -790,12 +890,12 @@ fn decode_config(slots: &[f64], bin_edges: &[f64]) -> Result<PrimConfig, CkptErr
     })
 }
 
-/// Checks the config sizes [`PrimModel::new`] allocates by (`dim`,
+/// Checks the config sizes a model registers its parameters by (`dim`,
 /// `cat_dim`, `n_layers`, `n_heads`, `dist_feat_dim`) against the stored
 /// parameters named after them, so a re-sealed config edit is an error
-/// here, not a panic in [`PrimConfig::head_dim`] or an allocation sized by
-/// a corrupt `dim` in [`PrimCheckpoint::rebuild`]. `rebuild`'s
-/// `import_named` still checks every name and shape.
+/// here, not a panic in [`PrimConfig::head_dim`] or a registration sized
+/// by a corrupt count in [`PrimCheckpoint::restore_model`], which still
+/// checks every name and shape.
 fn check_config_sizes(
     cfg: &PrimConfig,
     params: &[(String, Matrix)],
@@ -988,35 +1088,42 @@ fn push_ann_graph(w: &mut Writer, graph: &AnnGraph) {
     }
 }
 
-fn decode_ann_graph(raw: &RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> {
-    let Some(meta) = raw.tensors.iter().find(|t| t.name == "ann.meta") else {
+fn decode_ann_graph(raw: &mut RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> {
+    let Some(meta) = raw.take_opt("ann.meta") else {
         return Ok(None);
     };
-    if meta.values.len() != ANN_META_SLOTS {
+    let meta = meta.values.f64s();
+    if meta.len() != ANN_META_SLOTS {
         return Err(CkptError::Malformed(format!(
             "ann.meta has {} slots, expected {ANN_META_SLOTS}",
-            meta.values.len()
+            meta.len()
         )));
     }
     // The graph never depended on the tier code, so files that name the
     // retired f16 tier (1) load like int8 ones (0).
-    let tier = meta.values[5] as i64;
+    let tier = meta[5] as i64;
     if !matches!(tier, 0 | 1) {
         return Err(CkptError::Malformed(format!(
             "unknown ann quant tier code {tier}"
         )));
     }
     let params = AnnParams {
-        m: meta.values[0] as usize,
-        ef_construction: meta.values[1] as usize,
-        ef_search: meta.values[2] as usize,
-        seed: join_u64(meta.values[3], meta.values[4]),
+        m: meta[0] as usize,
+        ef_construction: meta[1] as usize,
+        ef_search: meta[2] as usize,
+        seed: join_u64(meta[3], meta[4]),
     };
-    let entry = meta.values[6] as u32;
-    let n_layers = meta.values[7] as usize;
+    let entry = meta[6] as u32;
+    let n_layers = meta[7] as usize;
 
-    let levels_t = raw.tensor("ann.levels")?;
-    let levels: Vec<u8> = levels_t.values.iter().map(|&v| v as u8).collect();
+    // Saturating, as `as u8` converts a v1 file's f64 level.
+    let levels_t = raw.take("ann.levels")?;
+    let levels: Vec<u8> = levels_t
+        .values
+        .u32s()
+        .iter()
+        .map(|&l| l.min(u8::MAX as u32) as u8)
+        .collect();
     let n = levels.len();
     // Search reads the ground layer of any non-empty graph, and no build
     // stacks more than `MAX_LEVEL + 1` layers.
@@ -1030,9 +1137,7 @@ fn decode_ann_graph(raw: &RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> 
     for l in 0..n_layers {
         let name_off = format!("ann.layer.{l}.offsets");
         let off_t = raw
-            .tensors
-            .iter()
-            .find(|t| t.name == name_off)
+            .take_opt(&name_off)
             .ok_or_else(|| CkptError::Malformed(format!("missing tensor {name_off:?}")))?;
         if off_t.values.len() != n + 1 {
             return Err(CkptError::Malformed(format!(
@@ -1040,14 +1145,13 @@ fn decode_ann_graph(raw: &RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> 
                 off_t.values.len()
             )));
         }
-        let offsets: Vec<u32> = off_t.values.iter().map(|&v| v as u32).collect();
+        let offsets = off_t.values.into_u32s();
         let name_tgt = format!("ann.layer.{l}.targets");
-        let tgt_t = raw
-            .tensors
-            .iter()
-            .find(|t| t.name == name_tgt)
-            .ok_or_else(|| CkptError::Malformed(format!("missing tensor {name_tgt:?}")))?;
-        let targets: Vec<u32> = tgt_t.values.iter().map(|&v| v as u32).collect();
+        let targets = raw
+            .take_opt(&name_tgt)
+            .ok_or_else(|| CkptError::Malformed(format!("missing tensor {name_tgt:?}")))?
+            .values
+            .into_u32s();
         let end = *offsets.last().unwrap_or(&0) as usize;
         if end != targets.len() || !offsets.windows(2).all(|w| w[0] <= w[1]) {
             return Err(CkptError::Malformed(format!(
@@ -1118,32 +1222,33 @@ fn push_served(w: &mut Writer, store: &EmbeddingStore) {
 /// its inputs. A stale section is dropped (the store is recomputed); a
 /// current one must fit the header counts and the config's width.
 fn decode_served(
-    raw: &RawCheckpoint,
+    raw: &mut RawCheckpoint,
     n_pois: usize,
     n_relations: usize,
     config: &PrimConfig,
 ) -> Result<Option<ServedSection>, CkptError> {
-    let Some(meta) = raw.tensors.iter().find(|t| t.name == "served.meta") else {
+    let Some(meta) = raw.take_opt("served.meta") else {
         return Ok(None);
     };
-    if meta.values.len() != 2 {
+    let meta = meta.values.f64s();
+    if meta.len() != 2 {
         return Err(CkptError::Malformed(format!(
             "served.meta has {} slots, expected 2",
-            meta.values.len()
+            meta.len()
         )));
     }
-    if join_u64(meta.values[0], meta.values[1]) != raw.inputs {
+    if join_u64(meta[0], meta[1]) != raw.inputs {
         return Ok(None);
     }
-    let table = |name: &str, rows: usize| -> Result<Matrix, CkptError> {
-        let t = raw.tensor(name)?;
+    let mut table = |name: &str, rows: usize| -> Result<Matrix, CkptError> {
+        let t = raw.take(name)?;
         if t.rows != rows || t.cols != config.dim {
             return Err(CkptError::Malformed(format!(
                 "{name} is {}x{}, expected {rows}x{}",
                 t.rows, t.cols, config.dim
             )));
         }
-        Ok(t.matrix_f32())
+        Ok(t.into_matrix())
     };
     let pois = table("served.pois", n_pois)?;
     let relations = table("served.relations", n_relations + 1)?;
@@ -1164,62 +1269,57 @@ fn decode_served(
     }))
 }
 
-fn decode_train_state(raw: &RawCheckpoint) -> Result<Option<ResumeState>, CkptError> {
-    let Some(progress) = raw.tensors.iter().find(|t| t.name == "train.progress") else {
+fn decode_train_state(raw: &mut RawCheckpoint) -> Result<Option<ResumeState>, CkptError> {
+    let Some(progress) = raw.take_opt("train.progress") else {
         return Ok(None);
     };
-    if progress.values.len() != 4 {
+    let progress = progress.values.f64s();
+    if progress.len() != 4 {
         return Err(CkptError::Malformed(format!(
             "train.progress has {} slots, expected 4",
-            progress.values.len()
+            progress.len()
         )));
     }
-    let next_epoch = progress.values[0] as usize;
-    let global_step = join_u64(progress.values[1], progress.values[2]);
-    let has_best = progress.values[3] != 0.0;
+    let next_epoch = progress[0] as usize;
+    let global_step = join_u64(progress[1], progress[2]);
+    let has_best = progress[3] != 0.0;
 
-    let rng_t = raw.tensor("train.rng")?;
-    if rng_t.values.len() != 8 {
+    let rng_t = raw.take("train.rng")?;
+    let rng_v = rng_t.values.f64s();
+    if rng_v.len() != 8 {
         return Err(CkptError::Malformed(format!(
             "train.rng has {} slots, expected 8",
-            rng_t.values.len()
+            rng_v.len()
         )));
     }
     let mut rng = [0u64; 4];
     for (i, word) in rng.iter_mut().enumerate() {
-        *word = join_u64(rng_t.values[2 * i], rng_t.values[2 * i + 1]);
+        *word = join_u64(rng_v[2 * i], rng_v[2 * i + 1]);
     }
 
-    let meta = raw.tensor("train.adam.meta")?;
-    if meta.values.len() != 3 {
+    let meta = raw.take("train.adam.meta")?;
+    let meta = meta.values.f64s();
+    if meta.len() != 3 {
         return Err(CkptError::Malformed(format!(
             "train.adam.meta has {} slots, expected 3",
-            meta.values.len()
+            meta.len()
         )));
     }
-    let t = join_u64(meta.values[0], meta.values[1]);
-    let lr = meta.values[2] as f32;
+    let t = join_u64(meta[0], meta[1]);
+    let lr = meta[2] as f32;
 
-    let losses: Vec<f32> = raw
-        .tensor("train.losses")?
-        .values
-        .iter()
-        .map(|&l| l as f32)
-        .collect();
+    let losses: Vec<f32> = raw.take("train.losses")?.values.into_f32s();
 
-    let collect_indexed = |prefix: &str| -> Vec<Matrix> {
+    // `prefix0000`, `prefix0001`, … up to the first index missing.
+    let collect_indexed = |raw: &mut RawCheckpoint, prefix: &str| -> Vec<Matrix> {
         let mut out = Vec::new();
-        loop {
-            let name = format!("{prefix}{:04}", out.len());
-            match raw.tensors.iter().find(|t| t.name == name) {
-                Some(t) => out.push(t.matrix_f32()),
-                None => break,
-            }
+        while let Some(t) = raw.take_opt(&format!("{prefix}{:04}", out.len())) {
+            out.push(t.into_matrix());
         }
         out
     };
-    let ms = collect_indexed("train.adam.m.");
-    let vs = collect_indexed("train.adam.v.");
+    let ms = collect_indexed(raw, "train.adam.m.");
+    let vs = collect_indexed(raw, "train.adam.v.");
     if ms.len() != vs.len() {
         return Err(CkptError::Malformed(format!(
             "{} first moments but {} second moments",
@@ -1230,17 +1330,17 @@ fn decode_train_state(raw: &RawCheckpoint) -> Result<Option<ResumeState>, CkptEr
     let moments: Vec<(Matrix, Matrix)> = ms.into_iter().zip(vs).collect();
 
     let (best_val, best_snapshot) = if has_best {
-        let bv = raw.tensor("train.best_val")?;
-        if bv.values.len() != 1 {
+        let bv = raw.take("train.best_val")?.values.f64s().into_owned();
+        if bv.len() != 1 {
             return Err(CkptError::Malformed("train.best_val must be 1x1".into()));
         }
-        let snap = collect_indexed("train.best.");
+        let snap = collect_indexed(raw, "train.best.");
         if snap.is_empty() {
             return Err(CkptError::Malformed(
                 "best snapshot flagged but no train.best tensors".into(),
             ));
         }
-        (Some(bv.values[0]), Some(snap))
+        (Some(bv[0]), Some(snap))
     } else {
         (None, None)
     };
@@ -1312,21 +1412,22 @@ fn push_ingest_state(w: &mut Writer, state: &IngestSnapshotState) {
 }
 
 fn decode_ingest_state(
-    raw: &RawCheckpoint,
+    raw: &mut RawCheckpoint,
     n_pois: usize,
 ) -> Result<Option<IngestSnapshotState>, CkptError> {
-    let Ok(meta) = raw.tensor("ingest.meta") else {
+    let Some(meta) = raw.take_opt("ingest.meta") else {
         return Ok(None);
     };
-    if meta.values.len() != INGEST_META_SLOTS {
+    let meta = meta.values.f64s();
+    if meta.len() != INGEST_META_SLOTS {
         return Err(CkptError::Malformed(format!(
             "ingest.meta has {} slots, expected {INGEST_META_SLOTS}",
-            meta.values.len()
+            meta.len()
         )));
     }
-    let snapshot_seq = join_u64(meta.values[0], meta.values[1]);
-    let base_pois = join_u64(meta.values[2], meta.values[3]);
-    let n_retired = meta.values[4];
+    let snapshot_seq = join_u64(meta[0], meta[1]);
+    let base_pois = join_u64(meta[2], meta[3]);
+    let n_retired = meta[4];
     if n_retired < 0.0 || n_retired.fract() != 0.0 || n_retired as usize > n_pois {
         return Err(CkptError::Malformed(format!(
             "ingest.meta retired count {n_retired} is not a valid POI count"
@@ -1340,15 +1441,16 @@ fn decode_ingest_state(
     let n_retired = n_retired as usize;
     let mut retired = Vec::with_capacity(n_retired);
     if n_retired > 0 {
-        let t = raw.tensor("ingest.retired")?;
-        if t.values.len() != n_retired {
+        let t = raw.take("ingest.retired")?;
+        let ids = t.values.f64s();
+        if ids.len() != n_retired {
             return Err(CkptError::Malformed(format!(
                 "ingest.retired holds {} ids, ingest.meta promised {n_retired}",
-                t.values.len()
+                ids.len()
             )));
         }
         let mut prev: i64 = -1;
-        for &v in &t.values {
+        for &v in ids.iter() {
             if v < 0.0 || v.fract() != 0.0 || v as usize >= n_pois {
                 return Err(CkptError::Malformed(format!(
                     "ingest.retired id {v} out of range for {n_pois} POIs"
@@ -1375,8 +1477,9 @@ fn decode_ingest_state(
 // ---------------------------------------------------------------------------
 
 /// A fully decoded PRIM checkpoint: configuration, rebuilt graph metadata
-/// and the parameter table, ready to be turned back into a scoring model
-/// with [`PrimCheckpoint::rebuild`].
+/// and the parameter table, ready to be turned back into a model with
+/// [`PrimCheckpoint::restore_model`], or into a model and the inputs to
+/// embed with [`PrimCheckpoint::rebuild`].
 pub struct PrimCheckpoint {
     /// Run label recorded at save time.
     pub run: String,
@@ -1408,19 +1511,34 @@ pub struct PrimCheckpoint {
 }
 
 impl PrimCheckpoint {
-    /// Rebuilds a scoring-ready model: deterministic [`ModelInputs`] from
-    /// the stored graph metadata plus a [`PrimModel`] whose parameters are
-    /// the checkpointed values. With the same binary on the same hardware,
-    /// `rebuild` followed by `embed` is bitwise identical to the saving
-    /// process's embeddings.
+    /// The model alone, restored from the stored parameters
+    /// ([`PrimModel::restore`], sized by the checkpoint's counts): no
+    /// [`ModelInputs`] and no random draw. Set-up that adopts the served
+    /// section needs only this; a parameter list the config does not
+    /// register is `Incompatible`, with [`ParamStore::import_named`]'s
+    /// message.
+    pub fn restore_model(&self) -> Result<PrimModel, CkptError> {
+        let dims = ModelDims {
+            n_pois: self.graph.num_pois(),
+            n_relations: self.graph.num_relations(),
+            attr_dim: self.attrs.cols(),
+            n_taxonomy_nodes: self.taxonomy.num_nodes(),
+            n_categories: self.taxonomy.num_categories(),
+        };
+        PrimModel::restore(self.config.clone(), &dims, self.params.clone())
+            .map_err(CkptError::Incompatible)
+    }
+
+    /// Builds the deterministic [`ModelInputs`] over the stored graph
+    /// metadata: the city-sized structure a forward pass reads.
     ///
-    /// For ingest snapshots the spatial structure is rebuilt over the
+    /// For ingest snapshots the spatial structure is built over the
     /// snapshot's *frozen* grid — projection anchored at the original
     /// (train-time) POI population, retirements tombstoned — instead of
     /// re-deriving a projection from the mutated coordinates, so the
     /// bitwise guarantee extends to stores that grew after training.
-    pub fn rebuild(&self) -> Result<(PrimModel, ModelInputs), CkptError> {
-        let inputs = match &self.ingest_state {
+    pub fn build_inputs(&self) -> ModelInputs {
+        match &self.ingest_state {
             Some(st) => {
                 let locations: Vec<Location> =
                     self.graph.pois().iter().map(|p| p.location).collect();
@@ -1442,13 +1560,19 @@ impl PrimCheckpoint {
                 None,
                 &self.config,
             ),
-        };
-        let mut model = PrimModel::new(self.config.clone(), &inputs);
-        model
-            .params_mut()
-            .import_named(&self.params)
-            .map_err(CkptError::Incompatible)?;
-        Ok((model, inputs))
+        }
+    }
+
+    /// A scoring-ready model and the inputs to embed with:
+    /// [`PrimCheckpoint::restore_model`] plus
+    /// [`PrimCheckpoint::build_inputs`]. With the same binary on the same
+    /// hardware, `rebuild` followed by `embed` is bitwise identical to the
+    /// saving process's embeddings, which makes it the oracle that adopted
+    /// served sections are held to and the path that recomputes a file
+    /// without one.
+    pub fn rebuild(&self) -> Result<(PrimModel, ModelInputs), CkptError> {
+        let model = self.restore_model()?;
+        Ok((model, self.build_inputs()))
     }
 
     /// The grid a store serving this checkpoint answers radius queries
@@ -1644,7 +1768,7 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<PrimCheckpoint, CkptErr
 /// the second half of [`load_checkpoint`], split out so callers that got
 /// their bytes elsewhere (rotation recovery, fault-injection tests) share
 /// the exact same validation.
-pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError> {
+pub fn decode_checkpoint(mut raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError> {
     if raw.header_str("kind")? != "prim" {
         return Err(CkptError::Incompatible(format!(
             "expected a prim checkpoint, found kind {:?}",
@@ -1670,23 +1794,31 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
             tax_names.len()
         )));
     }
+    // Relation ids are one byte, and a graph has at least one relation.
+    if !(1..=u8::MAX as usize).contains(&n_relations) {
+        return Err(CkptError::Malformed(format!(
+            "{n_relations} relations, expected 1 to 255"
+        )));
+    }
 
     let config = decode_config(
-        &raw.tensor("meta.config")?.values,
-        &raw.tensor("meta.bin_edges")?.values,
+        &raw.take("meta.config")?.values.f64s(),
+        &raw.take("meta.bin_edges")?.values.f64s(),
     )?;
 
     // Taxonomy: node ids are assigned sequentially by add_* calls and
     // leaf ids in add_category order, so replaying the parent array in
     // ascending node order reproduces both id spaces exactly.
-    let parents = &raw.tensor("graph.tax_parent")?.values;
-    let leaves = &raw.tensor("graph.tax_leaf")?.values;
+    let parents = raw.take("graph.tax_parent")?.values;
+    let parents = parents.f64s();
+    let leaves = raw.take("graph.tax_leaf")?.values;
+    let leaves = leaves.u32s();
     if parents.len() != n_nodes || leaves.len() != n_categories {
         return Err(CkptError::Malformed(
             "taxonomy tensor sizes disagree with header counts".into(),
         ));
     }
-    let leaf_set: std::collections::HashSet<u32> = leaves.iter().map(|&v| v as u32).collect();
+    let leaf_set: std::collections::HashSet<u32> = leaves.iter().copied().collect();
     let mut taxonomy = Taxonomy::new(tax_names[0].clone());
     for (id, name) in tax_names.iter().enumerate().skip(1) {
         let parent = parents[id];
@@ -1702,51 +1834,81 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
             taxonomy.add_hypernym(parent, name.clone());
         }
     }
+    if taxonomy.num_categories() != n_categories {
+        return Err(CkptError::Malformed(format!(
+            "taxonomy rebuilt {} leaf categories for {n_categories}",
+            taxonomy.num_categories()
+        )));
+    }
     for (c, &node) in leaves.iter().enumerate() {
-        if taxonomy.leaf_node(prim_graph::CategoryId(c as u32)).0 != node as u32 {
+        if taxonomy.leaf_node(prim_graph::CategoryId(c as u32)).0 != node {
             return Err(CkptError::Malformed(format!(
                 "taxonomy leaf {c} did not rebuild to node {node}"
             )));
         }
     }
 
-    let loc = raw.tensor("graph.locations")?;
-    let cat = raw.tensor("graph.category")?;
-    if loc.rows != n_pois || loc.cols != 2 || cat.rows != n_pois {
+    let loc = raw.take("graph.locations")?;
+    let cat = raw.take("graph.category")?;
+    if loc.rows != n_pois || loc.cols != 2 || cat.rows != n_pois || cat.cols != 1 {
         return Err(CkptError::Malformed(
             "location/category tensor sizes disagree with header counts".into(),
         ));
     }
+    let (loc, cat) = (loc.values.f64s(), cat.values.u32s());
+    // Model inputs gather each POI's taxonomy path by its category
+    // wherever they are built (a recompute, every ingest apply), so an id
+    // past the leaves is refused here rather than panicking there.
+    if let Some(c) = cat.iter().find(|&&c| c as usize >= n_categories) {
+        return Err(CkptError::Malformed(format!(
+            "graph.category {c} out of range for {n_categories} categories"
+        )));
+    }
     let pois: Vec<Poi> = (0..n_pois)
         .map(|i| Poi {
-            location: Location::new(loc.values[2 * i], loc.values[2 * i + 1]),
-            category: prim_graph::CategoryId(cat.values[i] as u32),
+            location: Location::new(loc[2 * i], loc[2 * i + 1]),
+            category: prim_graph::CategoryId(cat[i]),
         })
         .collect();
     let mut graph = HeteroGraph::new(pois, n_relations);
-    let et = raw.tensor("graph.edges")?;
+    let et = raw.take("graph.edges")?;
     if et.cols != 3 {
         return Err(CkptError::Malformed(
             "graph.edges must have 3 columns".into(),
         ));
     }
-    graph.add_edges(et.values.chunks_exact(3).map(|c| {
-        Edge::new(
-            PoiId(c[0] as u32),
-            PoiId(c[1] as u32),
-            RelationId(c[2] as u8),
-        )
-    }));
+    let edges = et.values.u32s();
+    if let Some(c) = edges.chunks_exact(3).find(|c| {
+        c[0] as usize >= n_pois
+            || c[1] as usize >= n_pois
+            || c[0] == c[1]
+            || c[2] as usize >= n_relations
+    }) {
+        return Err(CkptError::Malformed(format!(
+            "graph.edges entry ({}, {}, relation {}) is a self-loop or out of \
+             range for {n_pois} POIs and {n_relations} relations",
+            c[0], c[1], c[2]
+        )));
+    }
+    graph.add_edges(
+        edges
+            .chunks_exact(3)
+            .map(|c| Edge::new(PoiId(c[0]), PoiId(c[1]), RelationId(c[2] as u8))),
+    );
 
-    let at = raw.tensor("graph.attrs")?;
+    let at = raw.take("graph.attrs")?;
     if at.rows != n_pois {
         return Err(CkptError::Malformed(
             "graph.attrs row count disagrees with n_pois".into(),
         ));
     }
-    let attrs = at.matrix_f32();
+    let attrs = at.into_matrix();
 
-    let params: Vec<(String, Matrix)> = raw.params().into_iter().map(|(n, m, _)| (n, m)).collect();
+    let params: Vec<(String, Matrix)> = raw
+        .take_params()
+        .into_iter()
+        .map(|(n, m, _)| (n, m))
+        .collect();
     if params.is_empty() {
         return Err(CkptError::Malformed(
             "checkpoint holds no parameters".into(),
@@ -1754,9 +1916,9 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
     }
     check_config_sizes(&config, &params, attrs.cols())?;
 
-    let train_state = decode_train_state(&raw)?;
-    let ingest_state = decode_ingest_state(&raw, n_pois)?;
-    let served = decode_served(&raw, n_pois, n_relations, &config)?;
+    let train_state = decode_train_state(&mut raw)?;
+    let ingest_state = decode_ingest_state(&mut raw, n_pois)?;
+    let served = decode_served(&mut raw, n_pois, n_relations, &config)?;
 
     Ok(PrimCheckpoint {
         run,
@@ -1808,7 +1970,7 @@ pub fn save_params(
 
 /// Loads a parameter-only checkpoint written by [`save_params`].
 pub fn load_params(path: impl AsRef<Path>) -> Result<ParamsCheckpoint, CkptError> {
-    let raw = load_raw(path)?;
+    let mut raw = load_raw(path)?;
     if raw.header_str("kind")? != "params" {
         return Err(CkptError::Incompatible(format!(
             "expected a params checkpoint, found kind {:?}",
@@ -1818,7 +1980,7 @@ pub fn load_params(path: impl AsRef<Path>) -> Result<ParamsCheckpoint, CkptError
     Ok(ParamsCheckpoint {
         model: raw.header_str("model")?.to_string(),
         run: raw.header_str("run")?.to_string(),
-        entries: raw.params(),
+        entries: raw.take_params(),
     })
 }
 
@@ -1889,7 +2051,10 @@ mod tests {
         let code = bytes[16 + 2 + 8 + 4 + 1 + 1];
         let raw = decode(&bytes).expect("a sealed file decodes");
         let t = raw.tensors.into_iter().next().unwrap();
-        (Dtype::from_code(code).unwrap(), t.values)
+        (
+            Dtype::from_code(code).unwrap(),
+            t.values.f64s().into_owned(),
+        )
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::store::EmbeddingStore;
 use prim_graph::PoiId;
 use prim_obs::{Counter, Phase, Recorder};
 use prim_tensor::kernel;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -645,49 +646,59 @@ pub fn score_pairs_all(store: &EmbeddingStore, pairs: &[(u32, u32)], bins: &[usi
     let per_pair = n_rel * d.max(1) * 3;
     let grain = (kernel::PAR_ELEM_CUTOFF / per_pair.max(1)).max(1);
     kernel::par_row_chunks(&mut out, n_rel, grain, |row0, chunk| {
-        let n = chunk.len() / n_rel;
-        let mut scratch = Scratch::new(d);
-        let mut i = 0usize;
-        #[cfg(target_arch = "x86_64")]
-        while i + PAIR_BLOCK <= n {
-            let p = [
-                pairs[row0 + i],
-                pairs[row0 + i + 1],
-                pairs[row0 + i + 2],
-                pairs[row0 + i + 3],
-            ];
-            let b = [
-                bins[row0 + i],
-                bins[row0 + i + 1],
-                bins[row0 + i + 2],
-                bins[row0 + i + 3],
-            ];
-            let outs = &mut chunk[i * n_rel..(i + PAIR_BLOCK) * n_rel];
-            // SAFETY: SSE is part of the x86_64 baseline, and `scratch`
-            // was built for this store's dim just above.
-            unsafe { score_four_sse(store, p, b, outs, &mut scratch) };
-            i += PAIR_BLOCK;
-        }
-        // Every other pair: the per-pair path, bitwise equal to a lane of
-        // the block.
-        while i < n {
-            let p = pairs[row0 + i];
-            score_one(
-                store,
-                p,
-                bins[row0 + i],
-                &mut chunk[i * n_rel..(i + 1) * n_rel],
-                &mut scratch,
-            );
-            i += 1;
-        }
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.fit(d);
+            let n = chunk.len() / n_rel;
+            let mut i = 0usize;
+            #[cfg(target_arch = "x86_64")]
+            while i + PAIR_BLOCK <= n {
+                let p = [
+                    pairs[row0 + i],
+                    pairs[row0 + i + 1],
+                    pairs[row0 + i + 2],
+                    pairs[row0 + i + 3],
+                ];
+                let b = [
+                    bins[row0 + i],
+                    bins[row0 + i + 1],
+                    bins[row0 + i + 2],
+                    bins[row0 + i + 3],
+                ];
+                let outs = &mut chunk[i * n_rel..(i + PAIR_BLOCK) * n_rel];
+                // SAFETY: SSE is part of the x86_64 baseline, and `scratch`
+                // was fitted to this store's dim just above.
+                unsafe { score_four_sse(store, p, b, outs, scratch) };
+                i += PAIR_BLOCK;
+            }
+            // Every other pair: the per-pair path, bitwise equal to a lane
+            // of the block.
+            while i < n {
+                let p = pairs[row0 + i];
+                score_one(
+                    store,
+                    p,
+                    bins[row0 + i],
+                    &mut chunk[i * n_rel..(i + 1) * n_rel],
+                    scratch,
+                );
+                i += 1;
+            }
+        })
     });
     out
 }
 
-/// Reusable per-chunk projection buffers: one contiguous `ps`/`pd` pair
-/// for the per-pair path, plus pair-interleaved ("transposed", `[4k + j]`
-/// layout) buffers for the SSE block kernel.
+thread_local! {
+    /// This thread's projection buffers, fitted to the widest store it has
+    /// scored: every chunk [`score_pairs_all`] runs on the thread reuses
+    /// them, so a call allocates only its output.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new(0));
+}
+
+/// Projection buffers for stores of dim up to `ps.len()`: one contiguous
+/// `ps`/`pd` pair for the per-pair path, plus pair-interleaved
+/// ("transposed", `[4k + j]` layout) buffers for the SSE block kernel.
+/// Every kernel writes the part it reads before reading it.
 struct Scratch {
     ps: Vec<f32>,
     pd: Vec<f32>,
@@ -717,6 +728,15 @@ impl Scratch {
                 pst: vec![0.0; PAIR_BLOCK * d],
                 pdt: vec![0.0; PAIR_BLOCK * d],
             },
+        }
+    }
+
+    /// Regrows the buffers when a store of dim `d` is wider than any this
+    /// scratch has served; a narrower one uses their first `d` (or `4·d`)
+    /// floats.
+    fn fit(&mut self, d: usize) {
+        if self.ps.len() < d {
+            *self = Scratch::new(d);
         }
     }
 }
@@ -792,9 +812,11 @@ fn score_one(
         let w = store.bin_normals.row(bin);
         let ds = coeff(hs, w);
         let dd = coeff(hd, w);
-        project(&mut scratch.ps, hs, ds, w);
-        project(&mut scratch.pd, hd, dd, w);
-        reduce_relations(store, &scratch.ps, &scratch.pd, out);
+        let d = store.dim();
+        let (ps, pd) = (&mut scratch.ps[..d], &mut scratch.pd[..d]);
+        project(ps, hs, ds, w);
+        project(pd, hd, dd, w);
+        reduce_relations(store, ps, pd, out);
     } else {
         reduce_relations(store, hs, hd, out);
     }
@@ -814,8 +836,8 @@ fn score_one(
 ///
 /// # Safety
 ///
-/// The CPU must support SSE, and `scratch` must come from
-/// `Scratch::new(store.dim())`: the vector loads and stores reach its
+/// The CPU must support SSE, and `scratch` must be fitted to at least
+/// `store.dim()` ([`Scratch::fit`]): the vector loads and stores reach its
 /// buffers and the embedding rows through raw pointers, up to `4 × dim`
 /// and `dim` floats.
 #[cfg(target_arch = "x86_64")]

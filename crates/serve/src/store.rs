@@ -130,7 +130,8 @@ impl EmbeddingStore {
     }
 
     /// The recompute branch of [`EmbeddingStore::from_checkpoint`], for a
-    /// caller that already holds `ckpt.rebuild()`'s model and inputs:
+    /// caller that already holds the checkpoint's model and inputs
+    /// (`ckpt.rebuild()`, or a restored model and `ckpt.build_inputs()`):
     /// embed once, build the index with the config seed, and serve from
     /// the checkpoint's grid.
     pub fn recomputed(ckpt: &PrimCheckpoint, model: &PrimModel, inputs: &ModelInputs) -> Self {

@@ -222,13 +222,14 @@ fn shape_inconsistent_served_tensors_are_malformed() {
             "served.pois",
             n - 1,
             d,
-            &pois.values[..(n - 1) * d],
+            &pois.values.f64s()[..(n - 1) * d],
         ),
         "served.pois",
     );
     // Width ≠ cfg.dim.
     let narrow: Vec<f64> = pois
         .values
+        .f64s()
         .chunks_exact(d)
         .flat_map(|row| row[..d - 1].to_vec())
         .collect();
@@ -244,19 +245,19 @@ fn shape_inconsistent_served_tensors_are_malformed() {
             "served.relations",
             rel.rows - 1,
             rel.cols,
-            &rel.values[..(rel.rows - 1) * rel.cols],
+            &rel.values.f64s()[..(rel.rows - 1) * rel.cols],
         ),
         "served.relations",
     );
     // Graph nodes > rows: one more level entry and an empty neighbour
     // list for it on every layer, so the graph itself stays consistent.
-    let mut levels = tensor("ann.levels").values;
+    let mut levels = tensor("ann.levels").values.f64s().into_owned();
     levels.push(0.0);
     let mut bytes = with_tensor(valid(), "ann.levels", levels.len(), 1, &levels);
-    let n_layers = tensor("ann.meta").values[7] as usize;
+    let n_layers = tensor("ann.meta").values.f64s()[7] as usize;
     for l in 0..n_layers {
         let name = format!("ann.layer.{l}.offsets");
-        let mut offsets = tensor_in(&bytes, &name).values;
+        let mut offsets = tensor_in(&bytes, &name).values.f64s().into_owned();
         offsets.push(*offsets.last().unwrap());
         bytes = with_tensor(&bytes, &name, 1, offsets.len(), &offsets);
     }
@@ -270,7 +271,7 @@ fn shape_inconsistent_served_tensors_are_malformed() {
 fn resealed_param_edit_loads_by_recompute() {
     let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
     let w_in = tensor("param.w_in");
-    let mut values = w_in.values.clone();
+    let mut values = w_in.values.f64s().into_owned();
     values[0] += 0.25;
     let edited = with_tensor(valid(), "param.w_in", w_in.rows, w_in.cols, &values);
     let ckpt = decode_checkpoint(decode_bytes(&edited).unwrap()).unwrap();
@@ -422,8 +423,8 @@ proptest! {
 /// Re-sealed config edits that `rebuild` cannot build from — a `dim` its
 /// heads do not divide, no heads, a `dim` no stored parameter has, a NaN
 /// or negative spatial radius — are structured errors, never a panic or
-/// an aborted allocation in `rebuild` (which `reload` runs on a shard
-/// thread).
+/// an aborted allocation in `restore_model` (which every ingest open
+/// runs) or `rebuild` (which `reload` runs on a shard thread).
 #[test]
 fn resealed_config_edits_are_errors_not_crashes() {
     let ckpt = decode_checkpoint(decode_bytes(valid()).unwrap()).unwrap();
@@ -439,14 +440,14 @@ fn resealed_config_edits_are_errors_not_crashes() {
         None,
     );
     let rebuilt = |bytes: &[u8]| {
-        decode_bytes(bytes)
-            .and_then(decode_checkpoint)
-            .and_then(|c| c.rebuild().map(|_| ()))
+        let ckpt = decode_bytes(bytes).and_then(decode_checkpoint)?;
+        ckpt.restore_model()?;
+        ckpt.rebuild().map(|_| ())
     };
     rebuilt(&plain).expect("the unedited file rebuilds");
     let config = tensor_in(&plain, "meta.config");
     let edit = |slot: usize, value: f64| {
-        let mut values = config.values.clone();
+        let mut values = config.values.f64s().into_owned();
         values[slot] = value;
         with_tensor(&plain, "meta.config", 1, values.len(), &values)
     };
@@ -471,6 +472,38 @@ fn resealed_config_edits_are_errors_not_crashes() {
         );
     }
     rebuilt(&edit(5, 1e-9)).expect("a 1e-9 km radius rebuilds");
+}
+
+/// Re-sealed graph edits that no model inputs could be built from — a
+/// category past the taxonomy's leaves, an edge endpoint past the POIs, a
+/// self-loop, a relation past the vocabulary — are `Malformed` at decode,
+/// before an ingest open restores a model over them or an apply builds
+/// inputs.
+#[test]
+fn resealed_graph_edits_are_malformed() {
+    let ckpt = decode_checkpoint(decode_bytes(valid()).unwrap()).unwrap();
+    let n_pois = ckpt.graph.num_pois() as f64;
+    let cat = tensor("graph.category");
+    let mut values = cat.values.f64s().into_owned();
+    values[0] = ckpt.taxonomy.num_categories() as f64;
+    expect_malformed(
+        &with_tensor(valid(), "graph.category", cat.rows, cat.cols, &values),
+        "graph.category",
+    );
+    let edges = tensor("graph.edges");
+    let first_src = edges.values.f64s()[0];
+    for (slot, value) in [
+        (0, n_pois),
+        (1, first_src),
+        (2, ckpt.graph.num_relations() as f64),
+    ] {
+        let mut values = edges.values.f64s().into_owned();
+        values[slot] = value;
+        expect_malformed(
+            &with_tensor(valid(), "graph.edges", edges.rows, edges.cols, &values),
+            "graph.edges",
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -527,7 +560,7 @@ fn a_v1_file_re_encodes_to_the_same_tensor_table() {
             .iter()
             .filter(|t| t.name != "served.meta")
             .map(|t| {
-                let bits = t.values.iter().map(|v| v.to_bits()).collect();
+                let bits = t.values.f64s().iter().map(|v| v.to_bits()).collect();
                 (t.name.clone(), t.flags, t.rows, t.cols, bits)
             })
             .collect()
@@ -535,8 +568,8 @@ fn a_v1_file_re_encodes_to_the_same_tensor_table() {
     let (old, new) = (decode_bytes(v1()).unwrap(), decode_bytes(&v2).unwrap());
     assert_eq!(table(&old), table(&new));
     assert_ne!(
-        old.tensor("served.meta").unwrap().values,
-        new.tensor("served.meta").unwrap().values
+        old.tensor("served.meta").unwrap().values.f64s(),
+        new.tensor("served.meta").unwrap().values.f64s()
     );
     let adopted = decode_checkpoint(new).unwrap().served;
     assert!(adopted.is_some(), "the v2 fingerprint must match");

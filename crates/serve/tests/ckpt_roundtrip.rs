@@ -119,8 +119,7 @@ fn round_trip_is_bitwise_per_parameter() {
 fn no_decay_flags_survive() {
     let scratch = Scratch::new("serve-ckpt");
     let (_, _, _, model, path) = save_tiny(&scratch, "flags.ckpt");
-    let raw = load_raw(&path).unwrap();
-    let loaded = raw.params();
+    let loaded = load_raw(&path).unwrap().take_params();
     for ((name, _, decays), (l_name, _, l_no_decay)) in model.params().entries().zip(&loaded) {
         assert_eq!(name, l_name);
         assert_eq!(
