@@ -17,7 +17,9 @@
 //!   degenerates to scoring the entire store, while the ANN path walks
 //!   the HNSW beam under a fixed `ef · budget_mult` evaluation budget —
 //!   its latency is bounded regardless of store size. This profile gates
-//!   near-flat scaling: ANN p99 must grow ≤ 2× per 10× POIs.
+//!   near-flat scaling: ANN p99 must grow ≤ 2× per 10× POIs. The p99 is
+//!   taken over 1,000 timed beam calls per tier, so ten calls lie beyond
+//!   it and one slow call cannot fail the gate.
 //!
 //! Per tier the harness also records index build time and the resolved
 //! (auto-sized) score-cache capacity. Results land in `BENCH_topk.json`;
@@ -142,9 +144,21 @@ struct Profile {
     avg_candidates: usize,
     ann_served: usize,
     queries: usize,
+    ann_calls: usize,
 }
 
-fn measure(engine: &ServeEngine, n: usize, radius_km: f64, n_queries: usize) -> Profile {
+/// Times the exact and the ANN answer for `n_queries` random sources and
+/// scores the ANN answers' recall against the exact ones, then times ANN
+/// calls on further random sources until `ann_calls` are timed in all, so
+/// the ANN tail rests on enough samples: the p99 of 50 calls is in effect
+/// the slowest call, that of 1,000 has ten calls beyond it.
+fn measure(
+    engine: &ServeEngine,
+    n: usize,
+    radius_km: f64,
+    n_queries: usize,
+    ann_calls: usize,
+) -> Profile {
     let mut rng = StdRng::seed_from_u64(77);
     let sources: Vec<u32> = (0..n_queries).map(|_| rng.gen_range(0..n as u32)).collect();
     for &src in &sources[..n_queries.min(10)] {
@@ -180,6 +194,12 @@ fn measure(engine: &ServeEngine, n: usize, radius_km: f64, n_queries: usize) -> 
             recall_sum += 1.0;
         }
     }
+    for _ in n_queries..ann_calls {
+        let src = rng.gen_range(0..n as u32);
+        let t = Instant::now();
+        let _ = engine.top_k_related_mode(src, radius_km, K, 1, false);
+        ann_us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
     exact_us.sort_by(f64::total_cmp);
     ann_us.sort_by(f64::total_cmp);
     Profile {
@@ -191,6 +211,7 @@ fn measure(engine: &ServeEngine, n: usize, radius_km: f64, n_queries: usize) -> 
         avg_candidates: candidates_sum / n_queries,
         ann_served,
         queries: n_queries,
+        ann_calls: ann_us.len(),
     }
 }
 
@@ -205,6 +226,7 @@ fn profile_json(p: &Profile, ef_search: usize) -> String {
         ("avg_candidates", json::int(p.avg_candidates as u64)),
         ("ann_served", json::int(p.ann_served as u64)),
         ("queries", json::int(p.queries as u64)),
+        ("ann_calls", json::int(p.ann_calls as u64)),
     ])
 }
 
@@ -254,11 +276,13 @@ fn main() {
         let beam_engine = ServeEngine::new(store.clone(), &beam_opts, Recorder::disabled());
         let served_engine = ServeEngine::new(store, &EngineOpts::default(), Recorder::disabled());
 
-        let scan = measure(&engine, n, 2.0, 200);
-        let beam = measure(&beam_engine, n, 26.0, 50);
+        // The beam's growth gate compares p99s, so its ANN side is timed
+        // over 1,000 calls; the exact oracle and recall keep 50 queries.
+        let scan = measure(&engine, n, 2.0, 200, 200);
+        let beam = measure(&beam_engine, n, 26.0, 50, 1_000);
         drop(beam_engine);
-        let scan_default = measure(&served_engine, n, 2.0, 200);
-        let beam_default = measure(&served_engine, n, 26.0, 50);
+        let scan_default = measure(&served_engine, n, 2.0, 200, 200);
+        let beam_default = measure(&served_engine, n, 26.0, 50, 50);
         drop(served_engine);
         println!(
             "topk_scaling: n {n:8} | build {build_ms:9.1} ms | scan[cand {:6}, recall {:.4}, \
@@ -323,8 +347,8 @@ fn main() {
     let metro = metro_store();
     let metro_n = metro.n_pois();
     let metro_engine = ServeEngine::new(metro, &EngineOpts::default(), Recorder::disabled());
-    let metro_scan = measure(&metro_engine, metro_n, METRO_SCAN_KM, 200);
-    let metro_beam = measure(&metro_engine, metro_n, METRO_BEAM_KM, 200);
+    let metro_scan = measure(&metro_engine, metro_n, METRO_SCAN_KM, 200, 200);
+    let metro_beam = measure(&metro_engine, metro_n, METRO_BEAM_KM, 200, 200);
     println!(
         "topk_scaling: metro {metro_n} at defaults | scan {METRO_SCAN_KM} km [recall {:.4}, \
          {} of {} ann] | beam {METRO_BEAM_KM} km [recall {:.4}, {} of {} ann]",

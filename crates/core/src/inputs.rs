@@ -43,6 +43,15 @@ pub struct GraphPlans {
     pub intra: Arc<SegmentPlan>,
     /// `(dst, rel)` segment → destination POI aggregation.
     pub seg_dst: Arc<SegmentPlan>,
+    /// Directed-edge message-key gather: edge → its `(source, relation)`
+    /// key, keys numbered in order of first appearance. A message
+    /// `γ(h*_src, h_r)·W_msg` depends on its key alone, so an inference
+    /// tape computes one per key ([`PrimModel::forward`](crate::PrimModel::forward)).
+    pub edge_key: Arc<SegmentPlan>,
+    /// Message-key source-POI gather.
+    pub key_src: Arc<SegmentPlan>,
+    /// Message-key relation gather from an `R+1`-row table (with φ).
+    pub key_rel: Arc<SegmentPlan>,
     /// Spatial-edge source-POI gather.
     pub sp_src: Arc<SegmentPlan>,
     /// Spatial-edge destination-POI gather.
@@ -67,6 +76,25 @@ impl GraphPlans {
         spatial: &SpatialNeighbors,
     ) -> Self {
         let as_usize = |v: &[u32]| v.iter().map(|&x| x as usize).collect::<Vec<_>>();
+        // One pass over the edges, numbering each `(src, rel)` key on first
+        // sight through a dense `n_pois × R` table: O(E + n·R), no sort.
+        let mut key_of = vec![u32::MAX; n_pois * n_relations];
+        let (mut key_src, mut key_rel) = (Vec::new(), Vec::new());
+        let edge_key: Vec<usize> = adjacency
+            .src()
+            .iter()
+            .zip(adjacency.rel())
+            .map(|(&src, &rel)| {
+                let slot = &mut key_of[src as usize * n_relations + rel as usize];
+                if *slot == u32::MAX {
+                    *slot = key_src.len() as u32;
+                    key_src.push(src as usize);
+                    key_rel.push(rel as usize);
+                }
+                *slot as usize
+            })
+            .collect();
+        let n_keys = key_src.len();
         GraphPlans {
             cat_path_gather: Arc::new(SegmentPlan::new(cat_path_nodes.to_vec(), n_taxonomy_nodes)),
             cat_path_segment: Arc::new(SegmentPlan::new(cat_path_segment.to_vec(), n_pois)),
@@ -80,6 +108,9 @@ impl GraphPlans {
                 adjacency.num_segments(),
             )),
             seg_dst: Arc::new(SegmentPlan::new(as_usize(adjacency.segment_dst()), n_pois)),
+            edge_key: Arc::new(SegmentPlan::new(edge_key, n_keys)),
+            key_src: Arc::new(SegmentPlan::new(key_src, n_pois)),
+            key_rel: Arc::new(SegmentPlan::new(key_rel, n_relations + 1)),
             sp_src: Arc::new(SegmentPlan::new(spatial.src_usize(), n_pois)),
             sp_dst: Arc::new(SegmentPlan::new(as_usize(spatial.dst()), n_pois)),
             sp_seg: Arc::new(SegmentPlan::new(

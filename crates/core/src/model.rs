@@ -24,12 +24,16 @@ use crate::config::{GammaOp, PrimConfig, TaxonomyMode};
 use crate::inputs::ModelInputs;
 use prim_graph::PoiId;
 use prim_nn::{init, Binding, ParamId, ParamStore};
+use prim_tensor::attention::{RelationalEdges, Segments, SpatialEdges};
 use prim_tensor::kernel;
 use prim_tensor::{pool, segment, stable_sigmoid};
-use prim_tensor::{Graph, Matrix, SegmentPlan, Var};
+use prim_tensor::{AttentionHead, Graph, Matrix, SegmentPlan, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+
+/// Negative slope of the leaky ReLU on the attention logits (Eq. 3).
+const ATTENTION_SLOPE: f32 = 0.2;
 
 /// One attention head of a WRGNN layer.
 struct Head {
@@ -379,14 +383,21 @@ impl PrimModel {
 
     /// Runs the full forward pass on a fresh tape.
     ///
+    /// The tape's kind picks how the edge work runs. A training tape
+    /// records the composed ops, which its backward pass differentiates.
+    /// An inference tape ([`PrimModel::embed`]) computes each message once
+    /// per `(source, relation)` key and runs every attention head and the
+    /// spatial context as one fused pass over the destinations' segments
+    /// ([`prim_tensor::attention`]); both give the same bits.
+    ///
     /// The pass is cut into scopes — each layer, its message block and the
-    /// γ messages inside it, each attention head and its logits, the
-    /// spatial-context block — whose ends free the edge-sized
-    /// intermediates on an inference tape ([`PrimModel::embed`]) and do
-    /// nothing on a training tape.
+    /// γ messages inside it, the spatial-context block — whose ends free
+    /// the intermediates on an inference tape and do nothing on a training
+    /// tape.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, inputs: &ModelInputs) -> ForwardOutput {
         let adj = &inputs.adjacency;
         let plans = &inputs.plans;
+        let fused = g.is_inference();
 
         let q = self.category_reps(g, bind, inputs);
         let attrs = g.constant_ref(&inputs.attrs);
@@ -405,8 +416,18 @@ impl PrimModel {
         };
         let mut hr = bind.var(self.rel_emb);
 
-        let dist_feats = g.constant_ref(&inputs.edge_dist_feats);
+        let dist_feats = (!fused).then(|| g.constant_ref(&inputs.edge_dist_feats));
         let has_edges = adj.num_directed_edges() > 0;
+        let edges = RelationalEdges {
+            segments: Segments {
+                edges: &plans.intra,
+                of_dst: &plans.seg_dst,
+            },
+            src: plans.edge_src.segment_of_row(),
+            rel: plans.edge_rel.segment_of_row(),
+            key: plans.edge_key.segment_of_row(),
+            dist: &inputs.edge_dist_feats,
+        };
 
         let head_dim = self.cfg.head_dim();
         let dist_dim = self.cfg.dist_feat_dim;
@@ -417,10 +438,19 @@ impl PrimModel {
             if has_edges {
                 // Relation-specific messages γ(h*_j, h_r) (Eq. 1) do not
                 // depend on the head, so compute them once per layer.
+                // On an inference tape, once per `(source, relation)` key
+                // rather than per edge: the matmul below sums each element
+                // in ascending k, so a row's bits do not depend on where it
+                // sits.
                 let message = g.scope("message");
                 let gamma = g.scope("gamma");
-                let h_src = g.gather_rows_planned(h_star, &plans.edge_src);
-                let hr_edge = g.gather_rows_planned(hr, &plans.edge_rel_all);
+                let (src_plan, rel_plan) = if fused {
+                    (&plans.key_src, &plans.key_rel)
+                } else {
+                    (&plans.edge_src, &plans.edge_rel_all)
+                };
+                let h_src = g.gather_rows_planned(h_star, src_plan);
+                let hr_edge = g.gather_rows_planned(hr, rel_plan);
                 let msg = match self.cfg.gamma {
                     GammaOp::Multiply => g.mul(h_src, hr_edge),
                     GammaOp::Subtract => g.sub(h_src, hr_edge),
@@ -437,37 +467,50 @@ impl PrimModel {
                     layer.heads.iter().map(|hd| bind.var(hd.w_dist)).collect();
                 let w_msg_all: Vec<Var> = layer.heads.iter().map(|hd| bind.var(hd.w_msg)).collect();
                 let w_att_cat = g.concat_cols(&w_att_all);
-                let w_dist_cat = g.concat_cols(&w_dist_all);
+                // The composed heads project every edge's distance features
+                // here; the fused heads project each edge's as they read it.
+                let w_dist_cat = dist_feats.map(|d| (d, g.concat_cols(&w_dist_all)));
                 let w_msg_cat = g.concat_cols(&w_msg_all);
                 let ha_all = g.matmul(h_star, w_att_cat);
-                let dproj_all = g.matmul(dist_feats, w_dist_cat);
+                let dproj_all = w_dist_cat.map(|(d, w)| g.matmul(d, w));
                 let msg_p_all = g.matmul(msg, w_msg_cat);
-                g.end_scope(message, &[ha_all, dproj_all, msg_p_all]);
-                let ha_dst_all = g.gather_rows_planned(ha_all, &plans.edge_dst);
-                let ha_src_all = g.gather_rows_planned(ha_all, &plans.edge_src);
+                if let Some(dproj_all) = dproj_all {
+                    g.end_scope(message, &[ha_all, dproj_all, msg_p_all]);
+                    let ha_dst_all = g.gather_rows_planned(ha_all, &plans.edge_dst);
+                    let ha_src_all = g.gather_rows_planned(ha_all, &plans.edge_src);
+                    for (k, head) in layer.heads.iter().enumerate() {
+                        // Spatial-aware attention (Eq. 3-4).
+                        let ha_dst = g.slice_cols(ha_dst_all, k * head_dim, head_dim);
+                        let ha_src = g.slice_cols(ha_src_all, k * head_dim, head_dim);
+                        let dproj = g.slice_cols(dproj_all, k * dist_dim, dist_dim);
+                        let feats = g.concat_cols(&[ha_dst, ha_src, dproj]);
+                        let a_edge =
+                            g.gather_rows_planned(bind.var(head.att_table), &plans.edge_rel);
+                        let raw = g.rows_dot(feats, a_edge);
+                        let logits = g.leaky_relu(raw, ATTENTION_SLOPE);
+                        let alpha = g.segment_softmax_planned(logits, &plans.intra);
 
-                for (k, head) in layer.heads.iter().enumerate() {
-                    let head_scope = g.scope("head");
-                    // Spatial-aware attention (Eq. 3-4).
-                    let logit_scope = g.scope("head logits");
-                    let ha_dst = g.slice_cols(ha_dst_all, k * head_dim, head_dim);
-                    let ha_src = g.slice_cols(ha_src_all, k * head_dim, head_dim);
-                    let dproj = g.slice_cols(dproj_all, k * dist_dim, dist_dim);
-                    let feats = g.concat_cols(&[ha_dst, ha_src, dproj]);
-                    let a_edge = g.gather_rows_planned(bind.var(head.att_table), &plans.edge_rel);
-                    let raw = g.rows_dot(feats, a_edge);
-                    g.end_scope(logit_scope, &[raw]);
-                    let logits = g.leaky_relu(raw, 0.2);
-                    let alpha = g.segment_softmax_planned(logits, &plans.intra);
-
-                    let msg_p = g.slice_cols(msg_p_all, k * head_dim, head_dim);
-                    let weighted = g.scale_rows(msg_p, alpha);
-                    // Intra-relation aggregation …
-                    let seg_agg = g.segment_sum_planned(weighted, &plans.intra);
-                    // … then inter-relation aggregation into each POI.
-                    let node_agg = g.segment_sum_planned(seg_agg, &plans.seg_dst);
-                    g.end_scope(head_scope, &[node_agg]);
-                    head_outs.push(node_agg);
+                        let msg_p = g.slice_cols(msg_p_all, k * head_dim, head_dim);
+                        let weighted = g.scale_rows(msg_p, alpha);
+                        // Intra-relation aggregation …
+                        let seg_agg = g.segment_sum_planned(weighted, &plans.intra);
+                        // … then inter-relation aggregation into each POI.
+                        head_outs.push(g.segment_sum_planned(seg_agg, &plans.seg_dst));
+                    }
+                } else {
+                    g.end_scope(message, &[ha_all, msg_p_all]);
+                    for (k, head) in layer.heads.iter().enumerate() {
+                        let operands = AttentionHead {
+                            ha: ha_all,
+                            msg: msg_p_all,
+                            col: k * head_dim,
+                            width: head_dim,
+                            w_dist: w_dist_all[k],
+                            att: bind.var(head.att_table),
+                            slope: ATTENTION_SLOPE,
+                        };
+                        head_outs.push(g.relational_attention(operands, &edges));
+                    }
                 }
             }
             let self_term = g.matmul(h_star, bind.var(layer.w_self));
@@ -492,20 +535,33 @@ impl PrimModel {
             let w_qkv =
                 g.concat_cols(&[bind.var(self.w_q), bind.var(self.w_k), bind.var(self.w_v)]);
             let qkv = g.matmul(h, w_qkv);
-            let qm = g.slice_cols(qkv, 0, dim);
-            let km = g.slice_cols(qkv, dim, dim);
-            let vm = g.slice_cols(qkv, 2 * dim, dim);
-            let q_dst = g.gather_rows_planned(qm, &plans.sp_dst);
-            let k_src = g.gather_rows_planned(km, &plans.sp_src);
-            let dots = g.rows_dot(q_dst, k_src);
-            let scaled = g.scale(dots, 1.0 / (self.cfg.dim as f32).sqrt());
-            let rbf = g.constant_ref(&inputs.spatial_rbf);
-            let weighted_logits = g.mul(scaled, rbf);
-            let beta = g.segment_softmax_planned(weighted_logits, &plans.sp_seg);
-            let v_src = g.gather_rows_planned(vm, &plans.sp_src);
-            let ctx_edges = g.scale_rows(v_src, beta);
-            let ctx_seg = g.segment_sum_planned(ctx_edges, &plans.sp_seg);
-            let ctx = g.segment_sum_planned(ctx_seg, &plans.sp_seg_dst);
+            let scale = 1.0 / (dim as f32).sqrt();
+            let ctx = if fused {
+                let edges = SpatialEdges {
+                    segments: Segments {
+                        edges: &plans.sp_seg,
+                        of_dst: &plans.sp_seg_dst,
+                    },
+                    src: plans.sp_src.segment_of_row(),
+                    rbf: &inputs.spatial_rbf,
+                };
+                g.spatial_attention(qkv, scale, &edges)
+            } else {
+                let qm = g.slice_cols(qkv, 0, dim);
+                let km = g.slice_cols(qkv, dim, dim);
+                let vm = g.slice_cols(qkv, 2 * dim, dim);
+                let q_dst = g.gather_rows_planned(qm, &plans.sp_dst);
+                let k_src = g.gather_rows_planned(km, &plans.sp_src);
+                let dots = g.rows_dot(q_dst, k_src);
+                let scaled = g.scale(dots, scale);
+                let rbf = g.constant_ref(&inputs.spatial_rbf);
+                let weighted_logits = g.mul(scaled, rbf);
+                let beta = g.segment_softmax_planned(weighted_logits, &plans.sp_seg);
+                let v_src = g.gather_rows_planned(vm, &plans.sp_src);
+                let ctx_edges = g.scale_rows(v_src, beta);
+                let ctx_seg = g.segment_sum_planned(ctx_edges, &plans.sp_seg);
+                g.segment_sum_planned(ctx_seg, &plans.sp_seg_dst)
+            };
             h = g.add(h, ctx);
             g.end_scope(spatial, &[h]);
         }
@@ -733,9 +789,10 @@ impl PrimModel {
 
     /// Runs a gradient-free forward pass and detaches all embeddings.
     ///
-    /// The pass runs on an inference tape, so each scope of
-    /// [`PrimModel::forward`] frees its intermediates when it ends; the
-    /// result is bitwise equal to the same forward on a training tape.
+    /// The pass runs on an inference tape, so [`PrimModel::forward`] takes
+    /// its fused path and each of its scopes frees its intermediates when
+    /// it ends; the result is bitwise equal to the same forward on a
+    /// training tape.
     pub fn embed(&self, inputs: &ModelInputs) -> EmbeddingTable {
         let mut g = Graph::inference();
         let bind = self.store.bind(&mut g);
@@ -1024,6 +1081,49 @@ mod tests {
         for (case, c) in cases {
             assert_embed_matches_training_tape(&PrimModel::new(c, &inputs), &inputs, case);
         }
+
+        // Dense keys: perfbench's metro layout at 1k POIs, whose `(dst, rel)`
+        // segments average ten edges, so the inference tape's messages
+        // each serve about ten edges and every segment reuses its folded
+        // dst part of the logit. The tiny city rarely repeats a key.
+        let metro = {
+            use prim_data::generator::generate_taxonomy;
+            use prim_data::{CityConfig, RelationConfig, TaxonomyConfig};
+            let city = CityConfig {
+                name: "metro-1k".into(),
+                city_radius_km: 65.0,
+                core_radius_km: 22.0,
+                n_clusters: 200,
+                ..CityConfig::singapore(1_000)
+            };
+            let relations = RelationConfig {
+                candidate_radius_km: 2.5,
+                complementary_decay_km: 2.5,
+                random_candidates: 0,
+                category_candidates: 0,
+                ..RelationConfig::binary()
+            };
+            let taxonomy = generate_taxonomy(&TaxonomyConfig::preset(Scale::Quick));
+            Dataset::generate(&city, &taxonomy, &relations)
+        };
+        let dense = ModelInputs::build(
+            &metro.graph,
+            &metro.taxonomy,
+            &metro.attrs,
+            metro.graph.edges(),
+            None,
+            &cfg,
+        );
+        let n_edges = dense.adjacency.num_directed_edges();
+        assert!(
+            n_edges >= 10 * dense.adjacency.num_segments()
+                && n_edges >= 10 * dense.plans.key_src.len(),
+            "{n_edges} edges in {} segments with {} keys",
+            dense.adjacency.num_segments(),
+            dense.plans.key_src.len()
+        );
+        let model = PrimModel::new(cfg.clone(), &dense);
+        assert_embed_matches_training_tape(&model, &dense, "dense keys");
 
         let model = PrimModel::new(cfg.clone(), &inputs);
         let edgeless = ModelInputs::build(&ds.graph, &ds.taxonomy, &ds.attrs, &[], None, &cfg);

@@ -40,11 +40,18 @@
 //! tape ending a scope does nothing, so one forward serves both modes. A
 //! scope's keep list must name every value read after the scope ends;
 //! reading a released value panics, naming the node and its scope.
+//!
+//! An inference tape also takes the fused attention ops
+//! ([`Graph::relational_attention`], [`Graph::spatial_attention`]): one
+//! pass each over an edge set's destination-major segments, bitwise the
+//! composed ops they replace, with no backward. [`Graph::is_inference`]
+//! tells a forward which to record.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::attention::{self, Cols, RelationalEdges, RelationalHead, SpatialEdges};
 use crate::kernel;
 use crate::matrix::Matrix;
 use crate::segment::{self, SegmentPlan};
@@ -122,6 +129,9 @@ enum Op {
         logits: Var,
         targets: Arc<[f32]>,
     },
+    /// A fused attention pass ([`crate::attention`]): inference tapes only,
+    /// so it never takes part in a backward pass.
+    Fused,
 }
 
 struct Node {
@@ -276,7 +286,27 @@ pub struct Graph {
     inference: bool,
 }
 
-const NORM_EPS: f32 = 1e-12;
+/// The floor of a normalising denominator: a row norm, a softmax sum.
+pub(crate) const NORM_EPS: f32 = 1e-12;
+
+/// The tape operands of one head of [`Graph::relational_attention`].
+#[derive(Clone, Copy, Debug)]
+pub struct AttentionHead {
+    /// Attention features of every POI (`n × ·`).
+    pub ha: Var,
+    /// Projected messages, one row per key (`K × ·`).
+    pub msg: Var,
+    /// First column of the head's window in `ha` and `msg`.
+    pub col: usize,
+    /// Width of the head's window, and of its output.
+    pub width: usize,
+    /// Distance projection `W_d` (`f × dd`).
+    pub w_dist: Var,
+    /// Per-relation attention vectors (`R × (2·width + dd)`).
+    pub att: Var,
+    /// Negative slope of the leaky ReLU on the logits.
+    pub slope: f32,
+}
 
 /// Scales row `i` of `dst` by `s[i]` (`s` is `n×1`), in parallel.
 fn scale_rows_in_place(dst: &mut Matrix, s: &Matrix) {
@@ -877,6 +907,58 @@ impl Graph {
         )
     }
 
+    /// One head of relational attention as one fused pass over the edges'
+    /// destination-major segments ([`attention::relational_into`]), `n ×
+    /// width`: bitwise the composed gathers, concat, `rows_dot`,
+    /// `leaky_relu`, segment softmax, `scale_rows` and two segment sums,
+    /// without their edge-row matrices.
+    ///
+    /// # Panics
+    /// Panics on a training tape (the op has no backward) and on any
+    /// shape mismatch.
+    pub fn relational_attention(
+        &mut self,
+        head: AttentionHead,
+        edges: &RelationalEdges<'_>,
+    ) -> Var {
+        self.assert_inference("relational_attention");
+        let mut value = self
+            .pool
+            .zeroed(edges.segments.of_dst.n_segments(), head.width);
+        let nodes = &self.nodes;
+        let kernel_head = RelationalHead {
+            ha: Cols {
+                m: live(nodes, head.ha),
+                start: head.col,
+            },
+            msg: Cols {
+                m: live(nodes, head.msg),
+                start: head.col,
+            },
+            w_dist: live(nodes, head.w_dist),
+            att: live(nodes, head.att),
+            slope: head.slope,
+        };
+        attention::relational_into(&kernel_head, edges, &mut value);
+        self.push(value, Op::Fused, false)
+    }
+
+    /// The spatial context of every destination as one fused pass
+    /// ([`attention::spatial_into`]); `qkv` holds queries, keys and values
+    /// side by side, so the output is `n × cols/3`. Bitwise the composed
+    /// gathers, `rows_dot`, `scale`, `mul`, segment softmax, `scale_rows`
+    /// and two segment sums.
+    ///
+    /// # Panics
+    /// Panics on a training tape and on any shape mismatch.
+    pub fn spatial_attention(&mut self, qkv: Var, scale: f32, edges: &SpatialEdges<'_>) -> Var {
+        self.assert_inference("spatial_attention");
+        let (n, c) = self.shape(qkv);
+        let mut value = self.pool.zeroed(n, c / 3);
+        attention::spatial_into(live(&self.nodes, qkv), scale, edges, &mut value);
+        self.push(value, Op::Fused, false)
+    }
+
     /// Runs the reverse pass from `loss` (which must be `1×1`) and returns
     /// gradients for every participating node. Gradient buffers come from
     /// the graph's pool; hand them back with [`Graph::recycle`] once
@@ -927,6 +1009,18 @@ impl Graph {
             Self::accumulate(&mut pool, &mut grads, var, seed);
         }
         self.run_backward(top, grads, pool)
+    }
+
+    /// True on a tape built by [`Graph::inference`].
+    pub fn is_inference(&self) -> bool {
+        self.inference
+    }
+
+    fn assert_inference(&self, what: &str) {
+        assert!(
+            self.inference,
+            "{what} has no backward pass: build the graph with Graph::inference"
+        );
     }
 
     fn assert_training(&self, what: &str) {
@@ -1008,7 +1102,7 @@ impl Graph {
     ) {
         let node = &self.nodes[idx];
         match &node.op {
-            Op::Leaf => {}
+            Op::Leaf | Op::Fused => {}
             Op::MatMul(a, b) => {
                 if self.rg(*a) {
                     // dL/dA = G Bᵀ

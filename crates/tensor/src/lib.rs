@@ -11,6 +11,8 @@
 //!   `scale_rows`, `normalize_rows`), and an inference mode whose scopes
 //!   free intermediates as soon as a gradient-free forward is done with
 //!   them;
+//! * [`attention`] — fused, inference-only relational and spatial
+//!   attention passes, bitwise equal to the composed tape ops they replace;
 //! * [`SegmentPlan`] — CSR-style inverted segment maps that let the scatter
 //!   reductions (`segment_sum`, `segment_softmax`, gather backward) run in
 //!   parallel by output segment, bitwise identical to their serial
@@ -36,6 +38,7 @@
 //! assert_eq!(grads.get(w).unwrap().shape(), (2, 1));
 //! ```
 
+pub mod attention;
 pub mod check;
 pub mod graph;
 pub mod kernel;
@@ -43,6 +46,6 @@ pub mod matrix;
 pub mod pool;
 pub mod segment;
 
-pub use graph::{stable_sigmoid, Gradients, Graph, Scope, Var};
+pub use graph::{stable_sigmoid, AttentionHead, Gradients, Graph, Scope, Var};
 pub use matrix::Matrix;
 pub use segment::SegmentPlan;

@@ -48,12 +48,27 @@ const PAR_GRAIN_FLOPS: usize = 1 << 16;
 /// the identical rounding sequence per output element — which is what makes
 /// the blocked/parallel kernels bitwise comparable to the references.
 #[inline(always)]
-fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
+pub(crate) fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, acc)
     } else {
         acc + a * b
     }
+}
+
+/// The accumulator every dot product starts from: `-0.0`, the identity of
+/// `+` that `Iterator::sum` over `f32` starts from, so an all-`-0.0` sum
+/// stays `-0.0`.
+pub(crate) const DOT_INIT: f32 = -0.0;
+
+/// Continues a dot product: adds `a[i] * b[i]` to `acc` in ascending `i`,
+/// each product rounded before its add. [`Matrix::row_dot`] is
+/// `dot_from(DOT_INIT, ..)`; the fused attention kernels split one logical
+/// dot into consecutive calls (a shared prefix, then per-edge parts), which
+/// is the same fold, so the two cannot drift apart.
+#[inline]
+pub(crate) fn dot_from(acc: f32, a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(acc, |s, (&x, &y)| s + x * y)
 }
 
 /// A dense, row-major matrix of `f32` values.
@@ -849,11 +864,7 @@ impl Matrix {
     /// Dot product between row `r` of `self` and row `r2` of `other`.
     pub fn row_dot(&self, r: usize, other: &Matrix, r2: usize) -> f32 {
         assert_eq!(self.cols, other.cols, "row_dot column mismatch");
-        self.row(r)
-            .iter()
-            .zip(other.row(r2).iter())
-            .map(|(&a, &b)| a * b)
-            .sum()
+        dot_from(DOT_INIT, self.row(r), other.row(r2))
     }
 
     /// L2 norm of row `r`.

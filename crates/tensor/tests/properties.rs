@@ -1,12 +1,13 @@
 //! Property-based tests (proptest) for the autodiff engine: algebraic
 //! identities of the eager ops and invariants of the GNN primitives.
 
+use prim_tensor::attention::{RelationalEdges, Segments, SpatialEdges};
 use prim_tensor::check::TestRng;
 use prim_tensor::segment::{
     broadcast_segments_into, segment_dot_into, segment_dot_serial_into, segment_max_into,
     segment_max_serial_into, segment_sum_into, segment_sum_serial_into,
 };
-use prim_tensor::{kernel, Graph, Matrix, SegmentPlan};
+use prim_tensor::{kernel, AttentionHead, Graph, Matrix, SegmentPlan, Var};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -417,6 +418,224 @@ proptest! {
             w_fresh = next_fresh;
             prop_assert!(bits_equal(&w_pooled, &w_fresh), "pooled step drifted");
         }
+    }
+}
+
+/// An entry for the fused-attention parity cases: mostly ordinary values,
+/// with the awkward ones mixed in — ±80 (logits far enough apart that
+/// `exp(x − max)` underflows to zero), `-0.0`, `+0.0` and subnormals of
+/// both signs.
+fn awkward(rng: &mut TestRng) -> f32 {
+    match rng.below(14) {
+        0 => 80.0,
+        1 => -80.0,
+        2 => -0.0,
+        3 => 0.0,
+        4 => 1e-40,
+        5 => -3e-39,
+        _ => rng.unit() * 3.0,
+    }
+}
+
+fn awkward_matrix(rng: &mut TestRng, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| awkward(rng))
+}
+
+/// Destination-major softmax segments as the model's adjacency lays them
+/// out: for each destination, up to `per_dst` segments (each with its own
+/// relation when `per_dst > 1`) of lengths mixing empty, one-edge, short
+/// and long segments, and destinations with no segment at all. Returns
+/// each edge's segment, each segment's destination and each segment's
+/// relation.
+fn attention_segments(
+    rng: &mut TestRng,
+    n_dst: usize,
+    per_dst: usize,
+) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let (mut edge_seg, mut seg_dst, mut seg_rel) = (Vec::new(), Vec::new(), Vec::new());
+    for dst in 0..n_dst {
+        for rel in 0..per_dst {
+            if rng.below(5) == 0 {
+                continue;
+            }
+            let len = match rng.below(20) {
+                0..=2 => 0,
+                3..=7 => 1,
+                8..=14 => 2 + rng.below(7),
+                _ => 20 + rng.below(60),
+            };
+            edge_seg.extend(std::iter::repeat_n(seg_dst.len(), len));
+            seg_dst.push(dst);
+            seg_rel.push(rel);
+        }
+    }
+    (edge_seg, seg_dst, seg_rel)
+}
+
+fn plan(map: Vec<usize>, n: usize) -> Arc<SegmentPlan> {
+    Arc::new(SegmentPlan::new(map, n))
+}
+
+/// The composed tail every attention block shares: segment softmax of
+/// the logits, messages scaled by it, then the two segment sums.
+fn composed_aggregate(
+    g: &mut Graph,
+    logits: Var,
+    msg: Var,
+    segments: &Arc<SegmentPlan>,
+    seg_dst: &Arc<SegmentPlan>,
+) -> Var {
+    let alpha = g.segment_softmax_planned(logits, segments);
+    let weighted = g.scale_rows(msg, alpha);
+    let seg_agg = g.segment_sum_planned(weighted, segments);
+    g.segment_sum_planned(seg_agg, seg_dst)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused relational attention pass is bitwise the composed tape
+    /// ops (as `PrimModel::forward` records them on a training tape) for
+    /// both heads of a two-head layer, at 1, 2 and 4 threads. Large cases
+    /// cross the kernel's parallel threshold, so the destination split is
+    /// exercised too.
+    #[test]
+    fn fused_relational_attention_matches_composed_ops_bitwise(
+        seed in 0u64..u64::MAX,
+        n_dst in 1usize..1500,
+        n_rel in 1usize..4,
+        width in 1usize..7,
+        dist_dim in 1usize..4,
+    ) {
+        let mut rng = TestRng::new(seed);
+        let (edge_seg, seg_dst, seg_rel) = attention_segments(&mut rng, n_dst, n_rel);
+        let n_edges = edge_seg.len();
+        let n_src = n_dst + rng.below(5);
+        let n_keys = 1 + rng.below(n_edges.max(1));
+        let src: Vec<usize> = (0..n_edges).map(|_| rng.below(n_src)).collect();
+        let key: Vec<usize> = (0..n_edges).map(|_| rng.below(n_keys)).collect();
+        let dst: Vec<usize> = edge_seg.iter().map(|&s| seg_dst[s]).collect();
+        let rel: Vec<usize> = edge_seg.iter().map(|&s| seg_rel[s]).collect();
+        let feats = 2;
+        // Two heads side by side, as the model's batched projections are.
+        let ha = awkward_matrix(&mut rng, n_src.max(n_dst), 2 * width);
+        let msg = awkward_matrix(&mut rng, n_keys, 2 * width);
+        let dist = awkward_matrix(&mut rng, n_edges, feats);
+        let w_dist = awkward_matrix(&mut rng, feats, 2 * dist_dim);
+        let att: Vec<Matrix> = (0..2)
+            .map(|_| awkward_matrix(&mut rng, n_rel, 2 * width + dist_dim))
+            .collect();
+
+        let n_rows = ha.rows();
+        let segments = plan(edge_seg, seg_dst.len());
+        let seg_dst_plan = plan(seg_dst, n_rows);
+        let (src_plan, dst_plan) = (plan(src, n_rows), plan(dst, n_rows));
+        let (rel_plan, key_plan) = (plan(rel, n_rel), plan(key, n_keys));
+
+        for threads in [1, 2, 4] {
+            kernel::set_threads(threads);
+            let mut g = Graph::new();
+            let (ha_v, msg_v) = (g.constant_ref(&ha), g.constant_ref(&msg));
+            let (dist_v, w_dist_v) = (g.constant_ref(&dist), g.constant_ref(&w_dist));
+            let ha_dst_all = g.gather_rows_planned(ha_v, &dst_plan);
+            let ha_src_all = g.gather_rows_planned(ha_v, &src_plan);
+            let dproj_all = g.matmul(dist_v, w_dist_v);
+            let msg_all = g.gather_rows_planned(msg_v, &key_plan);
+
+            let mut f = Graph::inference();
+            let (ha_f, msg_f) = (f.constant_ref(&ha), f.constant_ref(&msg));
+            let edges = RelationalEdges {
+                segments: Segments { edges: &segments, of_dst: &seg_dst_plan },
+                src: src_plan.segment_of_row(),
+                rel: rel_plan.segment_of_row(),
+                key: key_plan.segment_of_row(),
+                dist: &dist,
+            };
+            for (k, att) in att.iter().enumerate() {
+                let ha_dst = g.slice_cols(ha_dst_all, k * width, width);
+                let ha_src = g.slice_cols(ha_src_all, k * width, width);
+                let dproj = g.slice_cols(dproj_all, k * dist_dim, dist_dim);
+                let cat = g.concat_cols(&[ha_dst, ha_src, dproj]);
+                let att_v = g.constant_ref(att);
+                let a_edge = g.gather_rows_planned(att_v, &rel_plan);
+                let raw = g.rows_dot(cat, a_edge);
+                let logits = g.leaky_relu(raw, 0.2);
+                let msg_p = g.slice_cols(msg_all, k * width, width);
+                let want =
+                    composed_aggregate(&mut g, logits, msg_p, &segments, &seg_dst_plan);
+
+                let head_w_dist =
+                    Matrix::from_fn(feats, dist_dim, |j, c| w_dist[(j, k * dist_dim + c)]);
+                let operands = AttentionHead {
+                    ha: ha_f,
+                    msg: msg_f,
+                    col: k * width,
+                    width,
+                    w_dist: f.constant(head_w_dist),
+                    att: f.constant_ref(att),
+                    slope: 0.2,
+                };
+                let got = f.relational_attention(operands, &edges);
+                prop_assert!(
+                    bits_equal(f.value(got), g.value(want)),
+                    "head {k} drifted at {threads} threads ({n_edges} edges)"
+                );
+            }
+        }
+        kernel::set_threads(0);
+    }
+
+    /// The fused spatial-context pass is bitwise the composed tape ops at
+    /// 1, 2 and 4 threads. As above, large cases cross the parallel
+    /// threshold.
+    #[test]
+    fn fused_spatial_attention_matches_composed_ops_bitwise(
+        seed in 0u64..u64::MAX,
+        n_dst in 1usize..3000,
+        width in 1usize..17,
+    ) {
+        let mut rng = TestRng::new(seed);
+        let (edge_seg, seg_dst, _) = attention_segments(&mut rng, n_dst, 1);
+        let n_edges = edge_seg.len();
+        let src: Vec<usize> = (0..n_edges).map(|_| rng.below(n_dst)).collect();
+        let dst: Vec<usize> = edge_seg.iter().map(|&s| seg_dst[s]).collect();
+        let qkv = awkward_matrix(&mut rng, n_dst, 3 * width);
+        let rbf = awkward_matrix(&mut rng, n_edges, 1);
+        let scale = 1.0 / (width as f32).sqrt();
+
+        let segments = plan(edge_seg, seg_dst.len());
+        let seg_dst_plan = plan(seg_dst, n_dst);
+        let (src_plan, dst_plan) = (plan(src, n_dst), plan(dst, n_dst));
+        for threads in [1, 2, 4] {
+            kernel::set_threads(threads);
+            let mut g = Graph::new();
+            let qkv_v = g.constant_ref(&qkv);
+            let qm = g.slice_cols(qkv_v, 0, width);
+            let km = g.slice_cols(qkv_v, width, width);
+            let vm = g.slice_cols(qkv_v, 2 * width, width);
+            let q_dst = g.gather_rows_planned(qm, &dst_plan);
+            let k_src = g.gather_rows_planned(km, &src_plan);
+            let dots = g.rows_dot(q_dst, k_src);
+            let scaled = g.scale(dots, scale);
+            let rbf_v = g.constant_ref(&rbf);
+            let logits = g.mul(scaled, rbf_v);
+            let v_src = g.gather_rows_planned(vm, &src_plan);
+            let want = composed_aggregate(&mut g, logits, v_src, &segments, &seg_dst_plan);
+
+            let mut f = Graph::inference();
+            let qkv_f = f.constant_ref(&qkv);
+            let edges = SpatialEdges {
+                segments: Segments { edges: &segments, of_dst: &seg_dst_plan },
+                src: src_plan.segment_of_row(),
+                rbf: &rbf,
+            };
+            let got = f.spatial_attention(qkv_f, scale, &edges);
+            prop_assert!(
+                bits_equal(f.value(got), g.value(want)),
+                "spatial context drifted at {threads} threads ({n_edges} edges)"
+            );
+        }
+        kernel::set_threads(0);
     }
 }
 
