@@ -142,13 +142,15 @@ pub struct ModelInputs {
     pub n_categories: usize,
     /// Directed adjacency over the visible training edges.
     pub adjacency: Adjacency,
-    /// Per-directed-edge distance features: `[d_km, exp(-d_km)]`.
-    pub edge_dist_feats: Matrix,
+    /// Per-directed-edge distance features: `[d_km, exp(-d_km)]`, shared
+    /// with every tape's attention nodes rather than copied onto it.
+    pub edge_dist_feats: Arc<Matrix>,
     /// Spatial neighbour lists (masked to visible POIs when training
     /// inductively).
     pub spatial: SpatialNeighbors,
-    /// RBF weights as an `(n_spatial_edges × 1)` column for the extractor.
-    pub spatial_rbf: Matrix,
+    /// RBF weights as an `(n_spatial_edges × 1)` column for the extractor,
+    /// shared like `edge_dist_feats`.
+    pub spatial_rbf: Arc<Matrix>,
     /// Shared gather/scatter plans for the forward pass.
     pub plans: GraphPlans,
     /// Gather plan from the model's *global* per-POI parameter rows into
@@ -263,16 +265,22 @@ impl ModelInputs {
         }
 
         let adjacency = Adjacency::build(graph, train_edges);
-        let edge_dist_feats = Matrix::from_fn(adjacency.num_directed_edges(), 2, |r, c| {
-            let d = adjacency.dist_km()[r];
-            if c == 0 {
-                d
-            } else {
-                (-d).exp()
-            }
-        });
+        let edge_dist_feats = Arc::new(Matrix::from_fn(
+            adjacency.num_directed_edges(),
+            2,
+            |r, c| {
+                let d = adjacency.dist_km()[r];
+                if c == 0 {
+                    d
+                } else {
+                    (-d).exp()
+                }
+            },
+        ));
 
-        let spatial_rbf = Matrix::from_fn(spatial.num_edges(), 1, |r, _| spatial.rbf()[r]);
+        let spatial_rbf = Arc::new(Matrix::from_fn(spatial.num_edges(), 1, |r, _| {
+            spatial.rbf()[r]
+        }));
 
         let plans = GraphPlans::build(
             n_pois,

@@ -24,7 +24,7 @@ use crate::config::{GammaOp, PrimConfig, TaxonomyMode};
 use crate::inputs::ModelInputs;
 use prim_graph::PoiId;
 use prim_nn::{init, Binding, ParamId, ParamStore};
-use prim_tensor::attention::{RelationalEdges, Segments, SpatialEdges};
+use prim_tensor::attention::{RelationalPlans, SpatialPlans};
 use prim_tensor::kernel;
 use prim_tensor::{pool, segment, stable_sigmoid};
 use prim_tensor::{AttentionHead, Graph, Matrix, SegmentPlan, Var};
@@ -383,21 +383,50 @@ impl PrimModel {
 
     /// Runs the full forward pass on a fresh tape.
     ///
-    /// The tape's kind picks how the edge work runs. A training tape
-    /// records the composed ops, which its backward pass differentiates.
-    /// An inference tape ([`PrimModel::embed`]) computes each message once
-    /// per `(source, relation)` key and runs every attention head and the
-    /// spatial context as one fused pass over the destinations' segments
-    /// ([`prim_tensor::attention`]); both give the same bits.
+    /// Every attention head, and the spatial context, runs as one fused
+    /// pass over the destinations' segments ([`prim_tensor::attention`]).
+    /// On a training tape each fused node keeps only its softmax weights
+    /// and differentiates by hand, bitwise as the composed tape ops would.
+    /// An inference tape ([`PrimModel::embed`]) also computes each message
+    /// once per `(source, relation)` key instead of once per edge; both
+    /// give the same bits.
     ///
     /// The pass is cut into scopes — each layer, its message block and the
     /// γ messages inside it, the spatial-context block — whose ends free
     /// the intermediates on an inference tape and do nothing on a training
     /// tape.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, inputs: &ModelInputs) -> ForwardOutput {
+        self.forward_with(g, bind, inputs, false)
+    }
+
+    /// [`PrimModel::forward`] through the composed attention ops (gathers,
+    /// slices, concats, `rows_dot`, segment softmax, `scale_rows`, segment
+    /// sums) on a training tape: the oracle the fused nodes are tested
+    /// against, bit for bit. Not for production use.
+    #[doc(hidden)]
+    pub fn forward_composed(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        inputs: &ModelInputs,
+    ) -> ForwardOutput {
+        assert!(
+            !g.is_inference(),
+            "forward_composed: the oracle runs on a training tape"
+        );
+        self.forward_with(g, bind, inputs, true)
+    }
+
+    fn forward_with(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        inputs: &ModelInputs,
+        composed: bool,
+    ) -> ForwardOutput {
         let adj = &inputs.adjacency;
         let plans = &inputs.plans;
-        let fused = g.is_inference();
+        let keyed = g.is_inference();
 
         let q = self.category_reps(g, bind, inputs);
         let attrs = g.constant_ref(&inputs.attrs);
@@ -416,17 +445,16 @@ impl PrimModel {
         };
         let mut hr = bind.var(self.rel_emb);
 
-        let dist_feats = (!fused).then(|| g.constant_ref(&inputs.edge_dist_feats));
+        let dist_feats = composed.then(|| g.constant_ref(&inputs.edge_dist_feats));
         let has_edges = adj.num_directed_edges() > 0;
-        let edges = RelationalEdges {
-            segments: Segments {
-                edges: &plans.intra,
-                of_dst: &plans.seg_dst,
-            },
-            src: plans.edge_src.segment_of_row(),
-            rel: plans.edge_rel.segment_of_row(),
-            key: plans.edge_key.segment_of_row(),
-            dist: &inputs.edge_dist_feats,
+        let edges = RelationalPlans {
+            segments: Arc::clone(&plans.intra),
+            seg_dst: Arc::clone(&plans.seg_dst),
+            src: Arc::clone(&plans.edge_src),
+            dst: Arc::clone(&plans.edge_dst),
+            rel: Arc::clone(&plans.edge_rel),
+            key: keyed.then(|| Arc::clone(&plans.edge_key)),
+            dist: Arc::clone(&inputs.edge_dist_feats),
         };
 
         let head_dim = self.cfg.head_dim();
@@ -441,10 +469,11 @@ impl PrimModel {
                 // On an inference tape, once per `(source, relation)` key
                 // rather than per edge: the matmul below sums each element
                 // in ascending k, so a row's bits do not depend on where it
-                // sits.
+                // sits. A training tape keeps one row per edge, because the
+                // message weights' gradient is an ascending-edge chain.
                 let message = g.scope("message");
                 let gamma = g.scope("gamma");
-                let (src_plan, rel_plan) = if fused {
+                let (src_plan, rel_plan) = if keyed {
                     (&plans.key_src, &plans.key_rel)
                 } else {
                     (&plans.edge_src, &plans.edge_rel_all)
@@ -460,8 +489,7 @@ impl PrimModel {
 
                 // Batch the per-head projections into single wide matmuls
                 // (columns of a product are independent, so each head's slice
-                // is identical to its standalone matmul), then gather edge
-                // rows once for all heads.
+                // is identical to its standalone matmul).
                 let w_att_all: Vec<Var> = layer.heads.iter().map(|hd| bind.var(hd.w_att)).collect();
                 let w_dist_all: Vec<Var> =
                     layer.heads.iter().map(|hd| bind.var(hd.w_dist)).collect();
@@ -500,6 +528,7 @@ impl PrimModel {
                 } else {
                     g.end_scope(message, &[ha_all, msg_p_all]);
                     for (k, head) in layer.heads.iter().enumerate() {
+                        // Spatial-aware attention (Eq. 3-5), one pass.
                         let operands = AttentionHead {
                             ha: ha_all,
                             msg: msg_p_all,
@@ -536,17 +565,7 @@ impl PrimModel {
                 g.concat_cols(&[bind.var(self.w_q), bind.var(self.w_k), bind.var(self.w_v)]);
             let qkv = g.matmul(h, w_qkv);
             let scale = 1.0 / (dim as f32).sqrt();
-            let ctx = if fused {
-                let edges = SpatialEdges {
-                    segments: Segments {
-                        edges: &plans.sp_seg,
-                        of_dst: &plans.sp_seg_dst,
-                    },
-                    src: plans.sp_src.segment_of_row(),
-                    rbf: &inputs.spatial_rbf,
-                };
-                g.spatial_attention(qkv, scale, &edges)
-            } else {
+            let ctx = if composed {
                 let qm = g.slice_cols(qkv, 0, dim);
                 let km = g.slice_cols(qkv, dim, dim);
                 let vm = g.slice_cols(qkv, 2 * dim, dim);
@@ -561,6 +580,15 @@ impl PrimModel {
                 let ctx_edges = g.scale_rows(v_src, beta);
                 let ctx_seg = g.segment_sum_planned(ctx_edges, &plans.sp_seg);
                 g.segment_sum_planned(ctx_seg, &plans.sp_seg_dst)
+            } else {
+                let edges = SpatialPlans {
+                    segments: Arc::clone(&plans.sp_seg),
+                    seg_dst: Arc::clone(&plans.sp_seg_dst),
+                    src: Arc::clone(&plans.sp_src),
+                    dst: Arc::clone(&plans.sp_dst),
+                    rbf: Arc::clone(&inputs.spatial_rbf),
+                };
+                g.spatial_attention(qkv, scale, &edges)
             };
             h = g.add(h, ctx);
             g.end_scope(spatial, &[h]);
@@ -878,6 +906,7 @@ impl PrimModel {
 mod tests {
     use super::*;
     use prim_data::{Dataset, Scale};
+    use prim_nn::Adam;
 
     fn tiny() -> (Dataset, PrimConfig, ModelInputs) {
         let ds = Dataset::beijing(Scale::Quick).subsample(0.1, 3);
@@ -1031,6 +1060,117 @@ mod tests {
 
     #[test]
     fn embed_matches_training_tape_forward_on_every_branch() {
+        for_each_forward_branch(assert_embed_matches_training_tape);
+    }
+
+    /// A model with `model`'s configuration and parameter values.
+    fn twin(model: &PrimModel) -> PrimModel {
+        let cat_rows = model.store.value(model.cat_table).rows();
+        let dims = ModelDims {
+            n_pois: model.n_poi_rows(),
+            n_relations: model.n_relations,
+            attr_dim: model.store.value(model.w_in).rows(),
+            n_taxonomy_nodes: cat_rows,
+            n_categories: cat_rows,
+        };
+        let entries = model
+            .params()
+            .entries()
+            .map(|(n, v, _)| (n.to_string(), v.clone()))
+            .collect();
+        PrimModel::restore(model.cfg.clone(), &dims, entries).expect("same parameter list")
+    }
+
+    /// One training step's forward, off-tape scoring and backward, as
+    /// `train_step` runs it, through the fused nodes or the composed
+    /// oracle; the gradients land in the model's store.
+    fn oracle_step(
+        model: &mut PrimModel,
+        inputs: &ModelInputs,
+        g: &mut Graph,
+        batch: &TripleBatch,
+        composed: bool,
+    ) -> (Vec<u32>, f32) {
+        g.reset();
+        let bind = model.store.bind(g);
+        let fwd = if composed {
+            model.forward_composed(g, &bind, inputs)
+        } else {
+            model.forward(g, &bind, inputs)
+        };
+        let values = [bits(g.value(fwd.h_final)), bits(g.value(fwd.rel_score))].concat();
+        let (loss, seeds) = model.scored_loss_parallel(g, &bind, &fwd, batch);
+        let grads = g.backward_seeded(seeds);
+        model.store.accumulate(&bind, &grads);
+        g.recycle(grads);
+        (values, loss)
+    }
+
+    /// The training tape (fused attention nodes) against the composed
+    /// oracle: the forward values, one step's gradient of every parameter
+    /// group, and every parameter after three Adam steps, bit for bit; and
+    /// `embed` against the oracle's forward.
+    fn assert_training_tape_matches_oracle(model: &PrimModel, inputs: &ModelInputs, case: &str) {
+        let n = inputs.n_pois;
+        let triples = 96;
+        let pick = |t: usize, a: usize, b: usize| (t * a + b) % n;
+        let src: Vec<usize> = (0..triples).map(|t| pick(t, 7, 1)).collect();
+        let dst: Vec<usize> = (0..triples).map(|t| pick(t, 13, 5)).collect();
+        let rel: Vec<usize> = (0..triples).map(|t| t % (model.phi() + 1)).collect();
+        let bins: Vec<usize> = (0..triples).map(|t| t % model.cfg.bins.len()).collect();
+        let labels: Vec<f32> = (0..triples).map(|t| (t % 3 == 0) as u8 as f32).collect();
+        let batch = TripleBatch::new(model, inputs, &src, &rel, &dst, &bins, &labels);
+
+        let (mut fused, mut oracle) = (twin(model), twin(model));
+        let (mut g_fused, mut g_oracle) = (Graph::new(), Graph::new());
+        let cfg = &model.cfg;
+        let adam = || Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+        let (mut adam_fused, mut adam_oracle) = (adam(), adam());
+        for step in 0..3 {
+            let (v_fused, l_fused) = oracle_step(&mut fused, inputs, &mut g_fused, &batch, false);
+            let (v_oracle, l_oracle) =
+                oracle_step(&mut oracle, inputs, &mut g_oracle, &batch, true);
+            assert_eq!(v_fused, v_oracle, "{case}: forward values at step {step}");
+            assert_eq!(
+                l_fused.to_bits(),
+                l_oracle.to_bits(),
+                "{case}: loss at step {step}"
+            );
+            if step == 0 {
+                let table = fused.embed(inputs);
+                let embedded = [bits(&table.pois), bits(&table.relations)].concat();
+                assert_eq!(embedded, v_oracle, "{case}: embed against the oracle");
+            }
+            for ((name, a), (_, b)) in fused.store.iter_grads().zip(oracle.store.iter_grads()) {
+                assert_eq!(
+                    bits(a),
+                    bits(b),
+                    "{case}: gradient of {name} at step {step}"
+                );
+            }
+            for (m, adam) in [
+                (&mut fused, &mut adam_fused),
+                (&mut oracle, &mut adam_oracle),
+            ] {
+                m.store.clip_grad_norm(cfg.grad_clip);
+                adam.step(&mut m.store);
+            }
+        }
+        for ((name, a, _), (_, b, _)) in fused.params().entries().zip(oracle.params().entries()) {
+            assert_eq!(bits(a), bits(b), "{case}: {name} after three Adam steps");
+        }
+    }
+
+    #[test]
+    fn training_tape_matches_composed_oracle_on_every_branch() {
+        for_each_forward_branch(assert_training_tape_matches_oracle);
+    }
+
+    /// Runs `check(model, inputs, case)` on every branch of the forward
+    /// pass: each γ operator, both taxonomy modes, spatial context and node
+    /// embeddings off, dense message keys, no edges, no spatial edge, and
+    /// subset inputs with and without spatial edges.
+    fn for_each_forward_branch(check: impl Fn(&PrimModel, &ModelInputs, &str)) {
         use crate::config::GammaOp;
         use prim_geo::{GridIndex, Location};
         let (ds, quick, inputs) = tiny();
@@ -1079,7 +1219,7 @@ mod tests {
             ),
         ];
         for (case, c) in cases {
-            assert_embed_matches_training_tape(&PrimModel::new(c, &inputs), &inputs, case);
+            check(&PrimModel::new(c, &inputs), &inputs, case);
         }
 
         // Dense keys: perfbench's metro layout at 1k POIs, whose `(dst, rel)`
@@ -1123,12 +1263,12 @@ mod tests {
             dense.plans.key_src.len()
         );
         let model = PrimModel::new(cfg.clone(), &dense);
-        assert_embed_matches_training_tape(&model, &dense, "dense keys");
+        check(&model, &dense, "dense keys");
 
         let model = PrimModel::new(cfg.clone(), &inputs);
         let edgeless = ModelInputs::build(&ds.graph, &ds.taxonomy, &ds.attrs, &[], None, &cfg);
         assert_eq!(edgeless.adjacency.num_directed_edges(), 0);
-        assert_embed_matches_training_tape(&model, &edgeless, "edgeless");
+        check(&model, &edgeless, "edgeless");
 
         // A radius below every POI spacing: the block adds zeros, as if off.
         let mut tight = cfg.clone();
@@ -1137,7 +1277,7 @@ mod tests {
         let unspatial = ModelInputs::build(&ds.graph, &ds.taxonomy, &ds.attrs, edges, None, &tight);
         assert!(unspatial.spatial.is_empty());
         let on = PrimModel::new(tight.clone(), &unspatial);
-        assert_embed_matches_training_tape(&on, &unspatial, "no spatial edge");
+        check(&on, &unspatial, "no spatial edge");
         tight.use_spatial_context = false;
         let off = PrimModel::new(tight, &unspatial).embed(&unspatial);
         assert_eq!(bits(&on.embed(&unspatial).pois), bits(&off.pois));
@@ -1158,14 +1298,14 @@ mod tests {
         };
         let sub = subset(&grid, &[0, 2, 9]);
         assert!(sub.node_rows.is_some() && !sub.spatial.is_empty());
-        assert_embed_matches_training_tape(&model, &sub, "subset");
+        check(&model, &sub, "subset");
 
         // A retired target has no spatial sources while the city has some,
         // so the subset has no spatial edge.
         grid.retire(4);
         let lone = subset(&grid, &[4]);
         assert!(lone.spatial.is_empty());
-        assert_embed_matches_training_tape(&model, &lone, "subset with no spatial edge");
+        check(&model, &lone, "subset with no spatial edge");
     }
 
     /// `restore` against `new` followed by `import_named` of the same

@@ -41,17 +41,20 @@
 //! scope's keep list must name every value read after the scope ends;
 //! reading a released value panics, naming the node and its scope.
 //!
-//! An inference tape also takes the fused attention ops
-//! ([`Graph::relational_attention`], [`Graph::spatial_attention`]): one
-//! pass each over an edge set's destination-major segments, bitwise the
-//! composed ops they replace, with no backward. [`Graph::is_inference`]
-//! tells a forward which to record.
+//! ## Fused attention
+//!
+//! [`Graph::relational_attention`] and [`Graph::spatial_attention`] run
+//! one pass each over an edge set's destination-major segments
+//! ([`crate::attention`]), on either kind of tape. On a training tape the
+//! node keeps only the E×1 softmax weights, and its backward pass is the
+//! kernels' hand-written adjoint. Values and gradients are bitwise those of
+//! the composed ops they replace.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::attention::{self, Cols, RelationalEdges, RelationalHead, SpatialEdges};
+use crate::attention::{self, Cols, RelationalHead, RelationalPlans, SpatialPlans};
 use crate::kernel;
 use crate::matrix::Matrix;
 use crate::segment::{self, SegmentPlan};
@@ -129,9 +132,21 @@ enum Op {
         logits: Var,
         targets: Arc<[f32]>,
     },
-    /// A fused attention pass ([`crate::attention`]): inference tapes only,
-    /// so it never takes part in a backward pass.
-    Fused,
+    /// One head of [`Graph::relational_attention`]; `alpha` holds the
+    /// forward's saved weights (empty on an inference tape).
+    RelationalAttention {
+        head: AttentionHead,
+        plans: RelationalPlans,
+        alpha: Matrix,
+    },
+    /// [`Graph::spatial_attention`]; `beta` holds the forward's saved
+    /// weights (empty on an inference tape).
+    SpatialAttention {
+        qkv: Var,
+        scale: f32,
+        plans: SpatialPlans,
+        beta: Matrix,
+    },
 }
 
 struct Node {
@@ -294,7 +309,8 @@ pub(crate) const NORM_EPS: f32 = 1e-12;
 pub struct AttentionHead {
     /// Attention features of every POI (`n × ·`).
     pub ha: Var,
-    /// Projected messages, one row per key (`K × ·`).
+    /// Projected messages, one row per key (`K × ·`) or, as a training
+    /// tape needs, per edge (`E × ·`); see [`RelationalPlans::key`].
     pub msg: Var,
     /// First column of the head's window in `ha` and `msg`.
     pub col: usize,
@@ -381,6 +397,11 @@ impl Graph {
         let mut nodes = std::mem::take(&mut self.nodes);
         for node in nodes.drain(..) {
             self.pool.put_back(node.value);
+            match node.op {
+                Op::RelationalAttention { alpha: saved, .. }
+                | Op::SpatialAttention { beta: saved, .. } => self.pool.put_back(saved),
+                _ => {}
+            }
         }
         self.nodes = nodes;
     }
@@ -909,24 +930,75 @@ impl Graph {
 
     /// One head of relational attention as one fused pass over the edges'
     /// destination-major segments ([`attention::relational_into`]), `n ×
-    /// width`: bitwise the composed gathers, concat, `rows_dot`,
+    /// width`: bitwise the composed gathers, slices, concat, `rows_dot`,
     /// `leaky_relu`, segment softmax, `scale_rows` and two segment sums,
-    /// without their edge-row matrices.
+    /// without their edge-row matrices. Its backward pass gives `ha`,
+    /// `msg`, `w_dist` and `att` their gradients.
     ///
     /// # Panics
-    /// Panics on a training tape (the op has no backward) and on any
-    /// shape mismatch.
-    pub fn relational_attention(
-        &mut self,
-        head: AttentionHead,
-        edges: &RelationalEdges<'_>,
-    ) -> Var {
-        self.assert_inference("relational_attention");
-        let mut value = self
-            .pool
-            .zeroed(edges.segments.of_dst.n_segments(), head.width);
+    /// Panics on any shape mismatch, and on a training tape if the plans
+    /// read keyed messages (only per-edge message rows have a backward
+    /// pass).
+    pub fn relational_attention(&mut self, head: AttentionHead, plans: &RelationalPlans) -> Var {
+        assert!(
+            self.inference || plans.key.is_none(),
+            "relational_attention: keyed messages have no backward pass; \
+             read one message row per edge on a training tape"
+        );
+
+        let mut value = self.pool.zeroed(plans.seg_dst.n_segments(), head.width);
+        let mut alpha = self.saved_weights(plans.src.len());
+        let saved = (!self.inference).then_some(alpha.data_mut());
+        attention::relational_into(&self.kernel_head(&head), plans, &mut value, saved);
+        let rg = [head.ha, head.msg, head.w_dist, head.att]
+            .iter()
+            .any(|&v| self.rg(v));
+        let op = Op::RelationalAttention {
+            head,
+            plans: plans.clone(),
+            alpha,
+        };
+        self.push(value, op, rg)
+    }
+
+    /// The spatial context of every destination as one fused pass
+    /// ([`attention::spatial_into`]); `qkv` holds queries, keys and values
+    /// side by side, so the output is `n × cols/3`. Bitwise the composed
+    /// gathers, `rows_dot`, `scale`, `mul`, segment softmax, `scale_rows`
+    /// and two segment sums. Its backward pass gives `qkv` its gradient.
+    ///
+    /// # Panics
+    /// Panics on any shape mismatch.
+    pub fn spatial_attention(&mut self, qkv: Var, scale: f32, plans: &SpatialPlans) -> Var {
+        let (n, c) = self.shape(qkv);
+        let mut value = self.pool.zeroed(n, c / 3);
+        let mut beta = self.saved_weights(plans.src.len());
+        let saved = (!self.inference).then_some(beta.data_mut());
+        attention::spatial_into(live(&self.nodes, qkv), scale, plans, &mut value, saved);
+        let op = Op::SpatialAttention {
+            qkv,
+            scale,
+            plans: plans.clone(),
+            beta,
+        };
+        let rg = self.rg(qkv);
+        self.push(value, op, rg)
+    }
+
+    /// The per-edge weights a fused attention node saves for its backward
+    /// pass: `n_edges × 1` on a training tape, nothing on an inference one.
+    fn saved_weights(&mut self, n_edges: usize) -> Matrix {
+        if self.inference {
+            Matrix::zeros(0, 0)
+        } else {
+            self.pool.uninit(n_edges, 1)
+        }
+    }
+
+    /// The kernel operands of one relational head.
+    fn kernel_head(&self, head: &AttentionHead) -> RelationalHead<'_> {
         let nodes = &self.nodes;
-        let kernel_head = RelationalHead {
+        RelationalHead {
             ha: Cols {
                 m: live(nodes, head.ha),
                 start: head.col,
@@ -938,25 +1010,7 @@ impl Graph {
             w_dist: live(nodes, head.w_dist),
             att: live(nodes, head.att),
             slope: head.slope,
-        };
-        attention::relational_into(&kernel_head, edges, &mut value);
-        self.push(value, Op::Fused, false)
-    }
-
-    /// The spatial context of every destination as one fused pass
-    /// ([`attention::spatial_into`]); `qkv` holds queries, keys and values
-    /// side by side, so the output is `n × cols/3`. Bitwise the composed
-    /// gathers, `rows_dot`, `scale`, `mul`, segment softmax, `scale_rows`
-    /// and two segment sums.
-    ///
-    /// # Panics
-    /// Panics on a training tape and on any shape mismatch.
-    pub fn spatial_attention(&mut self, qkv: Var, scale: f32, edges: &SpatialEdges<'_>) -> Var {
-        self.assert_inference("spatial_attention");
-        let (n, c) = self.shape(qkv);
-        let mut value = self.pool.zeroed(n, c / 3);
-        attention::spatial_into(live(&self.nodes, qkv), scale, edges, &mut value);
-        self.push(value, Op::Fused, false)
+        }
     }
 
     /// Runs the reverse pass from `loss` (which must be `1×1`) and returns
@@ -1014,13 +1068,6 @@ impl Graph {
     /// True on a tape built by [`Graph::inference`].
     pub fn is_inference(&self) -> bool {
         self.inference
-    }
-
-    fn assert_inference(&self, what: &str) {
-        assert!(
-            self.inference,
-            "{what} has no backward pass: build the graph with Graph::inference"
-        );
     }
 
     fn assert_training(&self, what: &str) {
@@ -1081,6 +1128,17 @@ impl Graph {
         self.pool.put_back(m);
     }
 
+    /// `var`'s gradient slot for an op that adds into part of it, zeroed
+    /// from the pool if it was empty.
+    fn grad_slot<'g>(
+        pool: &mut BufferPool,
+        grads: &'g mut [Option<Matrix>],
+        var: Var,
+        (rows, cols): (usize, usize),
+    ) -> &'g mut Matrix {
+        grads[var.0].get_or_insert_with(|| pool.zeroed(rows, cols))
+    }
+
     /// Adds `delta` into `var`'s gradient slot, recycling `delta`'s buffer
     /// when the slot was already populated.
     fn accumulate(pool: &mut BufferPool, grads: &mut [Option<Matrix>], var: Var, delta: Matrix) {
@@ -1102,7 +1160,70 @@ impl Graph {
     ) {
         let node = &self.nodes[idx];
         match &node.op {
-            Op::Leaf | Op::Fused => {}
+            Op::Leaf => {}
+            Op::RelationalAttention { head, plans, alpha } => {
+                let kh = self.kernel_head(head);
+                let mut d_logit = pool.uninit(plans.src.len(), 1);
+                let d_msg = self
+                    .rg(head.msg)
+                    .then(|| Self::grad_slot(pool, grads, head.msg, kh.msg.m.shape()));
+                attention::relational_backward_edges(
+                    &kh,
+                    plans,
+                    alpha.data(),
+                    g,
+                    d_logit.data_mut(),
+                    d_msg,
+                );
+                if self.rg(head.ha) {
+                    let d_ha = Self::grad_slot(pool, grads, head.ha, kh.ha.m.shape());
+                    attention::relational_backward_features(&kh, plans, d_logit.data(), d_ha);
+                }
+                let mut d_w_dist = self.rg(head.w_dist).then(|| {
+                    let (rows, cols) = kh.w_dist.shape();
+                    pool.zeroed(rows, cols)
+                });
+                let mut d_att = self.rg(head.att).then(|| {
+                    let (rows, cols) = kh.att.shape();
+                    pool.zeroed(rows, cols)
+                });
+                attention::relational_backward_params(
+                    &kh,
+                    plans,
+                    d_logit.data(),
+                    d_w_dist.as_mut(),
+                    d_att.as_mut(),
+                );
+                pool.put_back(d_logit);
+                if let Some(d) = d_w_dist {
+                    Self::accumulate(pool, grads, head.w_dist, d);
+                }
+                if let Some(d) = d_att {
+                    Self::accumulate(pool, grads, head.att, d);
+                }
+            }
+            Op::SpatialAttention {
+                qkv,
+                scale,
+                plans,
+                beta,
+            } => {
+                if self.rg(*qkv) {
+                    let qkv_m = self.value(*qkv);
+                    let mut d_logit = pool.uninit(plans.src.len(), 1);
+                    let d_qkv = Self::grad_slot(pool, grads, *qkv, qkv_m.shape());
+                    attention::spatial_backward(
+                        qkv_m,
+                        *scale,
+                        plans,
+                        beta.data(),
+                        g,
+                        d_logit.data_mut(),
+                        d_qkv,
+                    );
+                    pool.put_back(d_logit);
+                }
+            }
             Op::MatMul(a, b) => {
                 if self.rg(*a) {
                     // dL/dA = G Bᵀ

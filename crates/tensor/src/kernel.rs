@@ -103,20 +103,32 @@ where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     let rows = out.len().checked_div(cols).unwrap_or(0);
-    let chunks = configured_threads().min((rows / grain_rows.max(1)).max(1));
+    let ptr = SendPtr::new(out.as_mut_ptr());
+    par_ranges(rows, grain_rows, |range| {
+        // Safety: the row ranges are disjoint across calls and depend only
+        // on the shape; see `SendPtr`.
+        let chunk = unsafe {
+            std::slice::from_raw_parts_mut(ptr.get().add(range.start * cols), range.len() * cols)
+        };
+        f(range.start, chunk);
+    });
+}
+
+/// Runs `f` over contiguous ranges partitioning `0..n`, in parallel when
+/// there are at least `grain` items per thread — [`par_row_chunks`] for
+/// work whose output is not one row-major buffer. The partition depends on
+/// `n`, `grain` and the thread count alone, and `f` must not depend on it.
+pub fn par_ranges<F>(n: usize, grain: usize, f: F)
+where
+    F: Fn(std::ops::Range<usize>) + Sync,
+{
+    let chunks = configured_threads().min((n / grain.max(1)).max(1));
     if chunks <= 1 {
-        f(0, out);
+        f(0..n);
         return;
     }
-    let ptr = SendPtr::new(out.as_mut_ptr());
     pool::run(chunks, |c| {
-        let r0 = chunk_start(rows, chunks, c);
-        let r1 = chunk_start(rows, chunks, c + 1);
-        // Safety: rows [r0, r1) are disjoint across job indices and the
-        // partition depends only on (rows, chunks); see `SendPtr`.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r0 * cols), (r1 - r0) * cols) };
-        f(r0, chunk);
+        f(chunk_start(n, chunks, c)..chunk_start(n, chunks, c + 1));
     });
 }
 

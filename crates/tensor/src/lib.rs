@@ -11,8 +11,9 @@
 //!   `scale_rows`, `normalize_rows`), and an inference mode whose scopes
 //!   free intermediates as soon as a gradient-free forward is done with
 //!   them;
-//! * [`attention`] — fused, inference-only relational and spatial
-//!   attention passes, bitwise equal to the composed tape ops they replace;
+//! * [`attention`] — fused relational and spatial attention passes with
+//!   hand-written backward passes, bitwise equal (values and gradients) to
+//!   the composed tape ops they replace;
 //! * [`SegmentPlan`] — CSR-style inverted segment maps that let the scatter
 //!   reductions (`segment_sum`, `segment_softmax`, gather backward) run in
 //!   parallel by output segment, bitwise identical to their serial

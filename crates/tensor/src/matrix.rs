@@ -6,7 +6,7 @@
 //! are plain eager helpers used both by the autograd engine internally and by
 //! non-differentiable code (data generation, metrics, classical baselines).
 
-use crate::kernel;
+use crate::{kernel, pool};
 use std::fmt;
 
 /// Column-block width shared by the blocked matmul kernels: a `KB × NB` panel
@@ -23,16 +23,18 @@ const KB: usize = 64;
 /// microkernels, each row a set of accumulators held in vector registers.
 const MR: usize = 4;
 
-/// Register-tile width for the row-major microkernels (`matmul`,
-/// `matmul_tn`): `MR × NR` accumulators live in registers across a whole
-/// `KB` reduction block, eliminating the per-`k` load/store of the output
-/// that bounds the naive axpy loops.
+/// Widest register tile of the microkernels: `MR × NR` accumulators live
+/// in registers across a whole `KB` reduction block, eliminating the
+/// per-`k` load/store of the output that bounds the naive axpy loops.
+/// Narrower tiles cover the rest of a column block
+/// ([`Matrix::tile_row_band`]).
 const NR: usize = 32;
 
-/// Register-tile width for `matmul_nt`: `MR × NTR` *independent* scalar
-/// dot-product chains run in flight at once, hiding fma latency that a
-/// single sequential chain cannot.
-const NTR: usize = 4;
+/// Largest right-hand side, in floats (64 KiB), whose transpose
+/// `matmul_nt` keeps in the calling thread's scratch arena for reuse. The
+/// arena holds a buffer of each size for the thread's lifetime; every
+/// weight of a training step fits, so a step allocates none.
+const NT_SCRATCH_MAX: usize = 1 << 14;
 
 /// Minimum multiply-adds per row chunk before a matmul fans out to another
 /// thread; below this the spawn costs more than the arithmetic.
@@ -292,10 +294,10 @@ impl Matrix {
     /// Blocked kernel for a contiguous band of `matmul` output rows starting
     /// at global row `r0`. Loop order `jb → kb → i-tile → j-tile`: the
     /// `KB × NB` panel of `b` loaded by the two outer blocks stays
-    /// L1-resident while every `MR × NR` register tile of the band sweeps
-    /// it. Edge rows/columns fall back to the axpy loop, which visits `k` in
-    /// the same ascending order, so tiling never changes any element's
-    /// accumulation sequence.
+    /// L1-resident while every register tile of the band sweeps it. Rows
+    /// run `MR` at a time, the last `< MR` one at a time. Every tile visits
+    /// `k` in the same ascending order, so tiling never changes any
+    /// element's accumulation sequence.
     fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], r0: usize, k: usize, n: usize) {
         let rows = out.len() / n;
         let mut jb = 0;
@@ -306,38 +308,13 @@ impl Matrix {
                 let kend = (kb + KB).min(k);
                 let mut i = 0;
                 while i + MR <= rows {
-                    let mut j = jb;
-                    while j + NR <= jend {
-                        Self::mk_tile(out, i, j, n, kb, kend, |r, kk| a[(r0 + i + r) * k + kk], b);
-                        j += NR;
-                    }
-                    for r in 0..MR {
-                        Self::axpy_edge(
-                            out,
-                            i + r,
-                            j,
-                            jend,
-                            n,
-                            kb,
-                            kend,
-                            |kk| a[(r0 + i + r) * k + kk],
-                            b,
-                        );
-                    }
+                    let av = |r: usize, kk: usize| a[(r0 + i + r) * k + kk];
+                    Self::tile_row_band::<MR>(out, i, jb..jend, n, kb..kend, &av, b);
                     i += MR;
                 }
                 for ii in i..rows {
-                    Self::axpy_edge(
-                        out,
-                        ii,
-                        jb,
-                        jend,
-                        n,
-                        kb,
-                        kend,
-                        |kk| a[(r0 + ii) * k + kk],
-                        b,
-                    );
+                    let av = |_: usize, kk: usize| a[(r0 + ii) * k + kk];
+                    Self::tile_row_band::<1>(out, ii, jb..jend, n, kb..kend, &av, b);
                 }
                 kb = kend;
             }
@@ -345,29 +322,70 @@ impl Matrix {
         }
     }
 
-    /// `MR × NR` register microkernel: loads the output tile into
-    /// accumulator registers, runs the `kb..kend` slice of the reduction
+    /// Runs the reduction slice `ks` for output rows `i..i + R` over the
+    /// columns `js` in register tiles, widest first: `NR` wide while they
+    /// fit, then at most one each of 16, 8, 4, 2 and 1 wide (the binary
+    /// digits of the remaining width), so every column of any product —
+    /// the 24-, 36- and 72-wide ones of a training step among them —
+    /// accumulates in registers. `av(r, kk)` reads the left operand of row
+    /// `i + r`.
+    #[inline(always)]
+    fn tile_row_band<const R: usize>(
+        out: &mut [f32],
+        i: usize,
+        js: std::ops::Range<usize>,
+        n: usize,
+        ks: std::ops::Range<usize>,
+        av: &impl Fn(usize, usize) -> f32,
+        b: &[f32],
+    ) {
+        let mut j = js.start;
+        while j + NR <= js.end {
+            Self::mk_tile::<R, NR>(out, i, j, n, ks.clone(), av, b);
+            j += NR;
+        }
+        if j + 16 <= js.end {
+            Self::mk_tile::<R, 16>(out, i, j, n, ks.clone(), av, b);
+            j += 16;
+        }
+        if j + 8 <= js.end {
+            Self::mk_tile::<R, 8>(out, i, j, n, ks.clone(), av, b);
+            j += 8;
+        }
+        if j + 4 <= js.end {
+            Self::mk_tile::<R, 4>(out, i, j, n, ks.clone(), av, b);
+            j += 4;
+        }
+        if j + 2 <= js.end {
+            Self::mk_tile::<R, 2>(out, i, j, n, ks.clone(), av, b);
+            j += 2;
+        }
+        if j < js.end {
+            Self::mk_tile::<R, 1>(out, i, j, n, ks, av, b);
+        }
+    }
+
+    /// `R × W` register microkernel: loads the output tile into
+    /// accumulator registers, runs the `ks` slice of the reduction
     /// (ascending `k`, one [`fmadd`] per element per step — the exact
     /// sequence the naive loops perform through memory), and stores the tile
     /// back once.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // innermost kernel: all scalars, no struct worth making
-    fn mk_tile(
+    fn mk_tile<const R: usize, const W: usize>(
         out: &mut [f32],
         i: usize,
         j: usize,
         n: usize,
-        kb: usize,
-        kend: usize,
-        av: impl Fn(usize, usize) -> f32,
+        ks: std::ops::Range<usize>,
+        av: &impl Fn(usize, usize) -> f32,
         b: &[f32],
     ) {
-        let mut acc = [[0.0f32; NR]; MR];
+        let mut acc = [[0.0f32; W]; R];
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            acc_row.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + NR]);
+            acc_row.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + W]);
         }
-        for kk in kb..kend {
-            let bv: &[f32; NR] = b[kk * n + j..kk * n + j + NR].try_into().unwrap();
+        for kk in ks {
+            let bv: &[f32; W] = b[kk * n + j..kk * n + j + W].try_into().unwrap();
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 let a_val = av(r, kk);
                 for (o, &b_val) in acc_row.iter_mut().zip(bv) {
@@ -376,36 +394,7 @@ impl Matrix {
             }
         }
         for (r, acc_row) in acc.iter().enumerate() {
-            out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc_row);
-        }
-    }
-
-    /// Axpy fallback for tile-edge regions (`< NR` columns or `< MR` rows):
-    /// same ascending-`k` [`fmadd`] sequence as the microkernel, accumulated
-    /// through memory.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // innermost kernel: all scalars, no struct worth making
-    fn axpy_edge(
-        out: &mut [f32],
-        i: usize,
-        j0: usize,
-        j1: usize,
-        n: usize,
-        kb: usize,
-        kend: usize,
-        av: impl Fn(usize) -> f32,
-        b: &[f32],
-    ) {
-        if j0 >= j1 {
-            return;
-        }
-        let out_row = &mut out[i * n + j0..i * n + j1];
-        for kk in kb..kend {
-            let a_val = av(kk);
-            let b_row = &b[kk * n + j0..kk * n + j1];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = fmadd(a_val, bv, *o);
-            }
+            out[(i + r) * n + j..(i + r) * n + j + W].copy_from_slice(acc_row);
         }
     }
 
@@ -504,28 +493,13 @@ impl Matrix {
                 let kend = (kb + KB).min(kdim);
                 let mut i = 0;
                 while i + MR <= rows {
-                    let mut j = jb;
-                    while j + NR <= jend {
-                        Self::mk_tile(out, i, j, n, kb, kend, |r, kk| a[kk * m2 + r0 + i + r], b);
-                        j += NR;
-                    }
-                    for r in 0..MR {
-                        Self::axpy_edge(
-                            out,
-                            i + r,
-                            j,
-                            jend,
-                            n,
-                            kb,
-                            kend,
-                            |kk| a[kk * m2 + r0 + i + r],
-                            b,
-                        );
-                    }
+                    let av = |r: usize, kk: usize| a[kk * m2 + r0 + i + r];
+                    Self::tile_row_band::<MR>(out, i, jb..jend, n, kb..kend, &av, b);
                     i += MR;
                 }
                 for ii in i..rows {
-                    Self::axpy_edge(out, ii, jb, jend, n, kb, kend, |kk| a[kk * m2 + r0 + ii], b);
+                    let av = |_: usize, kk: usize| a[kk * m2 + r0 + ii];
+                    Self::tile_row_band::<1>(out, ii, jb..jend, n, kb..kend, &av, b);
                 }
                 kb = kend;
             }
@@ -557,13 +531,12 @@ impl Matrix {
         out
     }
 
-    /// `self × otherᵀ` without materialising the transpose.
+    /// `self × otherᵀ`.
     ///
-    /// Parallelised over output-row chunks; within a chunk, `MR × NTR`
-    /// register tiles run that many *independent* dot-product chains in
-    /// flight at once, hiding the fma latency that serialises a lone chain.
-    /// Each element is still one full-`k` dot product accumulated in
-    /// ascending order (the reduction is never split or reassociated), so
+    /// Transposes `other` once and runs the register tiles of
+    /// [`Matrix::matmul`] on it, parallelised over output-row chunks. Each
+    /// element is still one full-`k` dot product accumulated in ascending
+    /// order from `+0.0` (the reduction is never split or reassociated), so
     /// results are bitwise identical to [`Matrix::matmul_nt_naive`].
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
@@ -586,9 +559,8 @@ impl Matrix {
         self.matmul_nt_main(other, out);
     }
 
-    /// Dispatches the tiled parallel `self × otherᵀ` into `out`, which must
-    /// already be zeroed (every element is overwritten unless a dimension is
-    /// zero, in which case the zeroed output is the correct product).
+    /// Dispatches the blocked parallel `self × otherᵀ` into `out`, which
+    /// must already be zeroed (the kernels accumulate).
     fn matmul_nt_main(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
@@ -601,78 +573,30 @@ impl Matrix {
         }
         let grain = (PAR_GRAIN_FLOPS / (k * p)).max(1);
         let (a, b) = (&self.data, &other.data);
+        // Row `kk` of `bt` is column `kk` of `b`. Taken out of the arena,
+        // not borrowed from it, so a pool job may use its own thread's
+        // scratch while this one is held.
+        let reuse = k * p <= NT_SCRATCH_MAX;
+        let mut bt = if reuse {
+            pool::with_scratch(|s| s.take(k * p))
+        } else {
+            vec![0.0; k * p]
+        };
+        for (kk, bt_row) in bt.chunks_exact_mut(p).enumerate() {
+            for (x, &y) in bt_row.iter_mut().zip(b.iter().skip(kk).step_by(k)) {
+                *x = y;
+            }
+        }
         kernel::par_row_chunks(&mut out.data, p, grain, |r0, chunk| {
-            Self::matmul_nt_block(a, b, chunk, r0, k, p);
+            Self::matmul_block(a, &bt, chunk, r0, k, p);
         });
-    }
-
-    /// Kernel for a band of `matmul_nt` output rows starting at global row
-    /// `r0`. Full `MR × NTR` tiles accumulate their dot products in a block
-    /// of registers (one independent ascending-`k` chain per element); edge
-    /// rows and columns fall back to the plain zip dot, which is the exact
-    /// same chain.
-    fn matmul_nt_block(a: &[f32], b: &[f32], out: &mut [f32], r0: usize, k: usize, p: usize) {
-        let rows = out.len() / p;
-        let mut i = 0;
-        while i + MR <= rows {
-            let mut j = 0;
-            while j + NTR <= p {
-                let mut acc = [[0.0f32; NTR]; MR];
-                for kk in 0..k {
-                    let mut bv = [0.0f32; NTR];
-                    for (c, b_val) in bv.iter_mut().enumerate() {
-                        *b_val = b[(j + c) * k + kk];
-                    }
-                    for (r, acc_row) in acc.iter_mut().enumerate() {
-                        let a_val = a[(r0 + i + r) * k + kk];
-                        for (o, &b_val) in acc_row.iter_mut().zip(&bv) {
-                            *o = fmadd(a_val, b_val, *o);
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    out[(i + r) * p + j..(i + r) * p + j + NTR].copy_from_slice(acc_row);
-                }
-                j += NTR;
-            }
-            for r in 0..MR {
-                Self::dot_edge(a, b, out, r0, i + r, j, p, k);
-            }
-            i += MR;
-        }
-        for ii in i..rows {
-            Self::dot_edge(a, b, out, r0, ii, 0, p, k);
-        }
-    }
-
-    /// Plain zip-dot fallback for `matmul_nt` edge regions: columns
-    /// `j0..p` of output row `i`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // innermost kernel: all scalars, no struct worth making
-    fn dot_edge(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        r0: usize,
-        i: usize,
-        j0: usize,
-        p: usize,
-        k: usize,
-    ) {
-        let a_row = &a[(r0 + i) * k..(r0 + i + 1) * k];
-        let out_row = &mut out[i * p + j0..i * p + p];
-        for (o, j) in out_row.iter_mut().zip(j0..p) {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc = fmadd(av, bv, acc);
-            }
-            *o = acc;
+        if reuse {
+            pool::with_scratch(|s| s.put(bt));
         }
     }
 
     /// Reference `self × otherᵀ`: row-against-row zip dot products (inner
-    /// step shared with the tiled kernel via `fmadd`).
+    /// step shared with the blocked kernel via `fmadd`).
     /// Ground truth for [`Matrix::matmul_nt`] parity tests and benchmarks.
     pub fn matmul_nt_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(

@@ -3,8 +3,10 @@
 //! Each test builds the same loss eagerly (for numeric differentiation) and
 //! on the tape (for analytic gradients), then compares.
 
+use prim_tensor::attention::{RelationalPlans, SpatialPlans};
 use prim_tensor::check::{assert_gradients_match, numeric_gradients, TestRng};
-use prim_tensor::{Graph, Matrix, Var};
+use prim_tensor::{AttentionHead, Graph, Matrix, SegmentPlan, Var};
+use std::sync::Arc;
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 2e-2;
@@ -259,6 +261,84 @@ fn grad_attention_composite() {
         let agg = g.segment_sum(weighted, &seg, 2);
         let act = g.elu(agg);
         let sq = g.mul(act, act);
+        g.sum_all(sq)
+    });
+}
+
+fn plan(map: &[usize], n: usize) -> Arc<SegmentPlan> {
+    Arc::new(SegmentPlan::new(map.to_vec(), n))
+}
+
+/// Nine edges into five POIs over two relations, destination-major:
+/// two-edge, one-edge and three-edge segments, a destination with two
+/// segments, and one (POI 2) with none.
+fn small_relational_plans(dist: Matrix) -> RelationalPlans {
+    RelationalPlans {
+        segments: plan(&[0, 0, 1, 2, 2, 2, 3, 3, 4], 5),
+        seg_dst: plan(&[0, 0, 1, 3, 4], 5),
+        src: plan(&[1, 2, 3, 0, 4, 2, 2, 0, 3], 5),
+        dst: plan(&[0, 0, 0, 1, 1, 1, 3, 3, 4], 5),
+        rel: plan(&[0, 0, 1, 0, 0, 0, 1, 1, 0], 2),
+        key: None,
+        dist: Arc::new(dist),
+    }
+}
+
+/// The fused relational attention node on a training tape, two heads side
+/// by side: every differentiable input — the features, the per-edge
+/// message rows, and each head's distance projection and attention table.
+#[test]
+fn grad_fused_relational_attention() {
+    let (w, dd) = (3, 2);
+    let mut rng = TestRng::new(21);
+    let plans = small_relational_plans(rng.matrix(9, 2));
+    let ins = [
+        (5, 2 * w),
+        (9, 2 * w),
+        (2, dd),
+        (2, dd),
+        (2, 2 * w + dd),
+        (2, 2 * w + dd),
+    ]
+    .map(|(r, c)| rng.matrix(r, c));
+    check(&ins, |g, v| {
+        let heads: Vec<Var> = (0..2)
+            .map(|k| {
+                let head = AttentionHead {
+                    ha: v[0],
+                    msg: v[1],
+                    col: k * w,
+                    width: w,
+                    w_dist: v[2 + k],
+                    att: v[4 + k],
+                    slope: 0.2,
+                };
+                g.relational_attention(head, &plans)
+            })
+            .collect();
+        let out = g.concat_cols(&heads);
+        let sq = g.mul(out, out);
+        g.sum_all(sq)
+    });
+}
+
+/// The fused spatial-context node on a training tape: the gradient of the
+/// queries, keys and values.
+#[test]
+fn grad_fused_spatial_attention() {
+    let w = 3;
+    let mut rng = TestRng::new(22);
+    let plans = SpatialPlans {
+        segments: plan(&[0, 0, 0, 1, 2, 2, 3, 3], 4),
+        seg_dst: plan(&[0, 1, 3, 4], 5),
+        src: plan(&[1, 2, 3, 0, 0, 4, 2, 3], 5),
+        dst: plan(&[0, 0, 0, 1, 3, 3, 4, 4], 5),
+        rbf: Arc::new(Matrix::from_fn(8, 1, |_, _| rng.unit() * 0.5 + 1.0)),
+    };
+    let ins = [rng.matrix(5, 3 * w)];
+    check(&ins, |g, v| {
+        let ctx = g.spatial_attention(v[0], 1.0 / (w as f32).sqrt(), &plans);
+        let sq = g.mul(ctx, ctx);
         g.sum_all(sq)
     });
 }

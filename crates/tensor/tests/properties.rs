@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) for the autodiff engine: algebraic
 //! identities of the eager ops and invariants of the GNN primitives.
 
-use prim_tensor::attention::{RelationalEdges, Segments, SpatialEdges};
+use prim_tensor::attention::{RelationalPlans, SpatialPlans};
 use prim_tensor::check::TestRng;
 use prim_tensor::segment::{
     broadcast_segments_into, segment_dot_into, segment_dot_serial_into, segment_max_into,
@@ -491,22 +491,25 @@ fn composed_aggregate(
     g.segment_sum_planned(seg_agg, seg_dst)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// A two-head relational attention layer over random segments (see
+/// [`attention_segments`]), with awkward values in every operand; the
+/// heads sit side by side in `ha` and `msg`, as the model's batched
+/// projections do.
+struct RelationalCase {
+    plans: RelationalPlans,
+    width: usize,
+    dist_dim: usize,
+    ha: Matrix,
+    /// Messages, one row per key.
+    msg: Matrix,
+    dist: Matrix,
+    /// Both heads' distance projections side by side.
+    w_dist: Matrix,
+    att: [Matrix; 2],
+}
 
-    /// The fused relational attention pass is bitwise the composed tape
-    /// ops (as `PrimModel::forward` records them on a training tape) for
-    /// both heads of a two-head layer, at 1, 2 and 4 threads. Large cases
-    /// cross the kernel's parallel threshold, so the destination split is
-    /// exercised too.
-    #[test]
-    fn fused_relational_attention_matches_composed_ops_bitwise(
-        seed in 0u64..u64::MAX,
-        n_dst in 1usize..1500,
-        n_rel in 1usize..4,
-        width in 1usize..7,
-        dist_dim in 1usize..4,
-    ) {
+impl RelationalCase {
+    fn new(seed: u64, n_dst: usize, n_rel: usize, width: usize, dist_dim: usize) -> Self {
         let mut rng = TestRng::new(seed);
         let (edge_seg, seg_dst, seg_rel) = attention_segments(&mut rng, n_dst, n_rel);
         let n_edges = edge_seg.len();
@@ -517,68 +520,217 @@ proptest! {
         let dst: Vec<usize> = edge_seg.iter().map(|&s| seg_dst[s]).collect();
         let rel: Vec<usize> = edge_seg.iter().map(|&s| seg_rel[s]).collect();
         let feats = 2;
-        // Two heads side by side, as the model's batched projections are.
         let ha = awkward_matrix(&mut rng, n_src.max(n_dst), 2 * width);
         let msg = awkward_matrix(&mut rng, n_keys, 2 * width);
         let dist = awkward_matrix(&mut rng, n_edges, feats);
         let w_dist = awkward_matrix(&mut rng, feats, 2 * dist_dim);
-        let att: Vec<Matrix> = (0..2)
-            .map(|_| awkward_matrix(&mut rng, n_rel, 2 * width + dist_dim))
-            .collect();
-
+        // One more attention row than relations: a relation no edge has,
+        // whose gradient row is an empty chain.
+        let att = [0, 1].map(|_| awkward_matrix(&mut rng, n_rel + 1, 2 * width + dist_dim));
         let n_rows = ha.rows();
-        let segments = plan(edge_seg, seg_dst.len());
-        let seg_dst_plan = plan(seg_dst, n_rows);
-        let (src_plan, dst_plan) = (plan(src, n_rows), plan(dst, n_rows));
-        let (rel_plan, key_plan) = (plan(rel, n_rel), plan(key, n_keys));
+        let plans = RelationalPlans {
+            segments: plan(edge_seg, seg_dst.len()),
+            seg_dst: plan(seg_dst, n_rows),
+            src: plan(src, n_rows),
+            dst: plan(dst, n_rows),
+            rel: plan(rel, n_rel + 1),
+            key: Some(plan(key, n_keys)),
+            dist: Arc::new(dist.clone()),
+        };
+        RelationalCase {
+            plans,
+            width,
+            dist_dim,
+            ha,
+            msg,
+            dist,
+            w_dist,
+            att,
+        }
+    }
 
+    /// Head `k`'s distance projection on its own.
+    fn head_w_dist(&self, k: usize) -> Matrix {
+        let dd = self.dist_dim;
+        Matrix::from_fn(self.w_dist.rows(), dd, |j, c| self.w_dist[(j, k * dd + c)])
+    }
+
+    /// Both heads as `PrimModel`'s composed oracle records them: gathers
+    /// of the destination then the source features, the distance
+    /// projection, and per head the slices, concat, attention-vector
+    /// gather, `rows_dot`, leaky ReLU, softmax, `scale_rows` and two
+    /// segment sums. `msg_rows` holds one message row per edge.
+    fn composed_heads(
+        &self,
+        g: &mut Graph,
+        ha: Var,
+        msg_rows: Var,
+        w_dist: Var,
+        att: [Var; 2],
+    ) -> [Var; 2] {
+        let (w, dd, p) = (self.width, self.dist_dim, &self.plans);
+        let dist = g.constant_ref(&self.dist);
+        let dproj_all = g.matmul(dist, w_dist);
+        let ha_dst_all = g.gather_rows_planned(ha, &p.dst);
+        let ha_src_all = g.gather_rows_planned(ha, &p.src);
+        [0, 1].map(|k| {
+            let ha_dst = g.slice_cols(ha_dst_all, k * w, w);
+            let ha_src = g.slice_cols(ha_src_all, k * w, w);
+            let dproj = g.slice_cols(dproj_all, k * dd, dd);
+            let cat = g.concat_cols(&[ha_dst, ha_src, dproj]);
+            let a_edge = g.gather_rows_planned(att[k], &p.rel);
+            let raw = g.rows_dot(cat, a_edge);
+            let logits = g.leaky_relu(raw, 0.2);
+            let msg_p = g.slice_cols(msg_rows, k * w, w);
+            composed_aggregate(g, logits, msg_p, &p.segments, &p.seg_dst)
+        })
+    }
+
+    /// Both heads as fused nodes.
+    fn fused_heads(
+        &self,
+        g: &mut Graph,
+        ha: Var,
+        msg: Var,
+        w_dist: [Var; 2],
+        att: [Var; 2],
+        plans: &RelationalPlans,
+    ) -> [Var; 2] {
+        [0, 1].map(|k| {
+            let head = AttentionHead {
+                ha,
+                msg,
+                col: k * self.width,
+                width: self.width,
+                w_dist: w_dist[k],
+                att: att[k],
+                slope: 0.2,
+            };
+            g.relational_attention(head, plans)
+        })
+    }
+}
+
+/// `Σ (heads ‖ …) ⊙ weights`: a loss whose gradient reaches each output
+/// element with its own awkward weight.
+fn weighted_loss(g: &mut Graph, outs: &[Var], weights: &Matrix) -> Var {
+    let cat = g.concat_cols(outs);
+    let w = g.constant_ref(weights);
+    let prod = g.mul(cat, w);
+    g.sum_all(prod)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused relational attention pass is bitwise the composed tape
+    /// ops (as `PrimModel::forward` records them on a training tape) for
+    /// both heads of a two-head layer, at 1, 2 and 4 threads, reading one
+    /// message per key as an inference tape does. Large cases cross the
+    /// kernel's parallel threshold, so the destination split is exercised
+    /// too.
+    #[test]
+    fn fused_relational_attention_matches_composed_ops_bitwise(
+        seed in 0u64..u64::MAX,
+        n_dst in 1usize..1500,
+        n_rel in 1usize..4,
+        width in 1usize..7,
+        dist_dim in 1usize..4,
+    ) {
+        let case = RelationalCase::new(seed, n_dst, n_rel, width, dist_dim);
+        let key = case.plans.key.clone().unwrap();
         for threads in [1, 2, 4] {
             kernel::set_threads(threads);
             let mut g = Graph::new();
-            let (ha_v, msg_v) = (g.constant_ref(&ha), g.constant_ref(&msg));
-            let (dist_v, w_dist_v) = (g.constant_ref(&dist), g.constant_ref(&w_dist));
-            let ha_dst_all = g.gather_rows_planned(ha_v, &dst_plan);
-            let ha_src_all = g.gather_rows_planned(ha_v, &src_plan);
-            let dproj_all = g.matmul(dist_v, w_dist_v);
-            let msg_all = g.gather_rows_planned(msg_v, &key_plan);
+            let (ha_v, msg_v) = (g.constant_ref(&case.ha), g.constant_ref(&case.msg));
+            let w_dist_v = g.constant_ref(&case.w_dist);
+            let att_v = [0, 1].map(|k| g.constant_ref(&case.att[k]));
+            let msg_all = g.gather_rows_planned(msg_v, &key);
+            let want = case.composed_heads(&mut g, ha_v, msg_all, w_dist_v, att_v);
 
             let mut f = Graph::inference();
-            let (ha_f, msg_f) = (f.constant_ref(&ha), f.constant_ref(&msg));
-            let edges = RelationalEdges {
-                segments: Segments { edges: &segments, of_dst: &seg_dst_plan },
-                src: src_plan.segment_of_row(),
-                rel: rel_plan.segment_of_row(),
-                key: key_plan.segment_of_row(),
-                dist: &dist,
-            };
-            for (k, att) in att.iter().enumerate() {
-                let ha_dst = g.slice_cols(ha_dst_all, k * width, width);
-                let ha_src = g.slice_cols(ha_src_all, k * width, width);
-                let dproj = g.slice_cols(dproj_all, k * dist_dim, dist_dim);
-                let cat = g.concat_cols(&[ha_dst, ha_src, dproj]);
-                let att_v = g.constant_ref(att);
-                let a_edge = g.gather_rows_planned(att_v, &rel_plan);
-                let raw = g.rows_dot(cat, a_edge);
-                let logits = g.leaky_relu(raw, 0.2);
-                let msg_p = g.slice_cols(msg_all, k * width, width);
-                let want =
-                    composed_aggregate(&mut g, logits, msg_p, &segments, &seg_dst_plan);
-
-                let head_w_dist =
-                    Matrix::from_fn(feats, dist_dim, |j, c| w_dist[(j, k * dist_dim + c)]);
-                let operands = AttentionHead {
-                    ha: ha_f,
-                    msg: msg_f,
-                    col: k * width,
-                    width,
-                    w_dist: f.constant(head_w_dist),
-                    att: f.constant_ref(att),
-                    slope: 0.2,
-                };
-                let got = f.relational_attention(operands, &edges);
+            let (ha_f, msg_f) = (f.constant_ref(&case.ha), f.constant_ref(&case.msg));
+            let w_dist_f = [0, 1].map(|k| f.constant(case.head_w_dist(k)));
+            let att_f = [0, 1].map(|k| f.constant_ref(&case.att[k]));
+            let got = case.fused_heads(&mut f, ha_f, msg_f, w_dist_f, att_f, &case.plans);
+            for k in 0..2 {
                 prop_assert!(
-                    bits_equal(f.value(got), g.value(want)),
-                    "head {k} drifted at {threads} threads ({n_edges} edges)"
+                    bits_equal(f.value(got[k]), g.value(want[k])),
+                    "head {k} drifted at {threads} threads ({} edges)",
+                    case.dist.rows()
+                );
+            }
+        }
+        kernel::set_threads(0);
+    }
+
+    /// On a training tape the fused relational heads (per-edge messages)
+    /// are bitwise the composed ops in value and in the gradient of every
+    /// differentiable input — the features, the message rows, each head's
+    /// distance projection and attention table — at 1, 2 and 4 threads.
+    /// The attention tables carry a relation no edge has, and the loss
+    /// reads the features once more after the heads.
+    #[test]
+    fn fused_relational_attention_backward_matches_composed_ops_bitwise(
+        seed in 0u64..u64::MAX,
+        n_dst in 1usize..1200,
+        n_rel in 1usize..4,
+        width in 1usize..7,
+        dist_dim in 1usize..4,
+    ) {
+        let case = RelationalCase::new(seed, n_dst, n_rel, width, dist_dim);
+        let n_edges = case.dist.rows();
+        let mut rng = TestRng::new(seed ^ 0x0BAC_CA5E);
+        // One message row per edge, as a training tape reads them.
+        let msg = awkward_matrix(&mut rng, n_edges, 2 * width);
+        let weights = awkward_matrix(&mut rng, case.ha.rows(), 2 * width);
+        // A second, later use of the features, so their gradient already
+        // holds a term when the heads add theirs: the order of the source-
+        // and destination-grouped sums then shows in the bits.
+        let ha_weights = awkward_matrix(&mut rng, case.ha.rows(), 2 * width);
+        let per_edge = RelationalPlans { key: None, ..case.plans.clone() };
+        for threads in [1, 2, 4] {
+            kernel::set_threads(threads);
+            let mut g = Graph::new();
+            let (ha, msg_v) = (g.leaf_ref(&case.ha), g.leaf_ref(&msg));
+            let w_dist_k = [0, 1].map(|k| g.leaf(case.head_w_dist(k)));
+            let att = [0, 1].map(|k| g.leaf_ref(&case.att[k]));
+            let w_dist = g.concat_cols(&w_dist_k);
+            let want = case.composed_heads(&mut g, ha, msg_v, w_dist, att);
+            let heads_loss = weighted_loss(&mut g, &want, &weights);
+            let direct = weighted_loss(&mut g, &[ha], &ha_weights);
+            let loss = g.add(heads_loss, direct);
+            let want_values = want.map(|v| g.value(v).clone());
+            let want_grads = g.backward(loss);
+
+            let mut f = Graph::new();
+            let (ha_f, msg_f) = (f.leaf_ref(&case.ha), f.leaf_ref(&msg));
+            let w_dist_f = [0, 1].map(|k| f.leaf(case.head_w_dist(k)));
+            let att_f = [0, 1].map(|k| f.leaf_ref(&case.att[k]));
+            let got = case.fused_heads(&mut f, ha_f, msg_f, w_dist_f, att_f, &per_edge);
+            let heads_loss = weighted_loss(&mut f, &got, &weights);
+            let direct = weighted_loss(&mut f, &[ha_f], &ha_weights);
+            let loss_f = f.add(heads_loss, direct);
+            let got_grads = f.backward(loss_f);
+
+            for k in 0..2 {
+                prop_assert!(
+                    bits_equal(f.value(got[k]), &want_values[k]),
+                    "head {k} value drifted at {threads} threads ({n_edges} edges)"
+                );
+            }
+            let pairs = [
+                ("features", ha, ha_f),
+                ("messages", msg_v, msg_f),
+                ("W_d head 0", w_dist_k[0], w_dist_f[0]),
+                ("W_d head 1", w_dist_k[1], w_dist_f[1]),
+                ("attention head 0", att[0], att_f[0]),
+                ("attention head 1", att[1], att_f[1]),
+            ];
+            for (name, want_v, got_v) in pairs {
+                prop_assert!(
+                    bits_equal(got_grads.get(got_v).unwrap(), want_grads.get(want_v).unwrap()),
+                    "gradient of the {name} drifted at {threads} threads ({n_edges} edges)"
                 );
             }
         }
@@ -586,8 +738,9 @@ proptest! {
     }
 
     /// The fused spatial-context pass is bitwise the composed tape ops at
-    /// 1, 2 and 4 threads. As above, large cases cross the parallel
-    /// threshold.
+    /// 1, 2 and 4 threads, in value on an inference tape and, on a
+    /// training tape, in value and in the gradient of `qkv`. As above,
+    /// large cases cross the parallel threshold.
     #[test]
     fn fused_spatial_attention_matches_composed_ops_bitwise(
         seed in 0u64..u64::MAX,
@@ -601,38 +754,56 @@ proptest! {
         let dst: Vec<usize> = edge_seg.iter().map(|&s| seg_dst[s]).collect();
         let qkv = awkward_matrix(&mut rng, n_dst, 3 * width);
         let rbf = awkward_matrix(&mut rng, n_edges, 1);
+        let weights = awkward_matrix(&mut rng, n_dst, width);
         let scale = 1.0 / (width as f32).sqrt();
 
-        let segments = plan(edge_seg, seg_dst.len());
-        let seg_dst_plan = plan(seg_dst, n_dst);
-        let (src_plan, dst_plan) = (plan(src, n_dst), plan(dst, n_dst));
+        let plans = SpatialPlans {
+            segments: plan(edge_seg, seg_dst.len()),
+            seg_dst: plan(seg_dst, n_dst),
+            src: plan(src, n_dst),
+            dst: plan(dst, n_dst),
+            rbf: Arc::new(rbf.clone()),
+        };
         for threads in [1, 2, 4] {
             kernel::set_threads(threads);
             let mut g = Graph::new();
-            let qkv_v = g.constant_ref(&qkv);
+            let qkv_v = g.leaf_ref(&qkv);
             let qm = g.slice_cols(qkv_v, 0, width);
             let km = g.slice_cols(qkv_v, width, width);
             let vm = g.slice_cols(qkv_v, 2 * width, width);
-            let q_dst = g.gather_rows_planned(qm, &dst_plan);
-            let k_src = g.gather_rows_planned(km, &src_plan);
+            let q_dst = g.gather_rows_planned(qm, &plans.dst);
+            let k_src = g.gather_rows_planned(km, &plans.src);
             let dots = g.rows_dot(q_dst, k_src);
             let scaled = g.scale(dots, scale);
             let rbf_v = g.constant_ref(&rbf);
             let logits = g.mul(scaled, rbf_v);
-            let v_src = g.gather_rows_planned(vm, &src_plan);
-            let want = composed_aggregate(&mut g, logits, v_src, &segments, &seg_dst_plan);
+            let v_src = g.gather_rows_planned(vm, &plans.src);
+            let want =
+                composed_aggregate(&mut g, logits, v_src, &plans.segments, &plans.seg_dst);
+            let loss = weighted_loss(&mut g, &[want], &weights);
+            let want_value = g.value(want).clone();
+            let want_grad = g.backward(loss).get(qkv_v).unwrap().clone();
 
             let mut f = Graph::inference();
             let qkv_f = f.constant_ref(&qkv);
-            let edges = SpatialEdges {
-                segments: Segments { edges: &segments, of_dst: &seg_dst_plan },
-                src: src_plan.segment_of_row(),
-                rbf: &rbf,
-            };
-            let got = f.spatial_attention(qkv_f, scale, &edges);
+            let got = f.spatial_attention(qkv_f, scale, &plans);
             prop_assert!(
-                bits_equal(f.value(got), g.value(want)),
+                bits_equal(f.value(got), &want_value),
                 "spatial context drifted at {threads} threads ({n_edges} edges)"
+            );
+
+            let mut t = Graph::new();
+            let qkv_t = t.leaf_ref(&qkv);
+            let got = t.spatial_attention(qkv_t, scale, &plans);
+            let loss_t = weighted_loss(&mut t, &[got], &weights);
+            prop_assert!(
+                bits_equal(t.value(got), &want_value),
+                "training-tape spatial context drifted at {threads} threads ({n_edges} edges)"
+            );
+            let got_grad = t.backward(loss_t);
+            prop_assert!(
+                bits_equal(got_grad.get(qkv_t).unwrap(), &want_grad),
+                "gradient of qkv drifted at {threads} threads ({n_edges} edges)"
             );
         }
         kernel::set_threads(0);
@@ -641,7 +812,12 @@ proptest! {
 
 /// Deterministic edge cases the random shapes above may not always hit:
 /// empty dimensions, scalars, and shapes that straddle the cache-block
-/// boundaries (`NB = 128`, `KB = 64`, `IB = 32`).
+/// boundaries (`NB = 128`, `KB = 64`, `IB = 32`). Then the products of a
+/// training step, which the proptests' sub-40 dimensions never reach:
+/// widths 1 to 72 (each register tile width alone and combined),
+/// `matmul_tn` reducing over 10k+ rows, and `matmul_nt` with 1 to 36 rows,
+/// on both sides of the 16 Ki-float bound up to which its transpose reuses
+/// the thread's scratch, at 1, 2 and 4 threads.
 #[test]
 fn matmul_parity_edge_and_boundary_shapes() {
     let mut rng = TestRng::new(0x5EED_B10C);
@@ -674,6 +850,43 @@ fn matmul_parity_edge_and_boundary_shapes() {
             "matmul_nt parity failed at {m}x{k}x{n}"
         );
     }
+    for threads in [1, 2, 4] {
+        kernel::set_threads(threads);
+        for &n in &[1, 3, 7, 8, 16, 24, 36, 72] {
+            let (m, k) = (1_037, 36);
+            let a = rng.matrix(m, k);
+            let b = rng.matrix(k, n);
+            assert!(
+                bits_equal(&a.matmul(&b), &a.matmul_naive(&b)),
+                "matmul parity failed at {m}x{k}x{n}, {threads} threads"
+            );
+            let rows = 10_007;
+            let at = rng.matrix(rows, 36);
+            let bt = rng.matrix(rows, n);
+            assert!(
+                bits_equal(&at.matmul_tn(&bt), &at.matmul_tn_naive(&bt)),
+                "matmul_tn parity failed at {rows}x36ᵀ x {rows}x{n}, {threads} threads"
+            );
+        }
+        for &(p, k) in &[
+            (1, 24),
+            (3, 128),
+            (4, 24),
+            (8, 24),
+            (24, 72),
+            (36, 24),
+            (36, 455),
+            (36, 456),
+        ] {
+            let a = rng.matrix(1_031, k);
+            let b = rng.matrix(p, k);
+            assert!(
+                bits_equal(&a.matmul_nt(&b), &a.matmul_nt_naive(&b)),
+                "matmul_nt parity failed at 1031x{k} x ({p}x{k})ᵀ, {threads} threads"
+            );
+        }
+    }
+    kernel::set_threads(0);
 }
 
 /// Kernel outputs are invariant to the thread count: the same product
