@@ -6,7 +6,7 @@
 //! negatives and φ handling), which is what makes the Table 2 comparison
 //! apples-to-apples.
 
-use prim_core::{sample_epoch_triples, ModelInputs};
+use prim_core::{EpochSampler, ModelInputs};
 use prim_graph::{Edge, HeteroGraph, PoiId};
 use prim_nn::{Adam, Binding, ParamId, ParamStore};
 use prim_obs::{Counter, EpochRecord, Phase, Telemetry, TrainAbort};
@@ -325,7 +325,14 @@ pub fn train_pair_model_observed<M: PairModel>(
     let mut adam = Adam::new(cfg.lr)
         .with_weight_decay(cfg.weight_decay)
         .with_recorder(telemetry.recorder.clone());
-    let known = graph.edge_key_set();
+    let sampler = EpochSampler::new(
+        graph,
+        train_edges,
+        inputs.n_pois,
+        inputs.n_relations,
+        cfg.omega,
+        visible,
+    );
     let phi = model.n_relations();
 
     // Validation set: held-out edges plus φ pairs.
@@ -352,25 +359,21 @@ pub fn train_pair_model_observed<M: PairModel>(
     for epoch in 0..cfg.epochs {
         let t0 = std::time::Instant::now();
         let sample_t = recorder.phase(Phase::Sampling);
-        let triples = sample_epoch_triples(
-            graph,
-            train_edges,
-            inputs.n_pois,
-            inputs.n_relations,
-            cfg.omega,
-            visible,
-            &known,
-            &mut rng,
-        );
-        let src: Vec<usize> = triples.src.iter().map(|p| p.0 as usize).collect();
-        let dst: Vec<usize> = triples.dst.iter().map(|p| p.0 as usize).collect();
+        let triples = sampler.sample(&mut rng);
         drop(sample_t);
 
         g.reset();
         let fwd_t = recorder.phase(Phase::Forward);
         let bind = model.store().bind(&mut g);
         let fwd = model.forward(&mut g, &bind, inputs);
-        let logits = model.score(&mut g, &bind, &fwd, &src, &triples.rel, &dst);
+        let logits = model.score(
+            &mut g,
+            &bind,
+            &fwd,
+            &triples.src,
+            &triples.rel,
+            &triples.dst,
+        );
         let loss = g.bce_with_logits(logits, &triples.labels);
         let loss_val = g.value(loss).scalar();
         losses.push(loss_val);

@@ -15,9 +15,7 @@
 //! numbers are diffable across commits.
 
 use prim_bench::{emit, json};
-use prim_core::{
-    sample_epoch_triples, train_step, ModelInputs, PrimConfig, PrimModel, TripleBatch,
-};
+use prim_core::{train_step, EpochSampler, ModelInputs, PrimConfig, PrimModel, TripleBatch};
 use prim_data::{Dataset, Scale};
 use prim_eval::Table;
 use prim_graph::PoiId;
@@ -426,23 +424,17 @@ fn bench_train_epoch(par_threads: usize) -> String {
     // One fixed epoch of triples: resampling is per-epoch work outside the
     // steady-state path this section measures.
     let mut rng = StdRng::seed_from_u64(11);
-    let known = ds.graph.edge_key_set();
-    let et = sample_epoch_triples(
+    let et = EpochSampler::new(
         &ds.graph,
         ds.graph.edges(),
         inputs.n_pois,
         inputs.n_relations,
         model.config().omega,
         None,
-        &known,
-        &mut rng,
-    );
-    let src: Vec<usize> = et.src.iter().map(|p| p.0 as usize).collect();
-    let dst: Vec<usize> = et.dst.iter().map(|p| p.0 as usize).collect();
-    let bins: Vec<usize> = (0..et.src.len())
-        .map(|k| inputs.pair_bin(et.src[k], et.dst[k], model.config()))
-        .collect();
-    let batch = TripleBatch::new(&model, &inputs, &src, &et.rel, &dst, &bins, &et.labels);
+    )
+    .sample(&mut rng);
+    let bins = inputs.pair_bins(&et.src, &et.dst, model.config());
+    let batch = TripleBatch::from_vecs(&model, &inputs, et.src, et.rel, et.dst, bins, &et.labels);
     let grad_clip = model.config().grad_clip;
     let mut adam = Adam::new(model.config().lr).with_weight_decay(model.config().weight_decay);
 
@@ -464,22 +456,33 @@ fn bench_train_epoch(par_threads: usize) -> String {
          the allocator"
     );
 
-    let reps = 8;
-    let pooled_serial_s = best_of(reps, || {
-        train_step(&mut model, &inputs, &mut g, &mut adam, &batch, grad_clip)
-    });
+    // The pooled tape against the pre-arena behaviour (a fresh tape every
+    // step, every buffer from the allocator), both on serial kernels. The
+    // two alternate, one step each per round, so a burst of host load
+    // lands on both sides rather than on one.
+    let rounds = 9;
+    let (mut pooled, mut fresh) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for _ in 0..rounds {
+        pooled.push(best_of(1, || {
+            train_step(&mut model, &inputs, &mut g, &mut adam, &batch, grad_clip)
+        }));
+        fresh.push(best_of(1, || {
+            let mut fresh = Graph::new();
+            train_step(
+                &mut model, &inputs, &mut fresh, &mut adam, &batch, grad_clip,
+            )
+        }));
+    }
+    let best = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        prim_bench::percentile(v, 0.5)
+    };
+    let (pooled_serial_s, fresh_serial_s) = (best(&pooled), best(&fresh));
+    let (pooled_median_s, fresh_median_s) = (median(&mut pooled), median(&mut fresh));
     kernel::set_threads(par_threads);
-    let pooled_par_s = best_of(reps, || {
+    let pooled_par_s = best_of(8, || {
         train_step(&mut model, &inputs, &mut g, &mut adam, &batch, grad_clip)
-    });
-    // Pre-arena behaviour: a fresh tape every step, every buffer from the
-    // allocator, serial kernels.
-    kernel::set_threads(1);
-    let fresh_serial_s = best_of(reps, || {
-        let mut fresh = Graph::new();
-        train_step(
-            &mut model, &inputs, &mut fresh, &mut adam, &batch, grad_clip,
-        )
     });
     kernel::set_threads(0);
 
@@ -514,10 +517,17 @@ fn bench_train_epoch(par_threads: usize) -> String {
         ("alloc_budget", json::num(STEADY_ALLOC_BUDGET as f64)),
         ("fresh_serial_ms", json::num(fresh_serial_s * 1e3)),
         ("pooled_serial_ms", json::num(pooled_serial_s * 1e3)),
+        ("interleaved_rounds", json::num(rounds as f64)),
+        ("fresh_serial_median_ms", json::num(fresh_median_s * 1e3)),
+        ("pooled_serial_median_ms", json::num(pooled_median_s * 1e3)),
         ("pooled_parallel_ms", json::num(pooled_par_s * 1e3)),
         (
             "speedup_pooled_serial",
             json::num(fresh_serial_s / pooled_serial_s),
+        ),
+        (
+            "speedup_pooled_serial_median",
+            json::num(fresh_median_s / pooled_median_s),
         ),
         ("speedup_vs_fresh", json::num(fresh_serial_s / pooled_par_s)),
     ])
@@ -555,29 +565,23 @@ fn bench_train_scaling() -> String {
     let mut model = PrimModel::new(cfg, &inputs);
 
     let mut rng = StdRng::seed_from_u64(17);
-    let known = ds.graph.edge_key_set();
-    let et = sample_epoch_triples(
+    let et = EpochSampler::new(
         &ds.graph,
         ds.graph.edges(),
         inputs.n_pois,
         inputs.n_relations,
         model.config().omega,
         None,
-        &known,
-        &mut rng,
-    );
+    )
+    .sample(&mut rng);
     let n = et.src.len().min(max_triples);
-    let src: Vec<usize> = et.src[..n].iter().map(|p| p.0 as usize).collect();
-    let dst: Vec<usize> = et.dst[..n].iter().map(|p| p.0 as usize).collect();
-    let bins: Vec<usize> = (0..n)
-        .map(|k| inputs.pair_bin(et.src[k], et.dst[k], model.config()))
-        .collect();
+    let bins = inputs.pair_bins(&et.src[..n], &et.dst[..n], model.config());
     let batch = TripleBatch::new(
         &model,
         &inputs,
-        &src,
+        &et.src[..n],
         &et.rel[..n],
-        &dst,
+        &et.dst[..n],
         &bins,
         &et.labels[..n],
     );

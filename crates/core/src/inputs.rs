@@ -12,7 +12,7 @@ use prim_geo::GridIndex;
 use prim_graph::{
     Adjacency, Edge, EdgeIncidence, HeteroGraph, Poi, PoiId, SpatialNeighbors, Taxonomy,
 };
-use prim_tensor::{Matrix, SegmentPlan};
+use prim_tensor::{pool, Matrix, SegmentPlan};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -454,6 +454,28 @@ impl ModelInputs {
     /// Distance bin of a POI pair under the configured bins.
     pub fn pair_bin(&self, a: PoiId, b: PoiId, cfg: &PrimConfig) -> usize {
         cfg.bins.bin(self.pair_distance_km(a, b))
+    }
+
+    /// [`ModelInputs::pair_bin`] of every pair `(src[k], dst[k])`, in
+    /// fixed chunks of pairs over the worker pool.
+    pub fn pair_bins(&self, src: &[usize], dst: &[usize], cfg: &PrimConfig) -> Vec<usize> {
+        /// Pairs per pool job; a shape-only constant.
+        const CHUNK: usize = 4096;
+        assert_eq!(src.len(), dst.len(), "pair_bins: length mismatch");
+        let n = src.len();
+        let mut bins = vec![0usize; n];
+        let out = pool::SendPtr::new(bins.as_mut_ptr());
+        pool::run(n.div_ceil(CHUNK), |c| {
+            let range = c * CHUNK..n.min(c * CHUNK + CHUNK);
+            // SAFETY: chunk `c` alone writes this range of `bins`, and
+            // `pool::run` joins every job before `bins` is read.
+            let chunk =
+                unsafe { std::slice::from_raw_parts_mut(out.get().add(range.start), range.len()) };
+            for (bin, k) in chunk.iter_mut().zip(range) {
+                *bin = self.pair_bin(PoiId(src[k] as u32), PoiId(dst[k] as u32), cfg);
+            }
+        });
+        bins
     }
 
     /// Attribute feature width.

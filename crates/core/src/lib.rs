@@ -37,9 +37,8 @@ pub use config::{GammaOp, PrimConfig, TaxonomyMode, Variant};
 pub use inputs::{GraphPlans, ModelInputs, SubsetInputs};
 pub use model::{EmbeddingTable, ForwardOutput, ModelDims, PrimModel, TripleBatch};
 pub use train::{
-    fit, fit_hooked, fit_observed, fit_resumed, sample_epoch_triples, train_step,
-    train_step_observed, EpochTriples, FitCkptView, FitHook, NoopHook, ResumeState, StepNorms,
-    StepStats, TrainReport,
+    fit, fit_hooked, fit_observed, fit_resumed, train_step, train_step_observed, EpochSampler,
+    EpochTriples, FitCkptView, FitHook, NoopHook, ResumeState, StepNorms, StepStats, TrainReport,
 };
 // Telemetry types callers of `fit_observed` need, re-exported for one-stop
 // imports (the canonical home is `prim_obs`).

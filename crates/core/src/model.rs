@@ -30,7 +30,8 @@ use prim_tensor::{pool, segment, stable_sigmoid};
 use prim_tensor::{AttentionHead, Graph, Matrix, SegmentPlan, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Negative slope of the leaky ReLU on the attention logits (Eq. 3).
 const ATTENTION_SLOPE: f32 = 0.2;
@@ -179,13 +180,52 @@ impl TripleBatch {
         bins: &[usize],
         labels: &[f32],
     ) -> Self {
-        assert!(src.len() == rel.len() && src.len() == dst.len() && src.len() == bins.len());
-        assert_eq!(src.len(), labels.len());
+        Self::from_vecs(
+            model,
+            inputs,
+            src.to_vec(),
+            rel.to_vec(),
+            dst.to_vec(),
+            bins.to_vec(),
+            labels,
+        )
+    }
+
+    /// [`TripleBatch::new`] over owned index arrays, which move into the
+    /// plans without a copy. The four counting sorts run as pool jobs,
+    /// the two POI-keyed ones first.
+    pub fn from_vecs(
+        model: &PrimModel,
+        inputs: &ModelInputs,
+        src: Vec<usize>,
+        rel: Vec<usize>,
+        dst: Vec<usize>,
+        bins: Vec<usize>,
+        labels: &[f32],
+    ) -> Self {
+        let n = labels.len();
+        assert!(src.len() == n && rel.len() == n && dst.len() == n && bins.len() == n);
+        let maps = [
+            (src, inputs.n_pois),
+            (dst, inputs.n_pois),
+            (rel, model.n_relations + 1),
+            (bins, model.cfg.bins.len()),
+        ];
+        let jobs = maps.map(|(map, segments)| Mutex::new((map, segments, None)));
+        pool::run(jobs.len(), |i| {
+            let mut job = jobs[i].lock().unwrap_or_else(|e| e.into_inner());
+            let map = std::mem::take(&mut job.0);
+            job.2 = Some(Arc::new(SegmentPlan::new(map, job.1)));
+        });
+        let [src, dst, rel, bins] = jobs.map(|job| {
+            let (_, _, plan) = job.into_inner().unwrap_or_else(|e| e.into_inner());
+            plan.expect("every plan job ran")
+        });
         TripleBatch {
-            src: Arc::new(SegmentPlan::new(src.to_vec(), inputs.n_pois)),
-            rel: Arc::new(SegmentPlan::new(rel.to_vec(), model.n_relations + 1)),
-            dst: Arc::new(SegmentPlan::new(dst.to_vec(), inputs.n_pois)),
-            bins: Arc::new(SegmentPlan::new(bins.to_vec(), model.cfg.bins.len())),
+            src,
+            rel,
+            dst,
+            bins,
             targets: Arc::from(labels),
         }
     }
@@ -633,20 +673,143 @@ impl PrimModel {
     /// across worker-pool shards instead of built on the tape.
     ///
     /// The encoder forward stays on the tape; this routine reads `h_final`,
-    /// `rel_score` and the normalised bin normals, computes per-triple logits
-    /// and their gradients in fixed-size shards (each shard owns a disjoint
-    /// row range of the output buffers, so writes never race), then reduces
-    /// the per-triple rows into per-parameter-node seeds with the batch's
-    /// [`SegmentPlan`]s in a fixed order: src rows, then dst rows, then
-    /// relation rows, then bin rows. Shard boundaries depend only on the
-    /// batch size — never the thread count — so the result is bitwise
-    /// identical for any pool size. Feed the returned seeds to
+    /// `rel_score` and the normalised bin normals and scores fixed-size
+    /// shards of triples, each into its worker's scratch. A shard's source,
+    /// relation and bin gradient rows are added into their seeds while they
+    /// are still in that cache, shard after shard in ascending order, so
+    /// each seed element is the same ascending-row chain from `+0.0` that a
+    /// segment sum builds. The destination rows go to a batch-wide plane
+    /// reduced after the last shard, because the `h_final` seed adds every
+    /// destination row after every source row. Shard boundaries depend
+    /// only on the batch size — never the thread count — so the result is
+    /// bitwise identical for any pool size, and to the test oracle
+    /// `PrimModel::scored_loss_reference`. Feed the returned seeds to
     /// [`Graph::backward_seeded`] to continue the reverse pass through the
     /// encoder.
     ///
     /// Returns the mean BCE loss and the gradient seeds
     /// `(h_final, rel_score[, wn])`.
     pub fn scored_loss_parallel(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        fwd: &ForwardOutput,
+        batch: &TripleBatch,
+    ) -> (f32, Vec<(Var, Matrix)>) {
+        let n = batch.len();
+        assert!(n > 0, "scored_loss_parallel: empty batch");
+        let wn_var = self
+            .cfg
+            .use_distance_scoring
+            .then(|| g.normalize_rows(bind.var(self.w_bins)));
+        let (n_pois, d) = g.shape(fwd.h_final);
+        let (n_rel, _) = g.shape(fwd.rel_score);
+        let n_bins = wn_var.map_or(0, |v| g.shape(v).0);
+        let mut d_h = g.scratch_zeroed(n_pois, d);
+        let mut d_rel = g.scratch_zeroed(n_rel, d);
+        let mut d_wn = wn_var.map(|_| g.scratch_zeroed(n_bins, d));
+        let mut d_dst_rows = g.scratch_uninit(n, d);
+
+        let n_shards = n.div_ceil(SCORE_SHARD);
+        let mut shard_loss = vec![0.0f64; n_shards];
+        {
+            let scorer = ShardScorer {
+                d,
+                h: g.value(fwd.h_final).data(),
+                rel: g.value(fwd.rel_score).data(),
+                wn: wn_var.map(|v| g.value(v).data()),
+                batch,
+                inv_n: 1.0 / n as f32,
+            };
+            let p_dst = pool::SendPtr::new(d_dst_rows.data_mut().as_mut_ptr());
+            let p_h = pool::SendPtr::new(d_h.data_mut().as_mut_ptr());
+            let p_rel = pool::SendPtr::new(d_rel.data_mut().as_mut_ptr());
+            let p_wn = d_wn
+                .as_mut()
+                .map(|m| pool::SendPtr::new(m.data_mut().as_mut_ptr()));
+            let p_loss = pool::SendPtr::new(shard_loss.as_mut_ptr());
+            let next_shard = AtomicUsize::new(0);
+            pool::run(n_shards, |shard| {
+                let ticket = Ticket {
+                    next: &next_shard,
+                    mine: shard,
+                };
+                let rows = shard * SCORE_SHARD..n.min(shard * SCORE_SHARD + SCORE_SHARD);
+                let len = rows.len() * d;
+                let wn_len = if p_wn.is_some() { SCORE_SHARD * d } else { 0 };
+                let mut bufs = pool::with_scratch(|s| {
+                    [SCORE_SHARD * d, SCORE_SHARD * d, wn_len].map(|len| s.take(len))
+                });
+                let [src_rows, rel_rows, wn_rows] = &mut bufs;
+                // SAFETY: rows `rows` of the destination plane and slot
+                // `shard` of the loss partials belong to this shard alone;
+                // the seeds are written only under the shard's ticket,
+                // which orders the shards' writes one after another; and
+                // `pool::run` joins every job before the borrows end.
+                let dst_rows =
+                    unsafe { std::slice::from_raw_parts_mut(p_dst.get().add(rows.start * d), len) };
+                let loss = scorer.score(
+                    rows.clone(),
+                    &mut src_rows[..len],
+                    dst_rows,
+                    &mut rel_rows[..len],
+                    wn_rows.get_mut(..len).unwrap_or(&mut []),
+                );
+                unsafe { *p_loss.get().add(shard) = loss };
+                ticket.wait();
+                let seed = |p: &pool::SendPtr<f32>, rows: usize| unsafe {
+                    std::slice::from_raw_parts_mut(p.get(), rows * d)
+                };
+                add_rows(
+                    seed(&p_h, n_pois),
+                    d,
+                    &batch.src.segment_of_row()[rows.clone()],
+                    src_rows,
+                );
+                add_rows(
+                    seed(&p_rel, n_rel),
+                    d,
+                    &batch.rel.segment_of_row()[rows.clone()],
+                    rel_rows,
+                );
+                if let Some(p_wn) = &p_wn {
+                    add_rows(
+                        seed(p_wn, n_bins),
+                        d,
+                        &batch.bins.segment_of_row()[rows],
+                        wn_rows,
+                    );
+                }
+                drop(ticket);
+                pool::with_scratch(|s| bufs.into_iter().for_each(|b| s.put(b)));
+            });
+        }
+
+        // Every destination row after every source row, in triple order:
+        // one sequential pass over the plane, which reads it faster than
+        // a segment sum's per-destination gathers.
+        add_rows(
+            d_h.data_mut(),
+            d,
+            batch.dst.segment_of_row(),
+            d_dst_rows.data(),
+        );
+        g.give_back(d_dst_rows);
+        let mut seeds = vec![(fwd.h_final, d_h), (fwd.rel_score, d_rel)];
+        if let (Some(wv), Some(d_wn)) = (wn_var, d_wn) {
+            seeds.push((wv, d_wn));
+        }
+        let loss = (shard_loss.iter().sum::<f64>() / n as f64) as f32;
+        (loss, seeds)
+    }
+
+    /// [`PrimModel::scored_loss_parallel`] as it first stood: the same
+    /// shards write every gradient row into four batch-wide planes, which
+    /// four segment sums then reduce (source rows, then destination rows,
+    /// then relation rows, then bin rows). The oracle the reduce-as-you-go
+    /// scorer is tested against, bit for bit. Not for production use.
+    #[doc(hidden)]
+    pub fn scored_loss_reference(
         &self,
         g: &mut Graph,
         bind: &Binding,
@@ -899,6 +1062,171 @@ impl PrimModel {
             }
             best
         })
+    }
+}
+
+/// Triples per scoring shard; a shape-only constant (the loss partials
+/// and the reduction order follow it, never the thread count).
+const SCORE_SHARD: usize = 2048;
+
+/// Shard `mine`'s turn in an ordered reduction. [`Ticket::wait`] returns
+/// once shards `0..mine` have dropped their tickets; dropping this one
+/// (after the shard's reduction, or while unwinding from a panic) waits
+/// for the turn too and then passes it on. `pool::run` claims indices in
+/// ascending order and a nested or contended run executes them inline in
+/// order, so a shard's predecessors are always running or done and every
+/// wait ends. Waiters yield their CPU: with more pool threads than cores,
+/// a spinning waiter would take it from the shard it waits for.
+struct Ticket<'a> {
+    next: &'a AtomicUsize,
+    mine: usize,
+}
+
+impl Ticket<'_> {
+    fn wait(&self) {
+        while self.next.load(Ordering::Acquire) != self.mine {
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        self.wait();
+        self.next.store(self.mine + 1, Ordering::Release);
+    }
+}
+
+/// `seed[segment[r]] += rows[r]` for each row in order, `d` wide.
+fn add_rows(seed: &mut [f32], d: usize, segment: &[usize], rows: &[f32]) {
+    for (&s, row) in segment.iter().zip(rows.chunks_exact(d)) {
+        for (o, &x) in seed[s * d..s * d + d].iter_mut().zip(row) {
+            *o += x;
+        }
+    }
+}
+
+/// What a scoring shard reads: the encoder's outputs and the batch.
+struct ShardScorer<'a> {
+    d: usize,
+    h: &'a [f32],
+    rel: &'a [f32],
+    wn: Option<&'a [f32]>,
+    batch: &'a TripleBatch,
+    inv_n: f32,
+}
+
+impl ShardScorer<'_> {
+    /// Scores triples `rows` (Eq. 11-12 and the BCE) and writes their
+    /// gradient rows: with respect to the source and destination
+    /// embeddings, the relation row and (with distance scoring) the bin
+    /// normal, `d` floats per triple in triple order. Returns the shard's
+    /// BCE sum, accumulated in triple order.
+    fn score(
+        &self,
+        rows: std::ops::Range<usize>,
+        d_src: &mut [f32],
+        d_dst: &mut [f32],
+        d_rel: &mut [f32],
+        d_wn: &mut [f32],
+    ) -> f64 {
+        let d = self.d;
+        fn row(m: &[f32], i: usize, d: usize) -> &[f32] {
+            &m[i * d..i * d + d]
+        }
+        let (src_of, dst_of) = (
+            self.batch.src.segment_of_row(),
+            self.batch.dst.segment_of_row(),
+        );
+        let (rel_of, bins_of) = (
+            self.batch.rel.segment_of_row(),
+            self.batch.bins.segment_of_row(),
+        );
+        let mut proj = pool::with_scratch(|s| s.take(2 * d));
+        let (ps_buf, pd_buf) = proj.split_at_mut(d);
+        let mut partial = 0.0f64;
+        for (r, t) in rows.enumerate() {
+            let (hs, hd) = (row(self.h, src_of[t], d), row(self.h, dst_of[t], d));
+            let hr = row(self.rel, rel_of[t], d);
+            let out = r * d..r * d + d;
+            let (o_src, o_dst, o_rel) = (
+                &mut d_src[out.clone()],
+                &mut d_dst[out.clone()],
+                &mut d_rel[out.clone()],
+            );
+            // Forward: hyperplane projection (Eq. 11) …
+            let w = self.wn.map(|wn| row(wn, bins_of[t], d));
+            let (mut a_s, mut a_d) = (0.0f32, 0.0f32);
+            let (ps, pd): (&[f32], &[f32]) = match w {
+                Some(w) => {
+                    for ((&s, &e), &wk) in hs.iter().zip(hd).zip(w) {
+                        a_s += s * wk;
+                        a_d += e * wk;
+                    }
+                    for ((p, q), ((&s, &e), &wk)) in ps_buf
+                        .iter_mut()
+                        .zip(pd_buf.iter_mut())
+                        .zip(hs.iter().zip(hd).zip(w))
+                    {
+                        *p = s - a_s * wk;
+                        *q = e - a_d * wk;
+                    }
+                    (ps_buf, pd_buf)
+                }
+                None => (hs, hd),
+            };
+            // … then the DistMult logit, in the tape's k-order (`mul` then
+            // `rows_dot`: `(ps·hr)·pd` per element).
+            let mut x = 0.0f32;
+            for ((&p, &q), &r) in ps.iter().zip(pd).zip(hr) {
+                x += p * r * q;
+            }
+            let y = self.batch.targets[t];
+            // max(x,0) - x*y + ln(1 + exp(-|x|)), as the tape's BCE, and
+            // the sigmoid from the same exp: `stable_sigmoid` evaluates
+            // exactly `exp(-|x|)` on both of its branches.
+            let e = (-x.abs()).exp();
+            partial += (x.max(0.0) - x * y + e.ln_1p()) as f64;
+            let sigmoid = if x >= 0.0 {
+                1.0 / (1.0 + e)
+            } else {
+                e / (1.0 + e)
+            };
+            let gl = (sigmoid - y) * self.inv_n;
+            for (((os, od), or), ((&p, &q), &r)) in o_src
+                .iter_mut()
+                .zip(o_dst.iter_mut())
+                .zip(o_rel.iter_mut())
+                .zip(ps.iter().zip(pd).zip(hr))
+            {
+                *os = gl * r * q;
+                *od = gl * p * r;
+                *or = gl * p * q;
+            }
+            if let Some(w) = w {
+                // p = x - (x·w)w  ⇒  dx = dp - (dp·w)w and
+                // dw = -(x·w)dp - (dp·w)x, summed over both ends.
+                let (mut g_s, mut g_d) = (0.0f32, 0.0f32);
+                for ((&os, &od), &wk) in o_src.iter().zip(o_dst.iter()).zip(w) {
+                    g_s += os * wk;
+                    g_d += od * wk;
+                }
+                let o_wn = &mut d_wn[out];
+                for (((ow, os), od), ((&s, &e), &wk)) in o_wn
+                    .iter_mut()
+                    .zip(o_src.iter_mut())
+                    .zip(o_dst.iter_mut())
+                    .zip(hs.iter().zip(hd).zip(w))
+                {
+                    let (dps, dpd) = (*os, *od);
+                    *ow = -a_s * dps - g_s * s - a_d * dpd - g_d * e;
+                    *os = dps - g_s * wk;
+                    *od = dpd - g_d * wk;
+                }
+            }
+        }
+        pool::with_scratch(|s| s.put(proj));
+        partial
     }
 }
 
@@ -1534,5 +1862,87 @@ mod tests {
         assert_eq!(l1.to_bits(), l8.to_bits());
         assert_eq!(g1, g2);
         assert_eq!(g1, g8);
+    }
+
+    /// The scorer against its oracle, bit for bit, on encoder outputs set
+    /// by hand: zero, tiny, unit and large POI rows, so logits span `+0.0`,
+    /// both signs near zero (both sigmoid branches) and beyond ±80, where
+    /// `exp(-|x|)` is subnormal or zero.
+    #[test]
+    fn scorer_matches_reference_bitwise() {
+        let ds = Dataset::beijing(Scale::Quick).subsample(0.1, 3);
+        let lengths = [1usize, 7, 2047, 2048, 2049, 3 * 2048 + 357];
+        for (dim, dist) in [(8, true), (13, true), (16, false), (24, true), (24, false)] {
+            let cfg = PrimConfig {
+                dim,
+                cat_dim: 4,
+                n_layers: 1,
+                n_heads: 1,
+                use_distance_scoring: dist,
+                ..PrimConfig::quick()
+            };
+            let inputs = ModelInputs::build(
+                &ds.graph,
+                &ds.taxonomy,
+                &ds.attrs,
+                ds.graph.edges(),
+                None,
+                &cfg,
+            );
+            let model = PrimModel::new(cfg, &inputs);
+            let (n_pois, n_rel, n_bins) = (inputs.n_pois, model.phi() + 1, model.cfg.bins.len());
+            // A fixed integer hash mapped into [-1, 1).
+            let unit =
+                |i: usize| ((i as u32).wrapping_mul(2_654_435_761) >> 8) as f32 / 8_388_608.0 - 1.0;
+            let scale = [0.0f32, 1e-20, 1.0, 8.0, -6.0];
+            let h = Matrix::from_vec(
+                n_pois,
+                dim,
+                (0..n_pois * dim)
+                    .map(|i| unit(i) * scale[(i / dim) % 5])
+                    .collect(),
+            );
+            let rel = Matrix::from_vec(
+                n_rel,
+                dim,
+                (0..n_rel * dim).map(|i| 2.0 * unit(i + 7)).collect(),
+            );
+            for &n in &lengths {
+                let src: Vec<usize> = (0..n).map(|t| (t * 7 + 1) % n_pois).collect();
+                let dst: Vec<usize> = (0..n).map(|t| (t * 13 + 5) % n_pois).collect();
+                let rels: Vec<usize> = (0..n).map(|t| (t / 3) % n_rel).collect();
+                let bins: Vec<usize> = (0..n).map(|t| (t * 5 + t / 7) % n_bins).collect();
+                let labels: Vec<f32> = (0..n).map(|t| (t % 3 == 0) as u8 as f32).collect();
+                let batch = TripleBatch::new(&model, &inputs, &src, &rels, &dst, &bins, &labels);
+                let scored = |threads: usize, reference: bool| {
+                    kernel::set_threads(threads);
+                    let mut g = Graph::new();
+                    let bind = model.store.bind(&mut g);
+                    let fwd = ForwardOutput {
+                        h_final: g.constant(h.clone()),
+                        rel_score: g.constant(rel.clone()),
+                    };
+                    let (loss, seeds) = if reference {
+                        model.scored_loss_reference(&mut g, &bind, &fwd, &batch)
+                    } else {
+                        model.scored_loss_parallel(&mut g, &bind, &fwd, &batch)
+                    };
+                    kernel::set_threads(0);
+                    let seeds: Vec<Vec<u32>> = seeds.iter().map(|(_, m)| bits(m)).collect();
+                    (loss.to_bits(), seeds)
+                };
+                let oracle = scored(1, true);
+                assert_eq!(oracle.1.len(), 2 + dist as usize);
+                for threads in [1, 2, 4, 8] {
+                    let got = scored(threads, false);
+                    let case =
+                        format!("dim {dim}, distance {dist}, {n} triples, {threads} threads");
+                    assert_eq!(got.0, oracle.0, "loss differs: {case}");
+                    for (k, (a, b)) in got.1.iter().zip(&oracle.1).enumerate() {
+                        assert!(a == b, "seed {k} differs: {case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,11 +20,15 @@
 
 use crate::inputs::ModelInputs;
 use crate::model::{PrimModel, TripleBatch};
-use prim_graph::{negative_sampled_triples, sample_non_relation_pairs, Edge, HeteroGraph, PoiId};
+use prim_graph::{
+    negative_sampled_triples, sample_non_relation_pairs, sample_pairs_outside, Edge, EdgeKeySet,
+    HeteroGraph, PairKeySet, PoiId,
+};
 use prim_nn::{Adam, AdamState};
 use prim_obs::{Counter, EpochRecord, Phase, Telemetry, TrainAbort};
 use prim_tensor::{kernel, pool, Graph, Matrix};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -63,77 +67,108 @@ impl TrainReport {
 /// ω corrupted negatives, one cross-relation negative per positive, φ
 /// positives (non-relation pairs) and φ negatives (true edges under φ).
 pub struct EpochTriples {
-    /// Source POI per triple.
-    pub src: Vec<PoiId>,
+    /// Source POI id per triple.
+    pub src: Vec<usize>,
     /// Relation id per triple (`phi` = non-relation).
     pub rel: Vec<usize>,
-    /// Destination POI per triple.
-    pub dst: Vec<PoiId>,
+    /// Destination POI id per triple.
+    pub dst: Vec<usize>,
     /// Binary label per triple.
     pub labels: Vec<f32>,
 }
 
-/// Samples one epoch of training triples (see [`EpochTriples`]).
-#[allow(clippy::too_many_arguments)] // a sampling context, flattened for the hot path
-pub fn sample_epoch_triples(
-    graph: &HeteroGraph,
-    train_edges: &[Edge],
+/// Draws each epoch's [`EpochTriples`] for one fit. The graph's edge-key
+/// and connected-pair sets are built once here, not per epoch.
+pub struct EpochSampler<'a> {
+    train_edges: &'a [Edge],
     n_pois: usize,
     n_relations: usize,
     omega: usize,
-    visible: Option<&HashSet<PoiId>>,
-    known: &HashSet<(u32, u32, u8)>,
-    rng: &mut StdRng,
-) -> EpochTriples {
-    let phi = n_relations;
-    let n_phi = (train_edges.len() / n_relations.max(1)).max(1);
-    let triples = negative_sampled_triples(train_edges, omega, n_pois, known, rng);
-    let mut phi_pos = sample_non_relation_pairs(graph, n_phi * 2, rng);
-    if let Some(vis) = visible {
-        phi_pos.retain(|(a, b)| vis.contains(a) && vis.contains(b));
-    }
-    phi_pos.truncate(n_phi);
-    let phi_neg_stride = (train_edges.len() / n_phi.max(1)).max(1);
-
-    let capacity = triples.len() + n_phi * 2 + train_edges.len();
-    let mut out = EpochTriples {
-        src: Vec::with_capacity(capacity),
-        rel: Vec::with_capacity(capacity),
-        dst: Vec::with_capacity(capacity),
-        labels: Vec::with_capacity(capacity),
-    };
-    let mut push = |a: PoiId, r: usize, b: PoiId, y: f32| {
-        out.src.push(a);
-        out.rel.push(r);
-        out.dst.push(b);
-        out.labels.push(y);
-    };
-    for t in &triples {
-        push(t.src, t.rel.0 as usize, t.dst, t.label);
-    }
-    // Cross-relation negatives: a pair related by r must score low for
-    // every other relation type (drives Macro-F1 class separation).
-    if n_relations > 1 {
-        for e in train_edges {
-            let mut wrong = rng.gen_range(0..n_relations - 1);
-            if wrong >= e.rel.0 as usize {
-                wrong += 1;
-            }
-            push(e.src, wrong, e.dst, 0.0);
-        }
-    }
-    for &(a, b) in &phi_pos {
-        push(a, phi, b, 1.0);
-    }
-    // φ negatives: actual relationships must NOT look like non-relations.
-    for e in train_edges.iter().step_by(phi_neg_stride) {
-        push(e.src, phi, e.dst, 0.0);
-    }
-    out
+    visible: Option<&'a HashSet<PoiId>>,
+    graph_pois: usize,
+    known: EdgeKeySet,
+    connected: PairKeySet,
 }
 
-/// Assembled per-epoch triple arrays.
-struct TripleArrays {
+impl<'a> EpochSampler<'a> {
+    /// A sampler over `train_edges`: corruptions draw from the first
+    /// `n_pois` POIs and avoid `graph`'s edges, φ pairs avoid every
+    /// connected pair of `graph`, and with `visible` set only pairs of
+    /// visible POIs become φ positives.
+    pub fn new(
+        graph: &HeteroGraph,
+        train_edges: &'a [Edge],
+        n_pois: usize,
+        n_relations: usize,
+        omega: usize,
+        visible: Option<&'a HashSet<PoiId>>,
+    ) -> Self {
+        EpochSampler {
+            train_edges,
+            n_pois,
+            n_relations,
+            omega,
+            visible,
+            graph_pois: graph.num_pois(),
+            known: graph.edge_key_set(),
+            connected: graph.pair_key_set(),
+        }
+    }
+
+    /// Samples one epoch of training triples (see [`EpochTriples`]).
+    pub fn sample(&self, rng: &mut StdRng) -> EpochTriples {
+        let (train_edges, n_relations) = (self.train_edges, self.n_relations);
+        let phi = n_relations;
+        let n_phi = (train_edges.len() / n_relations.max(1)).max(1);
+        let triples =
+            negative_sampled_triples(train_edges, self.omega, self.n_pois, &self.known, rng);
+        let mut phi_pos = sample_pairs_outside(&self.connected, self.graph_pois, n_phi * 2, rng);
+        if let Some(vis) = self.visible {
+            phi_pos.retain(|(a, b)| vis.contains(a) && vis.contains(b));
+        }
+        phi_pos.truncate(n_phi);
+        let phi_neg_stride = (train_edges.len() / n_phi.max(1)).max(1);
+
+        let capacity = triples.len() + n_phi * 2 + train_edges.len();
+        let mut out = EpochTriples {
+            src: Vec::with_capacity(capacity),
+            rel: Vec::with_capacity(capacity),
+            dst: Vec::with_capacity(capacity),
+            labels: Vec::with_capacity(capacity),
+        };
+        let mut push = |a: PoiId, r: usize, b: PoiId, y: f32| {
+            out.src.push(a.0 as usize);
+            out.rel.push(r);
+            out.dst.push(b.0 as usize);
+            out.labels.push(y);
+        };
+        for t in &triples {
+            push(t.src, t.rel.0 as usize, t.dst, t.label);
+        }
+        // Cross-relation negatives: a pair related by r must score low for
+        // every other relation type (drives Macro-F1 class separation).
+        if n_relations > 1 {
+            for e in train_edges {
+                let mut wrong = rng.gen_range(0..n_relations - 1);
+                if wrong >= e.rel.0 as usize {
+                    wrong += 1;
+                }
+                push(e.src, wrong, e.dst, 0.0);
+            }
+        }
+        for &(a, b) in &phi_pos {
+            push(a, phi, b, 1.0);
+        }
+        // φ negatives: actual relationships must NOT look like non-relations.
+        for e in train_edges.iter().step_by(phi_neg_stride) {
+            push(e.src, phi, e.dst, 0.0);
+        }
+        out
+    }
+}
+
+/// One step's triples with their distance bins.
+struct StepArrays {
     src: Vec<usize>,
     rel: Vec<usize>,
     dst: Vec<usize>,
@@ -141,31 +176,33 @@ struct TripleArrays {
     labels: Vec<f32>,
 }
 
-impl TripleArrays {
-    fn with_capacity(n: usize) -> Self {
-        TripleArrays {
-            src: Vec::with_capacity(n),
-            rel: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            bins: Vec::with_capacity(n),
-            labels: Vec::with_capacity(n),
+impl StepArrays {
+    /// Splits an epoch into steps of at most `batch` triples. With more
+    /// than one step the epoch's order is first shuffled from `rng`, so each
+    /// mini-batch is a random sample of the epoch rather than a slice of
+    /// its sections (positives with their negatives, cross-relation
+    /// negatives, φ positives, φ negatives). One step takes the arrays as
+    /// they are and draws nothing.
+    fn split(self, batch: usize, rng: &mut StdRng) -> Vec<StepArrays> {
+        let n = self.labels.len();
+        if n <= batch {
+            return vec![self];
         }
-    }
-
-    fn push(
-        &mut self,
-        inputs: &ModelInputs,
-        model: &PrimModel,
-        a: PoiId,
-        r: usize,
-        b: PoiId,
-        y: f32,
-    ) {
-        self.src.push(a.0 as usize);
-        self.rel.push(r);
-        self.dst.push(b.0 as usize);
-        self.bins.push(inputs.pair_bin(a, b, model.config()));
-        self.labels.push(y);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(rng);
+        order
+            .chunks(batch)
+            .map(|idx| {
+                let pick = |v: &[usize]| idx.iter().map(|&k| v[k as usize]).collect();
+                StepArrays {
+                    src: pick(&self.src),
+                    rel: pick(&self.rel),
+                    dst: pick(&self.dst),
+                    bins: pick(&self.bins),
+                    labels: idx.iter().map(|&k| self.labels[k as usize]).collect(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -557,9 +594,15 @@ pub fn fit_resumed(
             prim_obs::json::int(model.num_parameters() as u64),
         );
     }
-    let known = graph.edge_key_set();
+    let sampler = EpochSampler::new(
+        graph,
+        train_edges,
+        inputs.n_pois,
+        inputs.n_relations,
+        cfg.omega,
+        visible,
+    );
     let phi = model.phi();
-    let n_relations = inputs.n_relations;
 
     let val = val_edges
         .filter(|v| !v.is_empty() && cfg.val_check_every > 0)
@@ -601,45 +644,36 @@ pub fn fit_resumed(
         let epoch_pool = telemetry.recorder.is_enabled().then(pool::stats);
         hook.on_epoch_start(epoch, model);
         let sample_t = telemetry.recorder.phase(Phase::Sampling);
-        let epoch_triples = sample_epoch_triples(
-            graph,
-            train_edges,
-            inputs.n_pois,
-            n_relations,
-            cfg.omega,
-            visible,
-            &known,
-            &mut rng,
-        );
-        let mut arrays = TripleArrays::with_capacity(epoch_triples.src.len());
-        for k in 0..epoch_triples.src.len() {
-            arrays.push(
-                inputs,
-                model,
-                epoch_triples.src[k],
-                epoch_triples.rel[k],
-                epoch_triples.dst[k],
-                epoch_triples.labels[k],
-            );
-        }
+        let EpochTriples {
+            src,
+            rel,
+            dst,
+            labels,
+        } = sampler.sample(&mut rng);
+        let bins = inputs.pair_bins(&src, &dst, &cfg);
+        let n_triples = labels.len();
+        let arrays = StepArrays {
+            src,
+            rel,
+            dst,
+            bins,
+            labels,
+        };
+        let steps = arrays.split(cfg.batch_size.unwrap_or(n_triples).max(1), &mut rng);
         drop(sample_t);
 
-        let n_triples = arrays.src.len();
-        let batch = cfg.batch_size.unwrap_or(n_triples).max(1);
         let mut epoch_loss = 0.0f64;
         let mut last_norms = None;
-        let mut start_idx = 0usize;
-        while start_idx < n_triples {
-            let end = (start_idx + batch).min(n_triples);
-            let range = start_idx..end;
-            let triples = TripleBatch::new(
+        for step in steps.into_iter().filter(|s| !s.labels.is_empty()) {
+            let len = step.labels.len();
+            let triples = TripleBatch::from_vecs(
                 model,
                 inputs,
-                &arrays.src[range.clone()],
-                &arrays.rel[range.clone()],
-                &arrays.dst[range.clone()],
-                &arrays.bins[range.clone()],
-                &arrays.labels[range],
+                step.src,
+                step.rel,
+                step.dst,
+                step.bins,
+                &step.labels,
             );
             let stats = train_step_observed(
                 model,
@@ -653,11 +687,10 @@ pub fn fit_resumed(
                 global_step,
             )?;
             global_step += 1;
-            epoch_loss += stats.loss as f64 * (end - start_idx) as f64;
+            epoch_loss += stats.loss as f64 * len as f64;
             if stats.norms.is_some() {
                 last_norms = stats.norms;
             }
-            start_idx = end;
         }
         let mean_loss = (epoch_loss / n_triples.max(1) as f64) as f32;
         losses.push(mean_loss);
@@ -825,5 +858,124 @@ mod tests {
             "training had little effect: before {before:.3}, after {after:.3} (best val {:?})",
             report.best_val_accuracy
         );
+    }
+
+    /// A 300-POI, two-relation graph built from integer formulas alone (no
+    /// generator, no libm), and its first 400 edges for training.
+    fn pinned_graph() -> (HeteroGraph, Vec<Edge>) {
+        use prim_geo::Location;
+        use prim_graph::{CategoryId, Poi, RelationId};
+        let n = 300u32;
+        let pois = (0..n)
+            .map(|_| Poi {
+                location: Location::new(116.0, 40.0),
+                category: CategoryId(0),
+            })
+            .collect();
+        let mut graph = HeteroGraph::new(pois, 2);
+        for i in 0..n {
+            let j = (i * 37 + 11) % n;
+            if j != i {
+                graph.add_edge(PoiId(i), PoiId(j), RelationId((i % 2) as u8));
+            }
+            let k = (i * 101 + 7) % n;
+            if k != i && k != j {
+                graph.add_edge(PoiId(i), PoiId(k), RelationId(((i / 3) % 2) as u8));
+            }
+        }
+        let train = graph.edges()[..400].to_vec();
+        (graph, train)
+    }
+
+    /// FNV-1a over one epoch's `(src, rel, dst, label bits)` and the RNG
+    /// state after the draw.
+    fn epoch_fingerprint(triples: &EpochTriples, rng: &StdRng) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for k in 0..triples.labels.len() {
+            eat(&(triples.src[k] as u32).to_le_bytes());
+            eat(&(triples.rel[k] as u64).to_le_bytes());
+            eat(&(triples.dst[k] as u32).to_le_bytes());
+            eat(&triples.labels[k].to_bits().to_le_bytes());
+        }
+        for word in rng.state() {
+            eat(&word.to_le_bytes());
+        }
+        h
+    }
+
+    /// The sampler's draws, pinned: any change to what an epoch draws, or
+    /// to how much of the RNG stream it uses, changes these fingerprints
+    /// (recorded when the sampler still used std's SipHash sets and built
+    /// the connected-pair set per epoch).
+    #[test]
+    fn sampler_draws_are_pinned() {
+        let (graph, train) = pinned_graph();
+        let visible: HashSet<PoiId> = (0..300).filter(|i| i % 3 != 0).map(PoiId).collect();
+        for (vis, len, expected) in [
+            (None, 3200, 0x5c66_dbb0_f211_886e_u64),
+            (Some(&visible), 3175, 0xa529_c229_b594_9fac),
+        ] {
+            let sampler = EpochSampler::new(&graph, &train, 300, 2, 5, vis);
+            let mut rng = StdRng::seed_from_u64(42);
+            let triples = sampler.sample(&mut rng);
+            assert_eq!(triples.labels.len(), len, "visible: {}", vis.is_some());
+            assert_eq!(
+                epoch_fingerprint(&triples, &rng),
+                expected,
+                "visible: {}",
+                vis.is_some()
+            );
+        }
+    }
+
+    #[test]
+    fn every_mini_batch_holds_both_labels() {
+        let ds = Dataset::beijing(Scale::Quick).subsample(0.12, 4);
+        let cfg = PrimConfig::quick();
+        let edges = ds.graph.edges();
+        let (n_pois, n_relations) = (ds.graph.num_pois(), ds.graph.num_relations());
+        let sampler = EpochSampler::new(&ds.graph, edges, n_pois, n_relations, cfg.omega, None);
+        let mut rng = StdRng::seed_from_u64(7);
+        let t = sampler.sample(&mut rng);
+        let n = t.labels.len();
+        let epoch = || StepArrays {
+            src: t.src.clone(),
+            rel: t.rel.clone(),
+            dst: t.dst.clone(),
+            bins: vec![0; n],
+            labels: t.labels.clone(),
+        };
+        // One full batch draws nothing and keeps the sampler's order.
+        let before = rng.state();
+        let whole = epoch().split(n, &mut rng);
+        assert_eq!(rng.state(), before);
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0].labels, t.labels);
+        // Mini-batches cover the epoch once, and each holds both labels
+        // (in the sampler's order, the φ sections end in one-label runs).
+        let steps = epoch().split(256, &mut rng);
+        assert_eq!(steps.len(), n.div_ceil(256));
+        let mut seen: Vec<_> = steps
+            .iter()
+            .flat_map(|s| (0..s.labels.len()).map(|k| (s.src[k], s.rel[k], s.dst[k])))
+            .collect();
+        let mut all: Vec<_> = (0..n).map(|k| (t.src[k], t.rel[k], t.dst[k])).collect();
+        seen.sort_unstable();
+        all.sort_unstable();
+        assert_eq!(seen, all);
+        for (i, step) in steps.iter().enumerate() {
+            let positives = step.labels.iter().filter(|&&y| y == 1.0).count();
+            assert!(
+                positives > 0 && positives < step.labels.len(),
+                "mini-batch {i} of {} holds {positives} positives in {} triples",
+                steps.len(),
+                step.labels.len()
+            );
+        }
     }
 }

@@ -3,6 +3,52 @@
 use crate::taxonomy::CategoryId;
 use prim_geo::Location;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// FxHash's multiply-rotate mixing step, the hasher rustc uses for its own
+/// tables: one rotate, xor and multiply per integer written, against
+/// std's SipHash rounds. The samplers' membership sets only answer
+/// `contains`/`insert` on small integer keys, whose answers do not depend
+/// on the hasher, and nothing iterates them, so no draw depends on it.
+#[derive(Clone, Copy, Default)]
+pub struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b.into()));
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A membership set hashed by [`FxHasher`].
+pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
+
+/// `(min, max, rel)` keys of typed edges ([`HeteroGraph::edge_key_set`]).
+pub type EdgeKeySet = FxHashSet<(u32, u32, u8)>;
+
+/// `(min, max)` keys of connected POI pairs ([`HeteroGraph::pair_key_set`]).
+pub type PairKeySet = FxHashSet<(u32, u32)>;
 
 /// Dense POI identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -161,7 +207,7 @@ impl HeteroGraph {
 
     /// The set of `(min, max, rel)` keys of existing edges, for membership
     /// tests during negative sampling.
-    pub fn edge_key_set(&self) -> HashSet<(u32, u32, u8)> {
+    pub fn edge_key_set(&self) -> EdgeKeySet {
         self.edges
             .iter()
             .map(|e| (e.src.0, e.dst.0, e.rel.0))
@@ -169,7 +215,7 @@ impl HeteroGraph {
     }
 
     /// The set of `(min, max)` POI pairs connected by *any* relation.
-    pub fn pair_key_set(&self) -> HashSet<(u32, u32)> {
+    pub fn pair_key_set(&self) -> PairKeySet {
         self.edges.iter().map(|e| e.pair_key()).collect()
     }
 }

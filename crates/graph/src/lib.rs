@@ -19,8 +19,12 @@ pub mod spatial;
 pub mod split;
 pub mod taxonomy;
 
-pub use hetero::{Adjacency, Edge, EdgeIncidence, HeteroGraph, Poi, PoiId, RelationId};
-pub use sampling::{batches, negative_sampled_triples, sample_non_relation_pairs, Triple};
+pub use hetero::{
+    Adjacency, Edge, EdgeIncidence, EdgeKeySet, HeteroGraph, PairKeySet, Poi, PoiId, RelationId,
+};
+pub use sampling::{
+    negative_sampled_triples, sample_non_relation_pairs, sample_pairs_outside, Triple,
+};
 pub use spatial::SpatialNeighbors;
 pub use split::{inductive_split, sparse_subset, split_edges, EdgeSplit, InductiveSplit};
 pub use taxonomy::{CategoryId, Taxonomy, TaxonomyNodeId};

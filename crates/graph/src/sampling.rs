@@ -1,8 +1,7 @@
 //! Triple construction and negative sampling (paper Section 4.6).
 
-use crate::hetero::{Edge, HeteroGraph, PoiId, RelationId};
+use crate::hetero::{Edge, EdgeKeySet, FxHashSet, HeteroGraph, PairKeySet, PoiId, RelationId};
 use rand::Rng;
-use std::collections::HashSet;
 
 /// A labelled training/evaluation triple `(p_i, r, p_j, y)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,7 +26,7 @@ pub fn negative_sampled_triples<R: Rng>(
     edges: &[Edge],
     omega: usize,
     n_pois: usize,
-    known_edges: &HashSet<(u32, u32, u8)>,
+    known_edges: &EdgeKeySet,
     rng: &mut R,
 ) -> Vec<Triple> {
     let mut out = Vec::with_capacity(edges.len() * (1 + omega));
@@ -74,16 +73,30 @@ pub fn negative_sampled_triples<R: Rng>(
 /// Samples `count` POI pairs with no relationship of any type — the
 /// non-relation (φ) examples used both in training the φ representation and
 /// in the test set (the paper samples 16 000 such pairs for testing).
+///
+/// Builds the graph's [`HeteroGraph::pair_key_set`] per call; a caller that
+/// draws every epoch keeps the set and calls [`sample_pairs_outside`].
 pub fn sample_non_relation_pairs<R: Rng>(
     graph: &HeteroGraph,
     count: usize,
     rng: &mut R,
 ) -> Vec<(PoiId, PoiId)> {
-    let connected = graph.pair_key_set();
-    let n = graph.num_pois() as u32;
+    sample_pairs_outside(&graph.pair_key_set(), graph.num_pois(), count, rng)
+}
+
+/// Samples up to `count` distinct canonical `(min, max)` pairs of distinct
+/// POIs below `n_pois`, none of them in `connected`, by rejection (bounded
+/// tries, so a dense graph yields fewer pairs).
+pub fn sample_pairs_outside<R: Rng>(
+    connected: &PairKeySet,
+    n_pois: usize,
+    count: usize,
+    rng: &mut R,
+) -> Vec<(PoiId, PoiId)> {
+    let n = n_pois as u32;
     assert!(n >= 2, "need at least two POIs");
     let mut out = Vec::with_capacity(count);
-    let mut used: HashSet<(u32, u32)> = HashSet::with_capacity(count);
+    let mut used = FxHashSet::with_capacity_and_hasher(count, Default::default());
     let mut tries = 0usize;
     let max_tries = count.saturating_mul(64).max(1024);
     while out.len() < count && tries < max_tries {
@@ -100,15 +113,6 @@ pub fn sample_non_relation_pairs<R: Rng>(
         out.push((PoiId(key.0), PoiId(key.1)));
     }
     out
-}
-
-/// Splits triples into shuffled mini-batches of at most `batch_size`.
-pub fn batches<R: Rng>(triples: &[Triple], batch_size: usize, rng: &mut R) -> Vec<Vec<Triple>> {
-    use rand::seq::SliceRandom;
-    assert!(batch_size > 0);
-    let mut shuffled = triples.to_vec();
-    shuffled.shuffle(rng);
-    shuffled.chunks(batch_size).map(|c| c.to_vec()).collect()
 }
 
 #[cfg(test)]
@@ -173,7 +177,7 @@ mod tests {
         let pairs = sample_non_relation_pairs(&g, 100, &mut rng);
         assert_eq!(pairs.len(), 100);
         let connected = g.pair_key_set();
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for (a, b) in pairs {
             assert!(a.0 < b.0, "pairs must be canonical");
             assert!(!connected.contains(&(a.0, b.0)));
@@ -199,17 +203,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let pairs = sample_non_relation_pairs(&g, 10, &mut rng);
         assert!(pairs.is_empty());
-    }
-
-    #[test]
-    fn batches_cover_all_triples() {
-        let g = graph(20);
-        let known = g.edge_key_set();
-        let mut rng = StdRng::seed_from_u64(5);
-        let triples = negative_sampled_triples(g.edges(), 2, 20, &known, &mut rng);
-        let bs = batches(&triples, 7, &mut rng);
-        let total: usize = bs.iter().map(|b| b.len()).sum();
-        assert_eq!(total, triples.len());
-        assert!(bs.iter().all(|b| b.len() <= 7));
     }
 }

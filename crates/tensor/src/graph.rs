@@ -1262,15 +1262,15 @@ impl Graph {
                 }
             }
             Op::Mul(a, b) => {
-                if self.rg(*a) {
-                    let mut da = pool.copy_of(g);
-                    kernel::par_zip_apply(da.data_mut(), self.value(*b).data(), |x, y| *x *= y);
-                    Self::accumulate(pool, grads, *a, da);
-                }
-                if self.rg(*b) {
-                    let mut db = pool.copy_of(g);
-                    kernel::par_zip_apply(db.data_mut(), self.value(*a).data(), |x, y| *x *= y);
-                    Self::accumulate(pool, grads, *b, db);
+                // `g ⊙ other` in one pass straight into a pooled buffer.
+                for (x, other) in [(*a, *b), (*b, *a)] {
+                    if self.rg(x) {
+                        let (r, c) = g.shape();
+                        let mut dx = pool.uninit(r, c);
+                        let y = self.value(other).data();
+                        kernel::par_zip2_apply(dx.data_mut(), g.data(), y, |o, g, y| *o = g * y);
+                        Self::accumulate(pool, grads, x, dx);
+                    }
                 }
             }
             Op::AddRowBroadcast(a, b) => {
